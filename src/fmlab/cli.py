@@ -21,8 +21,6 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import fmlogic, netcore, sidechannel, trojankit
 from .netcore import Netlist, Stimulus, Trace
 from .trojankit import Aligned, PayloadMode, RandomRetry, TriggerSpec
@@ -181,13 +179,17 @@ class ScenarioConfig:
 
 @dataclass
 class Design:
+    """The standard testbed; the trigger half alone leaves the carrier
+    fields None."""
+
     netlist: Netlist
     sync: fmlogic.FmSync
     bus: tuple
+    lines: tuple
     trigger: fmlogic.FmSignal
-    quad: trojankit.ConcealedQuad
-    transmitter: trojankit.TransmitterPlan | None
-    jammer: sidechannel.JammerPlan | None
+    quad: trojankit.ConcealedQuad | None = None
+    transmitter: trojankit.TransmitterPlan | None = None
+    jammer: sidechannel.JammerPlan | None = None
 
     def quad_scope(self) -> list[int]:
         return list(self.quad.stage_nets())
@@ -199,46 +201,49 @@ class Design:
         return scope
 
 
-def construct_design(cfg: ScenarioConfig) -> Design:
-    """The standard testbed: trigger plus concealed carrier, per config.
-
-    In payload modes the quad is armed with the trigger and fed by the
-    transmitter; in concealed mode it stays unarmed so the design
-    contains no activation-dependent gating at all.
-    """
-    spec = cfg.trigger_spec()
+def construct_trigger(cfg: ScenarioConfig) -> Design:
+    """The trigger half of the testbed: SYNC generator, opcode bus,
+    event synchronization and the locking trigger."""
     nl = Netlist()
-    nl.reset()
     sync = fmlogic.build_sync(nl, cfg.L)
     bus = trojankit.add_opcode_bus(nl, cfg.opcode_width)
-    a, b, c, d = trojankit.build_event_sync(nl, bus, spec)
-    trigger = trojankit.build_trigger(nl, a, b, c, d, sync)
+    lines = trojankit.build_event_sync(nl, bus, cfg.trigger_spec())
+    trigger = trojankit.build_trigger(nl, *lines, sync)
+    return Design(netlist=nl, sync=sync, bus=bus, lines=lines, trigger=trigger)
+
+
+def build_testbed(cfg: ScenarioConfig, secret: str | None) -> Design:
+    """The trigger half plus a concealed carrier quad and, per config,
+    the counter-jammer; the trigger and carrier taps are marked outputs.
+
+    With a ``secret`` the quad is armed with the trigger, set to the
+    configured payload mode and fed by a transmitter of that secret;
+    without one it stays unarmed, so the design contains no
+    activation-dependent gating at all.
+    """
+    design = construct_trigger(cfg)
+    nl, sync, trigger = design.netlist, design.sync, design.trigger
     carrier = fmlogic.build_std_to_fm(nl, nl.const(0), sync)
-
-    mode = cfg.mode()
-    if mode is PayloadMode.CONCEALED:
-        quad = trojankit.build_concealed(nl, carrier, sync)
-        transmitter = None
+    if secret is None:
+        design.quad = trojankit.build_concealed(nl, carrier, sync)
     else:
-        quad = trojankit.build_concealed(nl, carrier, sync, trigger=trigger)
-        trojankit.set_payload_mode(quad, mode)
-        transmitter = trojankit.build_payload_transmitter(nl, cfg.secret, trigger, quad, sync)
-
-    jammer = None
+        design.quad = trojankit.build_concealed(nl, carrier, sync, trigger=trigger)
+        trojankit.set_payload_mode(design.quad, cfg.mode())
+        design.transmitter = trojankit.build_payload_transmitter(
+            nl, secret, trigger, design.quad, sync
+        )
     if cfg.jammer_pairs > 0:
-        jammer = sidechannel.build_jammer(nl, sync, cfg.jammer_pairs, cfg.jammer_seed)
-
+        design.jammer = sidechannel.build_jammer(nl, sync, cfg.jammer_pairs, cfg.jammer_seed)
     nl.mark_output("TRIGGER_TAP", trigger.data_tap)
-    nl.mark_output("CARRIER_TAP", quad.a.data_tap)
-    return Design(
-        netlist=nl,
-        sync=sync,
-        bus=bus,
-        trigger=trigger,
-        quad=quad,
-        transmitter=transmitter,
-        jammer=jammer,
-    )
+    nl.mark_output("CARRIER_TAP", carrier.data_tap)
+    return design
+
+
+def construct_design(cfg: ScenarioConfig) -> Design:
+    """The scenario testbed: payload modes transmit ``cfg.secret`` through
+    an armed quad; concealed mode keeps the quad unarmed."""
+    concealed = cfg.mode() is PayloadMode.CONCEALED
+    return build_testbed(cfg, None if concealed else cfg.secret)
 
 
 def build_stimulus(cfg: ScenarioConfig, design: Design) -> Stimulus:
@@ -290,17 +295,15 @@ def _find_activation(trace: Trace, design: Design) -> int | None:
 
 
 def _balance_check(trace: Trace, design: Design, start: int, stop: int) -> dict:
-    """Exact transition/ones balance over the quad stage nets."""
+    """Exact transition/ones balance over the quad stage nets.
+
+    Rises and falls cover destination cycles start..stop-1; the first
+    valid window starts once both quad halves carry data (two cycles
+    after reset).
+    """
     L = design.sync.L
-    sub = trace.values[:, design.quad_scope()].astype(np.int16)
-    rises = ((sub[1:] - sub[:-1]) == 1).sum(axis=1)
-    falls = ((sub[:-1] - sub[1:]) == 1).sum(axis=1)
-    ones = sub.sum(axis=1)
-    # transitions indexed by destination cycle; first valid window starts
-    # once both quad halves carry data (two cycles after reset)
-    r = rises[start - 1 : stop - 1]
-    f = falls[start - 1 : stop - 1]
-    o = ones[start:stop]
+    rises, falls, ones = sidechannel.transition_counts(trace, design.quad_scope())
+    r, f, o = rises[start:stop], falls[start:stop], ones[start:stop]
     expected = 3 * L // 4  # 6 for L=8
     return {
         "window": [start, stop],
@@ -447,7 +450,7 @@ def analyze_trace(
     """Run the detection battery on an exported trace."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stop = window_stop or trace.cycles
+    stop = trace.cycles if window_stop is None else window_stop
     window = (window_start, stop)
     uci = sidechannel.uci_scan(trace, window)
     pairs = sidechannel.pair_scan(trace, window)
@@ -533,7 +536,11 @@ def main(argv=None) -> int:
             print(f"report: {Path(out) / 'report.json'}")
             return 0 if ok else 1
         if args.command == "analyze":
-            trace = Trace.from_csv(args.trace)
+            try:
+                trace = Trace.from_csv(args.trace)
+            except OSError as exc:
+                print(f"error: cannot read trace {args.trace}: {exc.strerror}", file=sys.stderr)
+                return 2
             report = analyze_trace(
                 trace,
                 args.out,

@@ -233,25 +233,35 @@ def make_combiner_table(
     return TruthTable.from_function(arity, fn)
 
 
-def _attach_combiner(
+def build_fm_register(
     netlist: Netlist,
     sync: FmSync,
-    qs: list[NetId],
     table: TruthTable,
-    data_inputs: tuple[NetId, ...],
+    data_inputs: Sequence[NetId],
+    set_stages: Sequence[int] | None = None,
+    ce: NetId | None = None,
 ) -> FmSignal:
+    """An FM register: an L-stage ring whose insert stage L/2 + 1 is
+    driven by one LUT over (SYNC, own stage L/2 tap, *data_inputs).
+
+    ``set_stages`` defaults to the marker ring ([L]); ``ce`` to tied
+    high.  The ring's ``set_stage`` is recorded only when it has a
+    single set stage (the stage-wise complement rings have L - 1).
+    """
     L = sync.L
+    set_stages = [L] if set_stages is None else list(set_stages)
+    qs = build_ring(netlist, L, set_stages, insert_stage=L // 2 + 1, ce=ce)
     fb = qs[L // 2 - 1]
     comb = netlist.add_lut((sync.tap, fb, *data_inputs), table)
     netlist.set_ff_d(qs[L // 2], comb)
-    csr = CsrShape(stages=tuple(qs), L=L, set_stage=L)
+    set_stage = set_stages[0] if len(set_stages) == 1 else None
     return FmSignal(
-        csr=csr,
+        csr=CsrShape(stages=tuple(qs), L=L, set_stage=set_stage),
         data_tap=fb,
         insert_stage=L // 2 + 1,
         L=L,
         combiner_out=comb,
-        data_inputs=data_inputs,
+        data_inputs=tuple(data_inputs),
     )
 
 
@@ -262,9 +272,8 @@ def build_std_to_fm(netlist: Netlist, a: NetId, sync: FmSync) -> FmSignal:
     becomes decodable one full rotation (L cycles) later.
     """
     netlist._require_net(a, "converter input")
-    qs = build_ring(netlist, sync.L, [sync.L], insert_stage=sync.L // 2 + 1)
     table = make_combiner_table(1, lambda fb, data: data[0])
-    return _attach_combiner(netlist, sync, qs, table, (a,))
+    return build_fm_register(netlist, sync, table, (a,))
 
 
 def build_fm_gate(
@@ -295,10 +304,8 @@ def build_fm_gate(
         if s.L != sync.L:
             raise FmError(f"mixed CSR lengths: input L={s.L}, sync L={sync.L}")
 
-    qs = build_ring(netlist, sync.L, [sync.L], insert_stage=sync.L // 2 + 1)
     table = make_combiner_table(k, lambda fb, data: fn.eval(data))
-    taps = tuple(s.data_tap for s in inputs)
-    return _attach_combiner(netlist, sync, qs, table, taps)
+    return build_fm_register(netlist, sync, table, [s.data_tap for s in inputs])
 
 
 @dataclass(frozen=True)
@@ -340,15 +347,12 @@ def build_locking_and(netlist: Netlist, a: FmSignal, b: FmSignal, sync: FmSync) 
     for s in (a, b):
         if s.L != sync.L:
             raise FmError(f"mixed CSR lengths: input L={s.L}, sync L={sync.L}")
-    qs = build_ring(netlist, sync.L, [sync.L], insert_stage=sync.L // 2 + 1)
     table = make_combiner_table(2, lambda fb, data: (data[0] & data[1]) | fb)
-    return _attach_combiner(netlist, sync, qs, table, (a.data_tap, b.data_tap))
+    return build_fm_register(netlist, sync, table, (a.data_tap, b.data_tap))
 
 
 def _resolve_tap(fm: "FmSignal | CsrShape") -> tuple[NetId, int]:
-    if isinstance(fm, FmSignal):
-        return fm.data_tap, fm.L
-    if isinstance(fm, CsrShape):
+    if isinstance(fm, (FmSignal, CsrShape)):
         return fm.data_tap, fm.L
     raise FmError(f"cannot decode object of type {type(fm).__name__}")
 

@@ -628,7 +628,9 @@ class Stimulus:
             if name not in waves:
                 waves[name] = np.zeros(n_cycles, np.uint8)
             if isinstance(value, (int, np.integer)):
-                waves[name] = np.full(n_cycles, value & 1, np.uint8)
+                if value not in (0, 1):
+                    raise NetlistError(f"override for {name!r} must be 0 or 1, got {value}")
+                waves[name] = np.full(n_cycles, value, np.uint8)
             else:
                 arr = np.asarray(value, dtype=np.uint8)
                 if len(arr) < n_cycles:
@@ -683,17 +685,43 @@ class Trace:
 
     @classmethod
     def from_csv(cls, path) -> "Trace":
+        """Read a trace written by :meth:`to_csv`.
+
+        Every row must have one 0/1 cell per header name; otherwise a
+        :class:`NetlistError` names the first offending line.
+        """
         with open(path) as fh:
             header = fh.readline().rstrip("\n")
             names = tuple(header.split(","))
-            rows = [
-                np.array(line.rstrip("\n").split(","), dtype=np.uint8)
-                for line in fh
-                if line.strip()
-            ]
-        values = np.vstack(rows) if rows else np.zeros((0, len(names)), np.uint8)
+            try:
+                rows = [
+                    np.array(line.rstrip("\n").split(","), dtype=np.uint8)
+                    for line in fh
+                    if line.strip()
+                ]
+                values = np.vstack(rows) if rows else np.zeros((0, len(names)), np.uint8)
+            except (ValueError, OverflowError):
+                values = None
+        if values is None or values.shape[1] != len(names) or (values.size and values.max() > 1):
+            raise NetlistError(_csv_row_error(path, len(names)))
         values.setflags(write=False)
         return cls(values=values, names=names)
+
+
+def _csv_row_error(path, width: int) -> str:
+    """Name the first trace CSV row that :meth:`Trace.from_csv` rejects."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if lineno == 1 or not line.strip():
+                continue
+            cells = line.rstrip("\n").split(",")
+            try:
+                ok = len(cells) == width and np.array(cells, dtype=np.uint8).max() <= 1
+            except (ValueError, OverflowError):
+                ok = False
+            if not ok:
+                return f"{path}: line {lineno} is not {width} comma-separated 0/1 cells"
+    return f"{path}: malformed trace rows"
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ __all__ = [
     "uci_scan",
     "pair_scan",
     "power_trace",
+    "transition_counts",
     "power_stats",
     "spectrum",
     "detect_fm_peaks",
@@ -227,12 +228,7 @@ def power_trace(
     weights: Mapping[NetId, float] | None = None,
 ) -> PowerTrace:
     """Transition-count power model over an explicit net subset."""
-    scope = tuple(int(n) for n in scope)
-    if not scope:
-        raise AnalysisError("power scope must be nonempty")
-    for net in scope:
-        if not 0 <= net < trace.n_nets:
-            raise AnalysisError(f"unknown net {net} in scope")
+    scope = _check_scope(trace, scope)
     sub = trace.values[:, scope]
     if weights is None:
         w = None
@@ -249,6 +245,35 @@ def power_trace(
     dynamic.setflags(write=False)
     static.setflags(write=False)
     return PowerTrace(dynamic=dynamic, static=static, scope=scope)
+
+
+def _check_scope(trace: Trace, scope: Sequence[NetId]) -> tuple[NetId, ...]:
+    scope = tuple(int(n) for n in scope)
+    if not scope:
+        raise AnalysisError("power scope must be nonempty")
+    for net in scope:
+        if not 0 <= net < trace.n_nets:
+            raise AnalysisError(f"unknown net {net} in scope")
+    return scope
+
+
+def transition_counts(
+    trace: Trace, scope: Sequence[NetId]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-cycle (rises, falls, ones) over the scoped nets.
+
+    Indexed by destination cycle like :attr:`PowerTrace.dynamic`:
+    ``rises[t]`` and ``falls[t]`` count 0->1 and 1->0 changes between
+    cycles t-1 and t (both 0 at t = 0); ``ones[t]`` counts nets at 1
+    during cycle t.
+    """
+    sub = trace.values[:, _check_scope(trace, scope)]
+    rises = np.zeros(trace.cycles, np.int64)
+    falls = np.zeros(trace.cycles, np.int64)
+    if trace.cycles > 1:
+        rises[1:] = (sub[1:] > sub[:-1]).sum(axis=1)
+        falls[1:] = (sub[1:] < sub[:-1]).sum(axis=1)
+    return rises, falls, sub.sum(axis=1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -387,12 +412,7 @@ def attacker_demodulate(
     """
     if n_bits < 1:
         raise AnalysisError("n_bits must be positive")
-    end = start_cycle + n_bits * L
-    if start_cycle < 0 or end > len(pt):
-        raise AnalysisError(
-            f"trace of {len(pt)} cycles cannot cover {n_bits} periods from {start_cycle}"
-        )
-    sums = pt.dynamic[start_cycle:end].reshape(n_bits, L).sum(axis=1)
+    sums = period_sums(pt, L, start_cycle, n_bits)
     return "".join("1" if s > threshold else "0" for s in sums)
 
 
@@ -400,7 +420,9 @@ def period_sums(pt: PowerTrace, L: int, start_cycle: int, n_bits: int) -> np.nda
     """The per-period dynamic sums the demodulator thresholds."""
     end = start_cycle + n_bits * L
     if start_cycle < 0 or end > len(pt):
-        raise AnalysisError("trace does not cover the requested periods")
+        raise AnalysisError(
+            f"trace of {len(pt)} cycles cannot cover {n_bits} periods from {start_cycle}"
+        )
     return pt.dynamic[start_cycle:end].reshape(n_bits, L).sum(axis=1)
 
 
@@ -487,14 +509,15 @@ def build_jammer(netlist: Netlist, sync: FmSync, k_pairs: int, seed: int) -> Jam
     Each register re-draws its value every SYNC period from the seeded
     stream, so both encoding frequencies keep appearing in the shared
     power scope while the per-period toggle count varies randomly.
+    Ports are named ``JAM<k>``, numbered past every JAM port the
+    netlist already has.
     """
     if k_pairs < 1:
         raise AnalysisError("jammer needs at least one register pair")
     ports: list[str] = []
     signals: list[FmSignal] = []
-    base = 0
-    while f"JAM{base}" in netlist.inputs:
-        base += 1
+    taken = [int(p[3:]) for p in netlist.inputs if p.startswith("JAM") and p[3:].isdigit()]
+    base = max(taken, default=-1) + 1
     for i in range(2 * k_pairs):
         name = f"JAM{base + i}"
         net = netlist.add_input(name)

@@ -57,7 +57,7 @@ from .fmlogic import (
     CsrShape,
     FmSignal,
     FmSync,
-    build_ring,
+    build_fm_register,
     make_combiner_table,
 )
 
@@ -238,23 +238,11 @@ def build_trigger(
     re-inserts itself at every later SYNC instant; without it the
     activation is visible for exactly one rotation (L cycles).
     """
-    L = sync.L
-    qs = build_ring(netlist, L, [L], insert_stage=L // 2 + 1)
-    fb = qs[L // 2 - 1]
     if locking:
         table = make_combiner_table(4, lambda f, ev: (ev[0] & ev[1] & ev[2] & ev[3]) | f)
     else:
         table = make_combiner_table(4, lambda f, ev: ev[0] & ev[1] & ev[2] & ev[3])
-    comb = netlist.add_lut((sync.tap, fb, a, b, c, d), table)
-    netlist.set_ff_d(qs[L // 2], comb)
-    return FmSignal(
-        csr=CsrShape(stages=tuple(qs), L=L, set_stage=L),
-        data_tap=fb,
-        insert_stage=L // 2 + 1,
-        L=L,
-        combiner_out=comb,
-        data_inputs=(a, b, c, d),
-    )
+    return build_fm_register(netlist, sync, table, (a, b, c, d))
 
 
 def decode_level(netlist: Netlist, fm: FmSignal, sync: FmSync) -> NetId:
@@ -511,36 +499,22 @@ def build_concealed(
         enable_b = netlist.add_lut((active,), tt_const(1, 1))
         enable_cd = netlist.add_lut((active,), tt_const(1, 1))
 
-    def replica(set_stages: Sequence[int], table: TruthTable, extra: tuple, ce) -> tuple:
-        qs = build_ring(netlist, L, set_stages, insert_stage=L // 2 + 1, ce=ce)
-        fb = qs[L // 2 - 1]
-        comb = netlist.add_lut((sync.tap, fb, *fm.data_inputs, *extra), table)
-        netlist.set_ff_d(qs[L // 2], comb)
-        return qs, comb
-
     flipped = [s for s in range(1, L + 1) if s != L]  # complement rings reset to ~marker
-
+    dual = _dual_table(a_table)
     if armed:
-        b_table = _armed_b_table(a_table, mirror=False)
-        b_qs, b_comb = replica([L], b_table, (active,), enable_b)
+        b = build_fm_register(
+            netlist, sync, _armed_b_table(a_table, mirror=False), (*fm.data_inputs, active), ce=enable_b
+        )
     else:
-        b_qs, b_comb = replica([L], _dual_table(a_table), (), None)
-    c_qs, c_comb = replica(flipped, _dual_table(a_table), (), enable_cd)
-    d_qs, d_comb = replica(flipped, a_table, (), enable_cd)
+        b = build_fm_register(netlist, sync, dual, fm.data_inputs)
+    c = build_fm_register(netlist, sync, dual, fm.data_inputs, flipped, ce=enable_cd)
+    d = build_fm_register(netlist, sync, a_table, fm.data_inputs, flipped, ce=enable_cd)
 
-    b_sig = FmSignal(
-        csr=CsrShape(stages=tuple(b_qs), L=L, set_stage=L),
-        data_tap=b_qs[L // 2 - 1],
-        insert_stage=L // 2 + 1,
-        L=L,
-        combiner_out=b_comb,
-        data_inputs=fm.data_inputs,
-    )
     return ConcealedQuad(
         a=fm,
-        b=b_sig,
-        c=CsrShape(stages=tuple(c_qs), L=L, set_stage=None),
-        d=CsrShape(stages=tuple(d_qs), L=L, set_stage=None),
+        b=b,
+        c=c.csr,
+        d=d.csr,
         mode=PayloadMode.CONCEALED,
         L=L,
         netlist=netlist,
@@ -548,7 +522,7 @@ def build_concealed(
         active=active,
         _enable_b=enable_b,
         _enable_cd=enable_cd,
-        _combiners=(fm.combiner_out, b_comb, c_comb, d_comb),
+        _combiners=(fm.combiner_out, b.combiner_out, c.combiner_out, d.combiner_out),
     )
 
 

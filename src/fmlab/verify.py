@@ -23,65 +23,74 @@ import numpy as np
 from . import cli, fmlogic, netcore, sidechannel, trojankit
 from .netcore import FfKind, Netlist, Stimulus, TruthTable, simulate, tt_and, tt_or, tt_xor
 from .reference import default_ff_update, reference_simulate, settlement_passes
-from .trojankit import Aligned, PayloadMode, TriggerSpec
+from .trojankit import Aligned, PayloadMode
 
 CheckResult = tuple[bool, str]
 
-SPEC = TriggerSpec(alpha=3, beta=5, gamma=7, delta=11, opcode_width=4)
+# The standard testbed's parameters (cli.ScenarioConfig defaults).
+SPEC = cli.ScenarioConfig().trigger_spec()
+L = cli.ScenarioConfig().L
+ACTIVATION_SYNC = 2 * L + 1  # aligned: delta at L + 1, decoded one period later
+FIRST_BIT_START = 3 * L + 2  # first transmitted bit's power window
 
 
 # ---------------------------------------------------------------------------
-# Shared builders
+# Shared builders (also used by the test suite)
 # ---------------------------------------------------------------------------
 
 
-def _two_input_gate(table: TruthTable, L: int = 8):
+def converters(*ports: str, L: int = L):
+    """Standard-to-FM converters of fresh input ports; returns
+    (netlist, sync, signals)."""
     nl = Netlist()
     sync = fmlogic.build_sync(nl, L)
-    a = nl.add_input("A")
-    b = nl.add_input("B")
-    ca = fmlogic.build_std_to_fm(nl, a, sync)
-    cb = fmlogic.build_std_to_fm(nl, b, sync)
+    nets = [nl.add_input(port) for port in ports]
+    return nl, sync, [fmlogic.build_std_to_fm(nl, net, sync) for net in nets]
+
+
+def two_input_gate(table: TruthTable, L: int = L):
+    """Converters of ports A and B feeding one FM gate; returns
+    (netlist, sync, converters, gate)."""
+    nl, sync, (ca, cb) = converters("A", "B", L=L)
     gate = fmlogic.build_fm_gate(nl, table, [ca, cb], sync)
-    return nl, sync, gate
+    return nl, sync, (ca, cb), gate
 
 
-def _trigger_design(L: int = 8):
-    nl = Netlist()
-    sync = fmlogic.build_sync(nl, L)
-    bus = trojankit.add_opcode_bus(nl, SPEC.opcode_width)
-    a, b, c, d = trojankit.build_event_sync(nl, bus, SPEC)
-    trigger = trojankit.build_trigger(nl, a, b, c, d, sync)
-    return nl, sync, bus, (a, b, c, d), trigger
-
-def _payload_design(secret: str, mode: PayloadMode, jam_pairs: int = 0, jam_seed: int = 0):
-    nl = Netlist()
-    sync = fmlogic.build_sync(nl, 8)
-    bus = trojankit.add_opcode_bus(nl, SPEC.opcode_width)
-    a, b, c, d = trojankit.build_event_sync(nl, bus, SPEC)
-    trigger = trojankit.build_trigger(nl, a, b, c, d, sync)
-    carrier = fmlogic.build_std_to_fm(nl, nl.const(0), sync)
-    quad = trojankit.build_concealed(nl, carrier, sync, trigger=trigger)
-    trojankit.set_payload_mode(quad, mode)
-    trojankit.build_payload_transmitter(nl, secret, trigger, quad, sync)
-    jam = sidechannel.build_jammer(nl, sync, jam_pairs, jam_seed) if jam_pairs else None
-    return nl, sync, trigger, quad, jam
+def data_quad():
+    """Unarmed concealment quad over a converter of input port DATA;
+    returns (netlist, quad)."""
+    nl, sync, (carrier,) = converters("DATA")
+    return nl, trojankit.build_concealed(nl, carrier, sync)
 
 
-def _payload_sums(secret: str, mode: PayloadMode, jam_pairs: int = 0, jam_seed: int = 0):
+def trigger_design() -> cli.Design:
+    """The testbed's trigger half (event sync plus locking trigger)."""
+    return cli.construct_trigger(cli.ScenarioConfig())
+
+
+def aligned_payload_run(
+    secret: str, mode: PayloadMode, jam_pairs: int = 0, jam_seed: int = 0, extra_cycles: int = 0
+) -> tuple[netcore.Trace, cli.Design]:
+    """Simulate the armed testbed transmitting ``secret`` after an
+    aligned trigger insertion; returns (trace, design).
+
+    Activation lands at ACTIVATION_SYNC and the first bit's period
+    starts at FIRST_BIT_START.  Simulation is causal, so sums over the
+    secret's periods do not depend on ``extra_cycles``.
+    """
+    cfg = cli.ScenarioConfig(payload_mode=mode.value, jammer_pairs=jam_pairs, jammer_seed=jam_seed)
+    design = cli.build_testbed(cfg, secret)
+    n = FIRST_BIT_START + (len(secret) + 2) * L + extra_cycles
+    stim = trojankit.opcode_stimulus([SPEC.filler()], SPEC, Aligned(), L, total_cycles=n)
+    if design.jammer is not None:
+        stim = stim.extended(design.jammer.stimulus_waves(n))
+    return simulate(design.netlist, stim, n), design
+
+
+def payload_sums(trace: netcore.Trace, design: cli.Design, n_bits: int) -> np.ndarray:
     """Per-period dynamic sums seen by the attacker (quad + jammer scope)."""
-    nl, sync, trigger, quad, jam = _payload_design(secret, mode, jam_pairs, jam_seed)
-    n = 17 + 8 + (len(secret) + 3) * 8
-    stim = trojankit.opcode_stimulus(
-        [SPEC.filler()], SPEC, Aligned(), 8, total_cycles=n
-    )
-    if jam is not None:
-        stim = stim.extended(jam.stimulus_waves(n))
-    trace = simulate(nl, stim, n)
-    scope = list(quad.stage_nets()) + (list(jam.all_nets()) if jam else [])
-    pt = sidechannel.power_trace(trace, scope)
-    start = 17 + 8 + 1  # aligned activation at sync 17, first bit period
-    return sidechannel.period_sums(pt, 8, start, len(secret))
+    pt = sidechannel.power_trace(trace, design.attack_scope())
+    return sidechannel.period_sums(pt, L, FIRST_BIT_START, n_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +99,7 @@ def _payload_sums(secret: str, mode: PayloadMode, jam_pairs: int = 0, jam_seed: 
 
 
 def check_determinism() -> CheckResult:
-    nl, sync, gate = _two_input_gate(tt_xor(2))
+    nl, sync, _, gate = two_input_gate(tt_xor(2))
     stim = Stimulus.standard(200, nl, A=np.tile([0, 1], 100), B=1)
     t1 = simulate(nl, stim, 200)
     t2 = simulate(nl, stim, 200)
@@ -135,7 +144,7 @@ def check_ff_semantics(simulate_fn: Callable | None = None) -> CheckResult:
 
 
 def check_settlement() -> CheckResult:
-    nl, sync, gate = _two_input_gate(tt_or(2))
+    nl, sync, _, gate = two_input_gate(tt_or(2))
     stim = Stimulus.standard(40, nl, A=1, B=np.tile([0, 1], 20))
     trace = simulate(nl, stim, 40)
     for cycle in range(40):
@@ -178,10 +187,9 @@ def check_duty_cycles() -> CheckResult:
 
 
 def check_single_marker() -> CheckResult:
-    nl, sync, gate = _two_input_gate(tt_or(2))
+    nl, sync, _, gate = two_input_gate(tt_or(2))
     stim = Stimulus.standard(100, nl, A=np.tile([0, 1], 50), B=1)
     trace = simulate(nl, stim, 100)
-    L = 8
     for t in fmlogic.sync_instants(L, 100):
         for stage, net in enumerate(gate.stages, start=1):
             v = trace.value(net, t)
@@ -193,10 +201,9 @@ def check_single_marker() -> CheckResult:
 
 
 def check_state_periodicity() -> CheckResult:
-    nl, sync, gate = _two_input_gate(tt_and(2))
+    nl, sync, _, gate = two_input_gate(tt_and(2))
     stim = Stimulus.standard(80, nl, A=1, B=1)
     trace = simulate(nl, stim, 80)
-    L = 8
     ff_nets = [c.q for c in nl.cells if isinstance(c, netcore.FlipFlop)]
     state = trace.values[:, ff_nets]
     for t in range(2 * L, 60):
@@ -210,7 +217,7 @@ def check_gate_correctness() -> CheckResult:
     for bits in range(1, 15):
         table = TruthTable.from_bits(2, bits)
         for av, bv in itertools.product((0, 1), repeat=2):
-            nl, sync, gate = _two_input_gate(table)
+            nl, sync, _, gate = two_input_gate(table)
             trace = simulate(nl, Stimulus.standard(50, nl, A=av, B=bv), 50)
             want = table.eval((av, bv))
             for t in fmlogic.sync_instants(8, 50, start=17):
@@ -225,12 +232,7 @@ def check_gate_correctness() -> CheckResult:
             if table.is_constant():
                 continue
             assign = [int(v) for v in rng.integers(0, 2, arity)]
-            nl = Netlist()
-            sync = fmlogic.build_sync(nl, 8)
-            sigs = []
-            for j, v in enumerate(assign):
-                port = nl.add_input(f"I{j}")
-                sigs.append(fmlogic.build_std_to_fm(nl, port, sync))
+            nl, sync, sigs = converters(*(f"I{j}" for j in range(arity)))
             gate = fmlogic.build_fm_gate(nl, table, sigs, sync)
             stim = Stimulus.standard(50, nl, **{f"I{j}": v for j, v in enumerate(assign)})
             trace = simulate(nl, stim, 50)
@@ -241,12 +243,8 @@ def check_gate_correctness() -> CheckResult:
 
 
 def check_latency() -> CheckResult:
-    L = 8
-    nl = Netlist()
-    sync = fmlogic.build_sync(nl, L)
-    a = nl.add_input("A")
-    conv = fmlogic.build_std_to_fm(nl, a, sync)
-    gate = fmlogic.build_fm_gate(nl, netcore.tt_buf(), [conv], sync)
+    nl, sync, convs = converters("A")
+    gate = fmlogic.build_fm_gate(nl, netcore.tt_buf(), convs, sync)
     present = 3 * L + 1  # a SYNC instant well past warm-up
     wave = np.zeros(100, np.uint8)
     wave[present:] = 1
@@ -264,13 +262,10 @@ def check_no_constant_nets() -> CheckResult:
     """UCI evasion across every FM construction, plus the baseline contrast."""
     designs: list[tuple[str, Netlist, int]] = []
 
-    nl, sync, gate = _two_input_gate(tt_or(2))
+    nl, sync, _, gate = two_input_gate(tt_or(2))
     designs.append(("converter+gate", nl, 100))
 
-    nl2 = Netlist()
-    sync2 = fmlogic.build_sync(nl2, 8)
-    ins = [nl2.add_input(f"I{j}") for j in range(4)]
-    sigs = [fmlogic.build_std_to_fm(nl2, p, sync2) for p in ins]
+    nl2, sync2, sigs = converters("I0", "I1", "I2", "I3")
     expr = fmlogic.FmExpr(
         table=TruthTable.from_function(3, lambda x, y, z: x | (y & z)),
         args=(
@@ -282,17 +277,11 @@ def check_no_constant_nets() -> CheckResult:
     fmlogic.compose_fm(nl2, expr, sync2)
     designs.append(("composed tree", nl2, 120))
 
-    nl3 = Netlist()
-    sync3 = fmlogic.build_sync(nl3, 8)
-    pa = nl3.add_input("A")
-    pb = nl3.add_input("B")
-    fmlogic.build_locking_and(
-        nl3, fmlogic.build_std_to_fm(nl3, pa, sync3), fmlogic.build_std_to_fm(nl3, pb, sync3), sync3
-    )
+    nl3, sync3, (ca, cb) = converters("A", "B")
+    fmlogic.build_locking_and(nl3, ca, cb, sync3)
     designs.append(("locking gate", nl3, 120))
 
-    nl4, sync4, bus4, _, _ = _trigger_design()
-    designs.append(("trigger", nl4, 160))
+    designs.append(("trigger", trigger_design().netlist, 160))
 
     rng = np.random.default_rng(5)
     for name, nl, n in designs:
@@ -332,14 +321,8 @@ def check_no_constant_nets() -> CheckResult:
 
 
 def check_locking_monotone() -> CheckResult:
-    L = 8
-    nl = Netlist()
-    sync = fmlogic.build_sync(nl, L)
-    a = nl.add_input("A")
-    b = nl.add_input("B")
-    lock = fmlogic.build_locking_and(
-        nl, fmlogic.build_std_to_fm(nl, a, sync), fmlogic.build_std_to_fm(nl, b, sync), sync
-    )
+    nl, sync, (ca, cb) = converters("A", "B")
+    lock = fmlogic.build_locking_and(nl, ca, cb, sync)
     rng = np.random.default_rng(9)
     n = 600
     stim = Stimulus.standard(
@@ -379,7 +362,8 @@ def _simulate_stream(nl, sync, trigger, program: list[int]) -> bool:
 
 
 def check_trigger_soundness() -> CheckResult:
-    nl, sync, bus, lines, trigger = _trigger_design()
+    design = trigger_design()
+    nl, sync, trigger = design.netlist, design.sync, design.trigger
     filler = SPEC.filler()
 
     # every 4-gram at an aligned completion cycle
@@ -426,7 +410,8 @@ def check_trigger_soundness() -> CheckResult:
 
 def check_trigger_rarity() -> CheckResult:
     """Aligned-conjunction events over 10^6 uniform random opcode cycles."""
-    nl, sync, bus, (a, b, c, d), _ = _trigger_design()
+    design = trigger_design()
+    nl, sync, (a, b, c, d) = design.netlist, design.sync, design.lines
     rng = np.random.default_rng(2)  # frozen; expected count ~1.9
     total = 0
     chunk = 62500
@@ -448,19 +433,13 @@ def check_trigger_rarity() -> CheckResult:
 
 def check_concealment_balance() -> CheckResult:
     """Exact 0->1/1->0/static balance for arbitrary carrier data."""
-    nl = Netlist()
-    sync = fmlogic.build_sync(nl, 8)
-    data = nl.add_input("DATA")
-    carrier = fmlogic.build_std_to_fm(nl, data, sync)
-    quad = trojankit.build_concealed(nl, carrier, sync)
+    nl, quad = data_quad()
     rng = np.random.default_rng(21)
     n = 400
     stim = Stimulus.standard(n, nl, DATA=rng.integers(0, 2, n).astype(np.uint8))
     trace = simulate(nl, stim, n)
-    sub = trace.values[:, list(quad.stage_nets())].astype(np.int16)
-    rises = ((sub[1:] - sub[:-1]) == 1).sum(axis=1)[2:]
-    falls = ((sub[:-1] - sub[1:]) == 1).sum(axis=1)[2:]
-    ones = sub.sum(axis=1)[2:]
+    rises, falls, ones = sidechannel.transition_counts(trace, quad.stage_nets())
+    rises, falls, ones = rises[3:], falls[3:], ones[2:]
     if set(rises.tolist()) != {6} or set(falls.tolist()) != {6}:
         return False, f"transition counts varied: rises {set(rises.tolist())}, falls {set(falls.tolist())}"
     if set(ones.tolist()) != {16}:
@@ -473,11 +452,7 @@ def check_concealment_balance() -> CheckResult:
 
 
 def check_both_frequencies() -> CheckResult:
-    nl = Netlist()
-    sync = fmlogic.build_sync(nl, 8)
-    data = nl.add_input("DATA")
-    carrier = fmlogic.build_std_to_fm(nl, data, sync)
-    quad = trojankit.build_concealed(nl, carrier, sync)
+    nl, quad = data_quad()
     wave = np.tile(np.repeat([0, 1], 16), 20)[:400]
     trace = simulate(nl, Stimulus.standard(400, nl, DATA=wave), 400)
     for t in fmlogic.sync_instants(8, 395, start=17):
@@ -493,7 +468,7 @@ def check_mode_separation() -> CheckResult:
     for mode in (PayloadMode.MODE1, PayloadMode.MODE2):
         per_bit = {}
         for bit in "01":
-            s = _payload_sums(bit * 8, mode)
+            s = payload_sums(*aligned_payload_run(bit * 8, mode), 8)
             steady = set(int(v) for v in s[1:])  # first period crosses activation
             if len(steady) != 1:
                 return False, f"{mode.value} bit {bit}: unsteady sums {sorted(steady)}"
@@ -607,7 +582,7 @@ def check_demodulation() -> CheckResult:
     for mode, threshold in ((PayloadMode.MODE1, 24.0), (PayloadMode.MODE2, 48.0)):
         for trial in range(50):
             secret = "".join("1" if v else "0" for v in rng.integers(0, 2, 64))
-            sums = _payload_sums(secret, mode)
+            sums = payload_sums(*aligned_payload_run(secret, mode), len(secret))
             recovered = "".join("1" if s > threshold else "0" for s in sums)
             if recovered != secret:
                 return False, f"{mode.value} trial {trial}: {recovered} != {secret}"
@@ -619,7 +594,8 @@ def check_jamming_monotone() -> CheckResult:
     secret = "".join("1" if v else "0" for v in rng.integers(0, 2, 512))
     accs = []
     for k in (0, 1, 2, 4, 8):
-        sums = _payload_sums(secret, PayloadMode.MODE1, jam_pairs=k, jam_seed=0)
+        run = aligned_payload_run(secret, PayloadMode.MODE1, jam_pairs=k, jam_seed=0)
+        sums = payload_sums(*run, len(secret))
         acc, _ = sidechannel.oracle_threshold_accuracy(sums, secret)
         accs.append(round(acc, 6))
     for lo, hi in zip(accs[1:], accs[:-1]):

@@ -14,22 +14,29 @@ from pathlib import Path
 
 import numpy as np
 
-import helpers
-from helpers import ACTIVATION_SYNC, FIRST_BIT_START, L, SPEC, aligned_payload_run
 from fmlab import fmlogic, sidechannel as sc, trojankit as tk
 from fmlab.cli import ScenarioConfig, run_scenario
 from fmlab.fmlogic import (
     FmExpr,
     build_const_fm,
     build_locking_and,
-    build_std_to_fm,
-    build_sync,
     duty_cycle,
     fm_decode,
     sync_instants,
 )
 from fmlab.netcore import Netlist, Stimulus, TruthTable, simulate, tt_or, tt_xor
 from fmlab.trojankit import Aligned, PayloadMode, RandomRetry
+from fmlab.verify import (
+    ACTIVATION_SYNC,
+    FIRST_BIT_START,
+    L,
+    SPEC,
+    aligned_payload_run,
+    converters,
+    data_quad,
+    trigger_design,
+    two_input_gate,
+)
 
 
 def _ok(criterion: int, text: str) -> None:
@@ -65,14 +72,14 @@ def test_c2_gate_correctness_and_latency():
     for bits in range(1, 15):
         table = TruthTable.from_bits(2, bits)
         for av, bv in itertools.product((0, 1), repeat=2):
-            nl, sync, _, gate = helpers.two_input_gate(table)
+            nl, sync, _, gate = two_input_gate(table)
             trace = simulate(nl, Stimulus.standard(58, nl, A=av, B=bv), 58)
             want = table.eval((av, bv))
             for t in sync_instants(L, 58, start=2 * L):
                 assert fm_decode(trace, gate, t).value == want, (bits, av, bv, t)
 
     # present new inputs at a SYNC instant; the decode flips exactly 2L later
-    nl, sync, _, gate = helpers.two_input_gate(tt_xor(2))
+    nl, sync, _, gate = two_input_gate(tt_xor(2))
     present = 3 * L + 1
     wave = np.zeros(100, np.uint8)
     wave[present:] = 1
@@ -91,17 +98,13 @@ def test_c3_uci_evasion():
 
     designs = []
 
-    nl = Netlist()
-    sync = build_sync(nl, L)
-    build_std_to_fm(nl, nl.add_input("A"), sync)
+    nl, _, _ = converters("A")
     designs.append(("converter", nl, ["A"]))
 
-    nl2, _, _, gate2 = helpers.two_input_gate(tt_or(2))
+    nl2, _, _, gate2 = two_input_gate(tt_or(2))
     designs.append(("gate", nl2, ["A", "B"]))
 
-    nl3 = Netlist()
-    sync3 = build_sync(nl3, L)
-    sigs = [build_std_to_fm(nl3, nl3.add_input(f"I{j}"), sync3) for j in range(3)]
+    nl3, sync3, sigs = converters("I0", "I1", "I2")
     expr = FmExpr(
         table=TruthTable.from_function(2, lambda x, y: x | y),
         args=(FmExpr(table=tt_xor(2), args=(sigs[0], sigs[1])), sigs[2]),
@@ -109,14 +112,8 @@ def test_c3_uci_evasion():
     fmlogic.compose_fm(nl3, expr, sync3)
     designs.append(("composed tree", nl3, ["I0", "I1", "I2"]))
 
-    nl4 = Netlist()
-    sync4 = build_sync(nl4, L)
-    build_locking_and(
-        nl4,
-        build_std_to_fm(nl4, nl4.add_input("A"), sync4),
-        build_std_to_fm(nl4, nl4.add_input("B"), sync4),
-        sync4,
-    )
+    nl4, sync4, (ca, cb) = converters("A", "B")
+    build_locking_and(nl4, ca, cb, sync4)
     designs.append(("locking gate", nl4, ["A", "B"]))
 
     n = 98  # window lengths stay multiples of L
@@ -130,10 +127,10 @@ def test_c3_uci_evasion():
     # trigger: the FM core stays active over every short window; the event
     # comparators need windows long enough for the stream to exercise each
     # opcode, so the whole design is scanned over >= 8L spans
-    nl5, sync5, bus5, lines5, trigger5 = helpers.trigger_design()
+    tb5 = trigger_design()
     ops = tk.scrub_sequences(tk.random_program(n - 1, 16, 11), SPEC)
-    trace5 = simulate(nl5, tk.program_stimulus(ops, SPEC, total_cycles=n), n)
-    fm_core = set(trigger5.stages) | {trigger5.combiner_out} | set(sync5.csr.stages)
+    trace5 = simulate(tb5.netlist, tk.program_stimulus(ops, SPEC, total_cycles=n), n)
+    fm_core = set(tb5.trigger.stages) | {tb5.trigger.combiner_out} | set(tb5.sync.csr.stages)
     for start, span in ((2, L), (3, L), (2, 4 * L)):
         flagged = set(sc.uci_scan(trace5, (start, start + span)).suspicious)
         assert not (flagged & fm_core), (start, span, flagged & fm_core)
@@ -153,21 +150,14 @@ def test_c3_uci_evasion():
 
 def test_c4_concealment_balance():
     """Per-cycle 6 rises, 6 falls, 16 ones; dynamic variance exactly 0."""
-    nl = Netlist()
-    sync = build_sync(nl, 8)
-    data = nl.add_input("DATA")
-    carrier = build_std_to_fm(nl, data, sync)
-    quad = tk.build_concealed(nl, carrier, sync)
+    nl, quad = data_quad()
     rng = np.random.default_rng(33)
     n = 600
     trace = simulate(nl, Stimulus.standard(n, nl, DATA=rng.integers(0, 2, n).astype(np.uint8)), n)
-    sub = trace.values[:, list(quad.stage_nets())].astype(np.int16)
-    rises = ((sub[1:] - sub[:-1]) == 1).sum(axis=1)[2:]
-    falls = ((sub[:-1] - sub[1:]) == 1).sum(axis=1)[2:]
-    ones = sub.sum(axis=1)[2:]
-    assert set(rises.tolist()) == {6}
-    assert set(falls.tolist()) == {6}
-    assert set(ones.tolist()) == {16}
+    rises, falls, ones = sc.transition_counts(trace, quad.stage_nets())
+    assert set(rises[3:].tolist()) == {6}
+    assert set(falls[3:].tolist()) == {6}
+    assert set(ones[2:].tolist()) == {16}
     pt = sc.power_trace(trace, quad.stage_nets())
     assert float(pt.dynamic[3:].var()) == 0.0
     _ok(4, "0->1 and 1->0 both exactly 6 per cycle, static 16, variance 0")
@@ -182,15 +172,15 @@ def test_c5_payload_channel():
         (PayloadMode.MODE2, "0"): 32,
     }
     for (mode, bit), want in frozen.items():
-        trace, quad, _ = aligned_payload_run(bit * 8, mode)
+        trace, design = aligned_payload_run(bit * 8, mode)
         # independent counting oracle: raw per-net diffs on the stage nets
-        sub = trace.values[:, list(quad.stage_nets())].astype(np.int16)
+        sub = trace.values[:, list(design.quad.stage_nets())].astype(np.int16)
         diffs = np.abs(sub[1:] - sub[:-1]).sum(axis=1)
         oracle = [
             int(diffs[FIRST_BIT_START - 1 + k * L : FIRST_BIT_START - 1 + (k + 1) * L].sum())
             for k in range(8)
         ]
-        pt = sc.power_trace(trace, quad.stage_nets())
+        pt = sc.power_trace(trace, design.quad.stage_nets())
         sums = sc.period_sums(pt, L, FIRST_BIT_START, 8)
         assert oracle == [int(v) for v in sums]
         assert set(oracle[1:]) == {want}, (mode, bit)
@@ -201,8 +191,8 @@ def test_c5_payload_channel():
     rng = np.random.default_rng(1234)
     for trial in range(100):
         secret = "".join("1" if v else "0" for v in rng.integers(0, 2, 64))
-        trace, quad, _ = aligned_payload_run(secret, PayloadMode.MODE1)
-        pt = sc.power_trace(trace, quad.stage_nets())
+        trace, design = aligned_payload_run(secret, PayloadMode.MODE1)
+        pt = sc.power_trace(trace, design.quad.stage_nets())
         got = sc.attacker_demodulate(pt, L, FIRST_BIT_START, 64, threshold=24)
         assert got == secret, trial
     _ok(5, "sums 32/16 and 64/32 confirmed; 100/100 random 64-bit secrets recovered")
@@ -212,25 +202,25 @@ def test_c6_trigger_statistics():
     """Exactly one aligned phase class; retry rate within +/-0.02 of theory."""
     activating = 0
     for phase in range(8):
-        nl, sync, bus, lines, trigger = helpers.trigger_design()
+        tb = trigger_design()
         program = [SPEC.filler()] * 40
         start = (L + 1) + phase - 3
         for j, op in enumerate(SPEC.opcodes):
             program[start - 1 + j] = op
-        trace = simulate(nl, tk.program_stimulus(program, SPEC, total_cycles=60), 60)
-        activating += fm_decode(trace, trigger, 57).value
+        trace = simulate(tb.netlist, tk.program_stimulus(program, SPEC, total_cycles=60), 60)
+        activating += fm_decode(trace, tb.trigger, 57).value
     assert activating == 1
 
-    nl, sync, bus, lines, trigger = helpers.trigger_design()
+    tb = trigger_design()
     trials, hits = 2000, 0
     for t in range(trials):
         stim = tk.opcode_stimulus(
             [SPEC.filler()], SPEC, RandomRetry(32, seed=10_000 + t), L
         )
         n = stim.length
-        trace = simulate(nl, stim, n)
+        trace = simulate(tb.netlist, stim, n)
         last = max(sync_instants(L, n, start=L + 1))
-        hits += fm_decode(trace, trigger, last).value
+        hits += fm_decode(trace, tb.trigger, last).value
     rate = hits / trials
     expected = 1.0 - (7.0 / 8.0) ** 32
     assert abs(rate - expected) <= 0.02, (rate, expected)
@@ -239,7 +229,8 @@ def test_c6_trigger_statistics():
 
 def test_c7_locking():
     """Locked forever (>= 1000 periods); never on misaligned/out-of-order."""
-    nl, sync, bus, lines, trigger = helpers.trigger_design()
+    tb = trigger_design()
+    nl, trigger = tb.netlist, tb.trigger
     n = ACTIVATION_SYNC + 1001 * L + 2
     background = tk.scrub_sequences(tk.random_program(n - 1, 16, seed=77), SPEC)
     stim = tk.opcode_stimulus(background, SPEC, Aligned(), L, total_cycles=n)
@@ -281,14 +272,14 @@ def test_c8_jamming():
     rng = np.random.default_rng(42)
     secret = "".join("1" if v else "0" for v in rng.integers(0, 2, 256))
 
-    trace, quad, jam = aligned_payload_run(secret, PayloadMode.MODE1)
-    pt = sc.power_trace(trace, quad.stage_nets())
+    trace, design = aligned_payload_run(secret, PayloadMode.MODE1)
+    pt = sc.power_trace(trace, design.quad.stage_nets())
     sums = sc.period_sums(pt, L, FIRST_BIT_START, 256)
     clean_acc, _ = sc.oracle_threshold_accuracy(sums, secret)
     assert clean_acc == 1.0
 
-    trace, quad, jam = aligned_payload_run(secret, PayloadMode.MODE1, jam_pairs=4, jam_seed=0)
-    scope = list(quad.stage_nets()) + list(jam.all_nets())
+    trace, design = aligned_payload_run(secret, PayloadMode.MODE1, jam_pairs=4, jam_seed=0)
+    scope = list(design.quad.stage_nets()) + list(design.jammer.all_nets())
     pt = sc.power_trace(trace, scope)
     sums = sc.period_sums(pt, L, FIRST_BIT_START, 256)
     jam_acc, _ = sc.oracle_threshold_accuracy(sums, secret)

@@ -1,16 +1,21 @@
 """Config round-trip, scenario runs, CLI exit codes, verify battery."""
 
+import hashlib
 import json
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from fmlab import cli
+from fmlab import verify
 from fmlab.cli import ConfigError, ScenarioConfig, main, run_scenario
 from fmlab.netcore import FfKind
 from fmlab.reference import reference_simulate
 from fmlab.verify import check_ff_semantics, verify_suite
+
+# export hashes of the bundled scenarios, shared with the benchmark
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+EXPORTS = ("report.json", "trace.csv", "netlist.txt", "power.csv", "spectrum.csv")
 
 
 def scenario_path(name: str) -> Path:
@@ -119,6 +124,14 @@ def test_jammed_scenario(tmp_path):
     assert jam["jammed_oracle_accuracy"] <= cfg.max_jammed_accuracy
 
 
+@pytest.mark.parametrize("name", ["concealed_trigger", "payload_mode1", "payload_mode2", "jammed"])
+def test_bundled_scenario_exports_match_golden(name, tmp_path):
+    want = json.loads(GOLDEN.read_text())[name]
+    run_scenario(ScenarioConfig.load(scenario_path(name)), tmp_path)
+    got = {ex: hashlib.sha256((tmp_path / ex).read_bytes()).hexdigest() for ex in EXPORTS}
+    assert got == want
+
+
 def test_scenario_exports_exist(tmp_path):
     cfg = ScenarioConfig(alignment="aligned", payload_mode="mode1", secret="1011", cycles=256)
     run_scenario(cfg, tmp_path)
@@ -210,14 +223,56 @@ def test_cli_analyze_subcommand(tmp_path):
     assert (tmp_path / "ana" / "spectrum.csv").exists()
 
 
+def test_cli_analyze_empty_window_exit_two(tmp_path):
+    cfg = ScenarioConfig(alignment="none", cycles=128)
+    path = tmp_path / "cfg.ini"
+    path.write_text(cfg.to_ini())
+    main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")])
+    code = main([
+        "analyze", "--trace", str(tmp_path / "sim" / "trace.csv"),
+        "--out", str(tmp_path / "ana"), "--window-stop", "0",
+    ])
+    assert code == 2
+
+
+def test_cli_analyze_missing_trace_exit_two(tmp_path, capsys):
+    missing = tmp_path / "nope.csv"
+    assert main(["analyze", "--trace", str(missing), "--out", str(tmp_path / "ana")]) == 2
+    assert str(missing) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", ["0,1,0\n1,0\n", "0,1,0\n1,2,0\n"], ids=["ragged", "cell-2"])
+def test_cli_analyze_malformed_trace_exit_two(tmp_path, capsys, rows):
+    path = tmp_path / "bad.csv"
+    path.write_text("RESET,A,B\n" + rows)
+    assert main(["analyze", "--trace", str(path), "--out", str(tmp_path / "ana")]) == 2
+    assert "line 3" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Verify battery
 # ---------------------------------------------------------------------------
 
 
-def test_verify_suite_green():
-    summary = verify_suite(print_fn=None)
-    assert summary.ok, f"failed checks: {summary.failed}"
+@pytest.mark.parametrize("check", [fn for _, fn in verify.CHECKS], ids=[n for n, _ in verify.CHECKS])
+def test_verify_check(check):
+    ok, detail = check()
+    assert ok, detail
+
+
+def test_verify_suite_counts_crashed_checks_as_failed(monkeypatch, capsys):
+    def crash():
+        raise RuntimeError("boom")
+
+    stub = [("good", lambda: (True, "fine")), ("bad", lambda: (False, "off")), ("crash", crash)]
+    monkeypatch.setattr(verify, "CHECKS", stub)
+    lines = []
+    summary = verify_suite(print_fn=lines.append)
+    assert summary.failed == ["bad", "crash"]
+    assert lines[2] == "FAIL crash: raised RuntimeError: boom"
+    assert lines[-1] == "1/3 checks passed"
+    assert main(["verify"]) == 1
+    assert capsys.readouterr().out.endswith("1/3 checks passed\n")
 
 
 def test_verify_catches_mutated_ff_priority():

@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-import helpers
 from fmlab import fmlogic
 from fmlab.fmlogic import (
     FmError,
@@ -24,6 +23,7 @@ from fmlab.fmlogic import (
     sync_instants,
 )
 from fmlab.netcore import FlipFlop, Netlist, Stimulus, TruthTable, simulate, tt_and, tt_or, tt_xor
+from fmlab.verify import converters, two_input_gate
 
 L = 8
 
@@ -83,20 +83,14 @@ def test_fm_csr_tap_period_unmodified():
 
 
 def test_converter_high_input_decodes_one_after_first_rotation():
-    nl = Netlist()
-    sync = build_sync(nl, L)
-    a = nl.add_input("A")
-    conv = build_std_to_fm(nl, a, sync)
+    nl, sync, (conv,) = converters("A")
     trace = simulate(nl, Stimulus.standard(60, nl, A=1), 60)
     for t in sync_instants(L, 60, start=L + 1):
         assert fm_decode(trace, conv, t).value == 1
 
 
 def test_converter_low_input_stays_in_reset_encoding():
-    nl = Netlist()
-    sync = build_sync(nl, L)
-    a = nl.add_input("A")
-    conv = build_std_to_fm(nl, a, sync)
+    nl, sync, (conv,) = converters("A")
     trace = simulate(nl, Stimulus.standard(60, nl, A=0), 60)
     for t in sync_instants(L, 60, start=L + 1):
         assert fm_decode(trace, conv, t).value == 0
@@ -105,10 +99,7 @@ def test_converter_low_input_stays_in_reset_encoding():
 
 
 def test_converter_samples_exactly_at_sync_instants():
-    nl = Netlist()
-    sync = build_sync(nl, L)
-    a = nl.add_input("A")
-    conv = build_std_to_fm(nl, a, sync)
+    nl, sync, (conv,) = converters("A")
     wave = np.tile([0, 1], 60)[:120]
     trace = simulate(nl, Stimulus.standard(120, nl, A=wave), 120)
     for t in sync_instants(L, 120 - L, start=1):
@@ -122,7 +113,7 @@ def test_converter_samples_exactly_at_sync_instants():
 
 
 def test_or_gate_figure_rows():
-    nl, sync, (ca, cb), gate = helpers.two_input_gate(tt_or(2))
+    nl, sync, (ca, cb), gate = two_input_gate(tt_or(2))
     trace = simulate(nl, Stimulus.standard(60, nl, A=0, B=1), 60)
     # steady state: after combination at SYNC instant t, the marker walks
     # stages 1..8 while the result bit stays half a rotation behind
@@ -139,7 +130,7 @@ def test_or_gate_figure_rows():
 
 
 def test_and_gate_of_zeros_decodes_zero():
-    nl, sync, _, gate = helpers.two_input_gate(tt_and(2))
+    nl, sync, _, gate = two_input_gate(tt_and(2))
     trace = simulate(nl, Stimulus.standard(40, nl, A=0, B=0), 40)
     assert fm_decode(trace, gate, 17).value == 0
 
@@ -148,7 +139,7 @@ def test_all_two_input_functions_exhaustive():
     for bits in range(1, 15):
         table = TruthTable.from_bits(2, bits)
         for av, bv in itertools.product((0, 1), repeat=2):
-            nl, sync, _, gate = helpers.two_input_gate(table)
+            nl, sync, _, gate = two_input_gate(table)
             trace = simulate(nl, Stimulus.standard(42, nl, A=av, B=bv), 42)
             want = table.eval((av, bv))
             for t in sync_instants(L, 42, start=2 * L):
@@ -156,18 +147,13 @@ def test_all_two_input_functions_exhaustive():
 
 
 def test_gate_rejects_constant_function():
-    nl = Netlist()
-    sync = build_sync(nl, L)
-    a = nl.add_input("A")
-    conv = build_std_to_fm(nl, a, sync)
+    nl, sync, (conv,) = converters("A")
     with pytest.raises(FmError, match="constant"):
         build_fm_gate(nl, TruthTable.from_bits(1, 0b00), [conv], sync)
 
 
 def test_gate_rejects_more_than_four_inputs():
-    nl = Netlist()
-    sync = build_sync(nl, L)
-    sigs = [build_std_to_fm(nl, nl.add_input(f"I{j}"), sync) for j in range(5)]
+    nl, sync, sigs = converters(*(f"I{j}" for j in range(5)))
     with pytest.raises(FmError, match="compose"):
         build_fm_gate(nl, tt_or(5), sigs, sync)
 
@@ -187,19 +173,10 @@ def test_gate_rejects_mixed_lengths():
 # ---------------------------------------------------------------------------
 
 
-def _converter_bank(nl, sync, values):
-    sigs = []
-    for j, v in enumerate(values):
-        sigs.append(build_std_to_fm(nl, nl.add_input(f"I{j}"), sync))
-    return sigs
-
-
 def test_compose_wide_function_splits_into_two_gates():
     # a 6-input function built as XOR feeding an OR-fold node: one gate
     # per internal node, every gate output active
-    nl = Netlist()
-    sync = build_sync(nl, L)
-    sigs = _converter_bank(nl, sync, [0] * 5)
+    nl, sync, sigs = converters(*(f"I{j}" for j in range(5)))
     cells_before = len(nl.cells)
     expr = FmExpr(
         table=TruthTable.from_function(4, lambda s, x, y, z: s | (x & y & z)),
@@ -217,18 +194,14 @@ def test_compose_wide_function_splits_into_two_gates():
 
 
 def test_compose_rejects_constant_subfunction():
-    nl = Netlist()
-    sync = build_sync(nl, L)
-    sigs = _converter_bank(nl, sync, [0, 0])
+    nl, sync, sigs = converters("I0", "I1")
     expr = FmExpr(table=TruthTable.from_bits(2, 0b1111), args=(sigs[0], sigs[1]))
     with pytest.raises(FmError, match="constant"):
         compose_fm(nl, expr, sync)
 
 
 def test_compose_rejects_five_ary_node():
-    nl = Netlist()
-    sync = build_sync(nl, L)
-    sigs = _converter_bank(nl, sync, [0] * 5)
+    nl, sync, sigs = converters(*(f"I{j}" for j in range(5)))
     expr = FmExpr(table=tt_or(5), args=tuple(sigs))
     with pytest.raises(FmError, match="compose"):
         compose_fm(nl, expr, sync)
@@ -236,9 +209,7 @@ def test_compose_rejects_five_ary_node():
 
 def test_flat_four_ary_and_vs_tree_latency():
     def build(flat: bool):
-        nl = Netlist()
-        sync = build_sync(nl, L)
-        sigs = _converter_bank(nl, sync, [0] * 4)
+        nl, sync, sigs = converters("I0", "I1", "I2", "I3")
         if flat:
             expr = FmExpr(table=tt_and(4), args=tuple(sigs))
         else:
@@ -277,14 +248,8 @@ def test_flat_four_ary_and_vs_tree_latency():
 
 
 def _locking_design():
-    nl = Netlist()
-    sync = build_sync(nl, L)
-    a = nl.add_input("A")
-    b = nl.add_input("B")
-    lock = build_locking_and(
-        nl, build_std_to_fm(nl, a, sync), build_std_to_fm(nl, b, sync), sync
-    )
-    return nl, lock
+    nl, sync, (ca, cb) = converters("A", "B")
+    return nl, build_locking_and(nl, ca, cb, sync)
 
 
 def test_locking_latches_after_one_aligned_coincidence():
@@ -384,7 +349,7 @@ def test_duty_cycle_empty_window():
 
 
 def test_single_marker_discipline_at_sync_instants():
-    nl, sync, (ca, cb), gate = helpers.two_input_gate(tt_or(2))
+    nl, sync, (ca, cb), gate = two_input_gate(tt_or(2))
     wave = np.tile([0, 1, 1, 0], 30)[:120]
     trace = simulate(nl, Stimulus.standard(120, nl, A=wave, B=1), 120)
     for sig in (ca, cb, gate):
@@ -397,7 +362,7 @@ def test_single_marker_discipline_at_sync_instants():
 
 
 def test_full_state_periodic_under_constant_inputs():
-    nl, sync, _, gate = helpers.two_input_gate(tt_xor(2))
+    nl, sync, _, gate = two_input_gate(tt_xor(2))
     trace = simulate(nl, Stimulus.standard(80, nl, A=1, B=0), 80)
     ff_nets = [c.q for c in nl.cells if isinstance(c, FlipFlop)]
     state = trace.values[:, ff_nets]

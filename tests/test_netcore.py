@@ -22,8 +22,7 @@ from fmlab.netcore import (
     tt_xor,
 )
 from fmlab.reference import reference_simulate
-
-import helpers
+from fmlab.verify import two_input_gate
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +241,7 @@ def test_constant_stimulus_constant_trace():
 
 
 def test_simulate_deterministic_and_matches_reference():
-    nl, sync, (ca, cb), gate = helpers.two_input_gate(tt_xor(2))
+    nl, sync, (ca, cb), gate = two_input_gate(tt_xor(2))
     stim = Stimulus.standard(120, nl, A=np.tile([0, 1, 1], 40), B=np.tile([1, 0], 60))
     t1 = simulate(nl, stim, 120)
     t2 = simulate(nl, stim, 120)
@@ -273,6 +272,11 @@ def test_stimulus_validation():
         Stimulus({"A": [0, 2]})
 
 
+def test_stimulus_standard_rejects_non_binary_scalar():
+    with pytest.raises(NetlistError, match="'A' must be 0 or 1"):
+        Stimulus.standard(4, ["A"], A=2)
+
+
 def test_trace_is_immutable():
     nl = Netlist()
     nl.add_input("A")
@@ -287,7 +291,7 @@ def test_trace_is_immutable():
 
 
 def test_netlist_text_roundtrip():
-    nl, sync, (ca, cb), gate = helpers.two_input_gate(tt_or(2))
+    nl, sync, (ca, cb), gate = two_input_gate(tt_or(2))
     nl.mark_output("OUT", gate.data_tap)
     text = nl.to_text()
     back = Netlist.from_text(text)
@@ -324,3 +328,11 @@ def test_trace_csv_roundtrip(tmp_path):
     back = Trace.from_csv(path)
     assert back.names == trace.names
     assert np.array_equal(back.values, trace.values)
+
+
+@pytest.mark.parametrize("rows", ["0,1\n1,0\n1\n", "0,1\n1,0\n2,0\n"], ids=["ragged", "cell-2"])
+def test_trace_csv_rejects_malformed_rows(tmp_path, rows):
+    path = tmp_path / "trace.csv"
+    path.write_text("RESET,A\n" + rows)
+    with pytest.raises(NetlistError, match="line 4"):
+        Trace.from_csv(path)

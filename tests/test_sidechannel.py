@@ -3,10 +3,8 @@
 import numpy as np
 import pytest
 
-import helpers
-from helpers import FIRST_BIT_START, L, SPEC, aligned_payload_run, quad_period_sums
 from fmlab import fmlogic, sidechannel as sc
-from fmlab.fmlogic import build_const_fm, build_std_to_fm, build_sync
+from fmlab.fmlogic import build_const_fm, build_sync
 from fmlab.netcore import Netlist, Stimulus, simulate, tt_buf, tt_or
 from fmlab.trojankit import (
     PayloadMode,
@@ -14,6 +12,16 @@ from fmlab.trojankit import (
     build_baseline_trojan,
     program_stimulus,
     random_program,
+)
+from fmlab.verify import (
+    FIRST_BIT_START,
+    L,
+    SPEC,
+    aligned_payload_run,
+    converters,
+    data_quad,
+    payload_sums,
+    two_input_gate,
 )
 
 
@@ -23,7 +31,7 @@ from fmlab.trojankit import (
 
 
 def test_uci_clean_on_fm_gate_design():
-    nl, sync, (ca, cb), gate = helpers.two_input_gate(tt_or(2))
+    nl, sync, (ca, cb), gate = two_input_gate(tt_or(2))
     wave = np.tile([0, 1, 1, 0], 30)[:96]
     trace = simulate(nl, Stimulus.standard(96, nl, A=wave, B=np.tile([1, 0], 48)), 96)
     report = sc.uci_scan(trace, (L + 1, 96 - (96 - L - 1) % L))
@@ -87,13 +95,7 @@ def test_pair_scan_finds_buffered_copy():
 
 
 def test_pair_scan_finds_quad_complements():
-    nl = Netlist()
-    sync = build_sync(nl, L)
-    data = nl.add_input("DATA")
-    carrier = build_std_to_fm(nl, data, sync)
-    from fmlab.trojankit import build_concealed
-
-    quad = build_concealed(nl, carrier, sync)
+    nl, quad = data_quad()
     rng = np.random.default_rng(3)
     trace = simulate(
         nl, Stimulus.standard(120, nl, DATA=rng.integers(0, 2, 120).astype(np.uint8)), 120
@@ -107,12 +109,7 @@ def test_pair_scan_finds_quad_complements():
 
 
 def test_pair_scan_independent_signals_unrelated():
-    nl = Netlist()
-    sync = build_sync(nl, L)
-    a = nl.add_input("A")
-    b = nl.add_input("B")
-    ca = build_std_to_fm(nl, a, sync)
-    cb = build_std_to_fm(nl, b, sync)
+    nl, sync, (ca, cb) = converters("A", "B")
     trace = simulate(nl, Stimulus.standard(80, nl, A=1, B=0), 80)
     report = sc.pair_scan(trace, (2 * L, 80))
     rel = set(report.equal_pairs) | set(report.complement_pairs)
@@ -125,18 +122,18 @@ def test_pair_scan_independent_signals_unrelated():
 
 
 def test_power_concealed_quad_constant():
-    trace, quad, jam = aligned_payload_run("1" * 6, PayloadMode.CONCEALED)
-    pt = sc.power_trace(trace, quad.stage_nets())
+    trace, design = aligned_payload_run("1" * 6, PayloadMode.CONCEALED)
+    pt = sc.power_trace(trace, design.quad.stage_nets())
     assert set(pt.dynamic[3:].tolist()) == {12}  # 6 rises + 6 falls
     assert set(pt.static[1:].tolist()) == {16}
 
 
 def test_power_mode1_period_sums():
-    trace, quad, jam = aligned_payload_run("1" * 6, PayloadMode.MODE1)
-    sums = quad_period_sums(trace, quad, jam, 6)
+    trace, design = aligned_payload_run("1" * 6, PayloadMode.MODE1)
+    sums = payload_sums(trace, design, 6)
     assert set(int(v) for v in sums[1:]) == {32}
-    trace, quad, jam = aligned_payload_run("0" * 6, PayloadMode.MODE1)
-    sums = quad_period_sums(trace, quad, jam, 6)
+    trace, design = aligned_payload_run("0" * 6, PayloadMode.MODE1)
+    sums = payload_sums(trace, design, 6)
     assert set(int(v) for v in sums[1:]) == {16}
 
 
@@ -172,8 +169,8 @@ def test_power_weights():
 
 
 def test_power_stats_exact_zero_variance_when_concealed():
-    trace, quad, jam = aligned_payload_run("10" * 4, PayloadMode.CONCEALED)
-    pt = sc.power_trace(trace, quad.stage_nets())
+    trace, design = aligned_payload_run("10" * 4, PayloadMode.CONCEALED)
+    pt = sc.power_trace(trace, design.quad.stage_nets())
     start = 2 * L + 1
     stop = start + ((len(pt) - start) // L) * L
     stats = sc.power_stats(pt.window(start, stop), L)
@@ -183,8 +180,8 @@ def test_power_stats_exact_zero_variance_when_concealed():
 
 
 def test_power_stats_bimodal_for_mode1_random_bits():
-    trace, quad, jam = aligned_payload_run("10110100", PayloadMode.MODE1)
-    pt = sc.power_trace(trace, quad.stage_nets())
+    trace, design = aligned_payload_run("10110100", PayloadMode.MODE1)
+    pt = sc.power_trace(trace, design.quad.stage_nets())
     stats = sc.power_stats(pt.window(FIRST_BIT_START, FIRST_BIT_START + 8 * L), L)
     lows = {int(v) for v in stats.dynamic_period_sums if v < 24}
     highs = {int(v) for v in stats.dynamic_period_sums if v > 24}
@@ -193,8 +190,8 @@ def test_power_stats_bimodal_for_mode1_random_bits():
 
 
 def test_power_stats_requires_exact_tiling():
-    trace, quad, jam = aligned_payload_run("11", PayloadMode.CONCEALED)
-    pt = sc.power_trace(trace, quad.stage_nets())
+    trace, design = aligned_payload_run("11", PayloadMode.CONCEALED)
+    pt = sc.power_trace(trace, design.quad.stage_nets())
     with pytest.raises(sc.AnalysisError, match="divide"):
         sc.power_stats(pt.window(0, L + 1), L)
 
@@ -257,7 +254,7 @@ def sp_bins_ok():
 
 
 def test_detect_peaks_on_unconcealed_power():
-    nl, sync, (ca, cb), gate = helpers.two_input_gate(tt_or(2))
+    nl, sync, (ca, cb), gate = two_input_gate(tt_or(2))
     trace = simulate(nl, Stimulus.standard(300, nl, A=1, B=0), 300)
     scope = [
         n for n in range(trace.n_nets)
@@ -272,8 +269,8 @@ def test_detect_peaks_on_unconcealed_power():
 
 
 def test_detect_peaks_flat_on_concealed_quad():
-    trace, quad, jam = aligned_payload_run("10" * 4, PayloadMode.CONCEALED)
-    pt = sc.power_trace(trace, quad.stage_nets())
+    trace, design = aligned_payload_run("10" * 4, PayloadMode.CONCEALED)
+    pt = sc.power_trace(trace, design.quad.stage_nets())
     sp = sc.spectrum(pt.dynamic[2 * L + 1 :], 64)
     assert sc.detect_fm_peaks(sp, 0.5) == []
 
@@ -291,16 +288,16 @@ def test_detect_peaks_validation():
 
 
 def test_demodulate_mode1_recovers_secret():
-    trace, quad, jam = aligned_payload_run("1011", PayloadMode.MODE1)
-    pt = sc.power_trace(trace, quad.stage_nets())
+    trace, design = aligned_payload_run("1011", PayloadMode.MODE1)
+    pt = sc.power_trace(trace, design.quad.stage_nets())
     got = sc.attacker_demodulate(pt, L, FIRST_BIT_START, 4, threshold=24)
     assert got == "1011"
 
 
 def test_demodulate_mode2_doubled_margin():
     secret = "100110"
-    trace, quad, jam = aligned_payload_run(secret, PayloadMode.MODE2)
-    pt = sc.power_trace(trace, quad.stage_nets())
+    trace, design = aligned_payload_run(secret, PayloadMode.MODE2)
+    pt = sc.power_trace(trace, design.quad.stage_nets())
     got = sc.attacker_demodulate(pt, L, FIRST_BIT_START, len(secret), threshold=48)
     assert got == secret
     sums = sc.period_sums(pt, L, FIRST_BIT_START, len(secret))
@@ -310,8 +307,8 @@ def test_demodulate_mode2_doubled_margin():
 
 
 def test_demodulate_concealed_is_degenerate():
-    trace, quad, jam = aligned_payload_run("1011", PayloadMode.CONCEALED)
-    pt = sc.power_trace(trace, quad.stage_nets())
+    trace, design = aligned_payload_run("1011", PayloadMode.CONCEALED)
+    pt = sc.power_trace(trace, design.quad.stage_nets())
     got = sc.attacker_demodulate(pt, L, FIRST_BIT_START, 4, threshold=24)
     assert got in ("0000", "1111")  # all periods identical: nothing to read
 
@@ -339,6 +336,14 @@ def test_jammer_requires_pairs():
     sync = build_sync(nl, L)
     with pytest.raises(sc.AnalysisError):
         sc.build_jammer(nl, sync, 0, seed=1)
+
+
+def test_jammer_allocates_past_existing_ports():
+    nl = Netlist()
+    sync = build_sync(nl, L)
+    nl.add_input("JAM1")
+    jam = sc.build_jammer(nl, sync, 1, seed=1)
+    assert jam.ports == ("JAM2", "JAM3")
 
 
 def test_jammer_alone_shows_both_frequencies():
@@ -371,7 +376,7 @@ def test_jammer_waves_deterministic_and_period_stable():
 def test_jamming_confuses_oracle_attacker():
     rng = np.random.default_rng(42)
     secret = "".join("1" if v else "0" for v in rng.integers(0, 2, 64))
-    trace, quad, jam = aligned_payload_run(secret, PayloadMode.MODE1, jam_pairs=4, jam_seed=0)
-    sums = quad_period_sums(trace, quad, jam, 64)
+    trace, design = aligned_payload_run(secret, PayloadMode.MODE1, jam_pairs=4, jam_seed=0)
+    sums = payload_sums(trace, design, 64)
     acc, _ = sc.oracle_threshold_accuracy(sums, secret)
     assert acc < 1.0

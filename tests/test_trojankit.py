@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-import helpers
-from helpers import ACTIVATION_SYNC, FIRST_BIT_START, L, SPEC, aligned_payload_run, quad_period_sums
 from fmlab import fmlogic, sidechannel
+from fmlab.cli import ScenarioConfig, construct_design
 from fmlab.fmlogic import build_std_to_fm, build_sync, fm_decode, sync_instants
 from fmlab.netcore import Netlist, Stimulus, simulate
 from fmlab.trojankit import (
@@ -26,6 +25,17 @@ from fmlab.trojankit import (
     random_program,
     scrub_sequences,
     set_payload_mode,
+)
+from fmlab.verify import (
+    ACTIVATION_SYNC,
+    FIRST_BIT_START,
+    L,
+    SPEC,
+    aligned_payload_run,
+    converters,
+    data_quad,
+    payload_sums,
+    trigger_design,
 )
 
 
@@ -61,30 +71,30 @@ def _conjunction_cycles(trace, lines):
 
 
 def test_event_sync_fires_once_for_ordered_sequence():
-    nl, sync, bus, lines, trigger = helpers.trigger_design()
+    tb = trigger_design()
     program = [0, 0, SPEC.alpha, SPEC.beta, SPEC.gamma, SPEC.delta, 0, 0]
     stim = program_stimulus(program, SPEC, total_cycles=16)
-    trace = simulate(nl, stim, 16)
-    assert _conjunction_cycles(trace, lines) == [6]  # the delta cycle
+    trace = simulate(tb.netlist, stim, 16)
+    assert _conjunction_cycles(trace, tb.lines) == [6]  # the delta cycle
 
 
 def test_event_sync_ignores_reversed_order():
-    nl, sync, bus, lines, trigger = helpers.trigger_design()
+    tb = trigger_design()
     program = [0, 0, SPEC.delta, SPEC.gamma, SPEC.beta, SPEC.alpha, 0, 0]
     stim = program_stimulus(program, SPEC, total_cycles=16)
-    trace = simulate(nl, stim, 16)
-    assert _conjunction_cycles(trace, lines) == []
+    trace = simulate(tb.netlist, stim, 16)
+    assert _conjunction_cycles(trace, tb.lines) == []
 
 
 @pytest.mark.parametrize("gap_pos", range(1, 4))
 def test_event_sync_rejects_any_gap(gap_pos):
-    nl, sync, bus, lines, trigger = helpers.trigger_design()
+    tb = trigger_design()
     seq = list(SPEC.opcodes)
     seq.insert(gap_pos, SPEC.filler())  # one filler inside the sequence
     program = [0, 0] + seq + [0, 0]
     stim = program_stimulus(program, SPEC, total_cycles=20)
-    trace = simulate(nl, stim, 20)
-    assert _conjunction_cycles(trace, lines) == []
+    trace = simulate(tb.netlist, stim, 20)
+    assert _conjunction_cycles(trace, tb.lines) == []
 
 
 def test_event_sync_checks_bus_width():
@@ -113,7 +123,8 @@ def test_wide_bus_uses_comparator_tree():
 
 
 def test_aligned_sequence_locks_trigger():
-    nl, sync, bus, lines, trigger = helpers.trigger_design()
+    tb = trigger_design()
+    nl, trigger = tb.netlist, tb.trigger
     stim = opcode_stimulus(random_program(30, 16, seed=4), SPEC, Aligned(), L, total_cycles=400)
     trace = simulate(nl, stim, 400)
     assert stim.meta["delta_cycles"] == [L + 1]
@@ -123,7 +134,8 @@ def test_aligned_sequence_locks_trigger():
 
 
 def test_no_sequence_never_activates():
-    nl, sync, bus, lines, trigger = helpers.trigger_design()
+    tb = trigger_design()
+    nl, trigger = tb.netlist, tb.trigger
     program = scrub_sequences(random_program(200, 16, seed=8), SPEC)
     stim = program_stimulus(program, SPEC, total_cycles=220)
     trace = simulate(nl, stim, 220)
@@ -155,21 +167,22 @@ def test_unlocked_trigger_reverts_after_one_rotation():
 def test_aligned_policy_is_the_single_activating_phase_class():
     activating = []
     for phase in range(L):
-        nl, sync, bus, lines, trigger = helpers.trigger_design()
+        tb = trigger_design()
         program = [SPEC.filler()] * 40
         start = (L + 1) + phase - 3  # delta lands at L+1+phase
         for j, op in enumerate(SPEC.opcodes):
             program[start - 1 + j] = op
         stim = program_stimulus(program, SPEC, total_cycles=60)
-        trace = simulate(nl, stim, 60)
+        trace = simulate(tb.netlist, stim, 60)
         last = max(sync_instants(L, 60, start=L + 1))
-        activating.append(fm_decode(trace, trigger, last).value)
+        activating.append(fm_decode(trace, tb.trigger, last).value)
     assert activating == [1, 0, 0, 0, 0, 0, 0, 0]
     assert sum(activating) == 1
 
 
 def test_random_retry_placement_and_alignment_classes():
-    nl, sync, bus, lines, trigger = helpers.trigger_design()
+    tb = trigger_design()
+    nl, trigger = tb.netlist, tb.trigger
     seen_offsets = set()
     hits = 0
     trials = 64
@@ -199,11 +212,7 @@ def test_random_retry_meta_records_attempts():
 
 
 def _quad_under_toggle(n=400, seed=31):
-    nl = Netlist()
-    sync = build_sync(nl, L)
-    data = nl.add_input("DATA")
-    carrier = build_std_to_fm(nl, data, sync)
-    quad = build_concealed(nl, carrier, sync)
+    nl, quad = data_quad()
     rng = np.random.default_rng(seed)
     stim = Stimulus.standard(n, nl, DATA=rng.integers(0, 2, n).astype(np.uint8))
     trace = simulate(nl, stim, n)
@@ -226,23 +235,19 @@ def test_quad_duality_and_stage_complements():
 
 def test_quad_transition_balance_always_six():
     trace, quad = _quad_under_toggle()
-    sub = trace.values[:, list(quad.stage_nets())].astype(np.int16)
-    rises = ((sub[1:] - sub[:-1]) == 1).sum(axis=1)[2:]
-    falls = ((sub[:-1] - sub[1:]) == 1).sum(axis=1)[2:]
-    assert set(rises.tolist()) == {6}
-    assert set(falls.tolist()) == {6}
+    rises, falls, _ = sidechannel.transition_counts(trace, quad.stage_nets())
+    assert set(rises[3:].tolist()) == {6}
+    assert set(falls[3:].tolist()) == {6}
 
 
 def test_quad_static_count_is_two_l():
     trace, quad = _quad_under_toggle()
-    ones = trace.values[1:, list(quad.stage_nets())].sum(axis=1)
-    assert set(ones.tolist()) == {2 * L}
+    _, _, ones = sidechannel.transition_counts(trace, quad.stage_nets())
+    assert set(ones[1:].tolist()) == {2 * L}
 
 
 def test_armed_quad_rejects_wide_carriers():
-    nl = Netlist()
-    sync = build_sync(nl, L)
-    sigs = [build_std_to_fm(nl, nl.add_input(f"I{j}"), sync) for j in range(4)]
+    nl, sync, sigs = converters("I0", "I1", "I2", "I3")
     from fmlab.netcore import tt_or
 
     gate = fmlogic.build_fm_gate(nl, tt_or(4), sigs, sync)
@@ -290,15 +295,15 @@ def test_mode_change_requires_armed_quad():
     ],
 )
 def test_mode_period_sums(mode, bit, want):
-    trace, quad, jam = aligned_payload_run(bit * 8, mode)
-    sums = quad_period_sums(trace, quad, jam, 8)
+    trace, design = aligned_payload_run(bit * 8, mode)
+    sums = payload_sums(trace, design, 8)
     assert set(int(v) for v in sums[1:]) == {want}  # steady after the first period
 
 
 def test_concealed_mode_sums_constant_regardless_of_bit():
     for bit in "01":
-        trace, quad, jam = aligned_payload_run(bit * 8, PayloadMode.CONCEALED)
-        sums = quad_period_sums(trace, quad, jam, 8)
+        trace, design = aligned_payload_run(bit * 8, PayloadMode.CONCEALED)
+        sums = payload_sums(trace, design, 8)
         assert set(int(v) for v in sums) == {96}  # 12 transitions per cycle * 8
 
 
@@ -307,23 +312,24 @@ def test_mode2_doubles_mode1_separation():
     for mode in (PayloadMode.MODE1, PayloadMode.MODE2):
         per = {}
         for bit in "01":
-            trace, quad, jam = aligned_payload_run(bit * 8, mode)
-            per[bit] = int(quad_period_sums(trace, quad, jam, 8)[2])
+            trace, design = aligned_payload_run(bit * 8, mode)
+            per[bit] = int(payload_sums(trace, design, 8)[2])
         vals[mode] = per["1"] - per["0"]
     assert vals[PayloadMode.MODE2] == 2 * vals[PayloadMode.MODE1]
 
 
 def test_frozen_replicas_stop_toggling_in_mode1():
-    trace, quad, jam = aligned_payload_run("1" * 8, PayloadMode.MODE1)
+    trace, design = aligned_payload_run("1" * 8, PayloadMode.MODE1)
+    quad = design.quad
     frozen = list(quad.b.csr.stages) + list(quad.c.stages) + list(quad.d.stages)
     sub = trace.values[FIRST_BIT_START:, frozen]
     assert (sub == sub[0]).all()
 
 
 def test_mode2_b_mirrors_a_after_activation():
-    trace, quad, jam = aligned_payload_run("10110100", PayloadMode.MODE2)
-    a = trace.values[FIRST_BIT_START:, list(quad.a.csr.stages)]
-    b = trace.values[FIRST_BIT_START:, list(quad.b.csr.stages)]
+    trace, design = aligned_payload_run("10110100", PayloadMode.MODE2)
+    a = trace.values[FIRST_BIT_START:, list(design.quad.a.csr.stages)]
+    b = trace.values[FIRST_BIT_START:, list(design.quad.b.csr.stages)]
     assert np.array_equal(a, b)
 
 
@@ -333,30 +339,30 @@ def test_mode2_b_mirrors_a_after_activation():
 
 
 def test_transmitter_replays_secret_pattern():
-    trace, quad, jam = aligned_payload_run("1011", PayloadMode.MODE1)
-    sums = quad_period_sums(trace, quad, jam, 4)
+    trace, design = aligned_payload_run("1011", PayloadMode.MODE1)
+    sums = payload_sums(trace, design, 4)
     assert [s > 24 for s in sums] == [True, False, True, True]
 
 
 def test_transmitter_all_zero_secret_flat_low():
-    trace, quad, jam = aligned_payload_run("0000", PayloadMode.MODE1)
-    sums = quad_period_sums(trace, quad, jam, 4)
+    trace, design = aligned_payload_run("0000", PayloadMode.MODE1)
+    sums = payload_sums(trace, design, 4)
     assert set(int(v) for v in sums) == {16}
 
 
 def test_transmitter_repeats_secret_after_wrap():
-    trace, quad, jam = aligned_payload_run("10", PayloadMode.MODE1, extra_cycles=6 * L)
+    trace, design = aligned_payload_run("10", PayloadMode.MODE1, extra_cycles=6 * L)
     from fmlab.sidechannel import period_sums, power_trace
 
-    pt = power_trace(trace, quad.stage_nets())
+    pt = power_trace(trace, design.quad.stage_nets())
     sums = period_sums(pt, L, FIRST_BIT_START, 6)
     bits = [int(s > 24) for s in sums]
     assert bits == [1, 0, 1, 0, 1, 0]
 
 
 def test_transmitter_concealed_before_activation():
-    trace, quad, jam = aligned_payload_run("1111", PayloadMode.MODE1)
-    sub = trace.values[:, list(quad.stage_nets())].astype(np.int16)
+    trace, design = aligned_payload_run("1111", PayloadMode.MODE1)
+    sub = trace.values[:, list(design.quad.stage_nets())].astype(np.int16)
     dyn = (np.abs(sub[1:] - sub[:-1])).sum(axis=1)
     # every boundary before the activation edge shows the balanced count
     pre = dyn[2 : ACTIVATION_SYNC - 1]
@@ -376,11 +382,11 @@ def test_transmitter_requires_armed_carrier():
 
 
 def test_transmitter_rejects_bad_secret():
-    nl, sync, trigger, quad, tx, jam = helpers.payload_design("1", PayloadMode.MODE1)
+    d = construct_design(ScenarioConfig(payload_mode="mode1", secret="1"))
     with pytest.raises(PayloadError, match="secret"):
-        build_payload_transmitter(nl, "10a1", trigger, quad, sync)
+        build_payload_transmitter(d.netlist, "10a1", d.trigger, d.quad, d.sync)
     with pytest.raises(PayloadError, match="secret"):
-        build_payload_transmitter(nl, "", trigger, quad, sync)
+        build_payload_transmitter(d.netlist, "", d.trigger, d.quad, d.sync)
 
 
 # ---------------------------------------------------------------------------
