@@ -460,7 +460,7 @@ def analyze_trace(
     ]
     pt = sidechannel.power_trace(trace, scope)
     series = pt.dynamic[window_start:stop]
-    wlen = spectrum_window or _pow2_floor(len(series))
+    wlen = _pow2_floor(len(series)) if spectrum_window is None else spectrum_window
     sp = sidechannel.spectrum(series, wlen)
     peaks = sidechannel.detect_fm_peaks(sp, peak_threshold)
     report = {

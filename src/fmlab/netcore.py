@@ -49,18 +49,8 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
+# The kernel is plain numpy; perfbench/run.py still stamps this flag.
+HAVE_NUMBA = False
 
 
 NetId = int
@@ -381,10 +371,20 @@ class Netlist:
     # -- evaluation order -----------------------------------------------------
 
     def topo_order(self) -> list[int]:
-        """Indices of LUT cells in dependency order.
+        """Indices of LUT cells in dependency order (level by level).
 
         An order exists iff the LUT-only subgraph is acyclic; flip-flops
         break loops because their outputs are state, not combinational.
+        """
+        return [ci for level in self._levels() for ci in level]
+
+    def _levels(self) -> list[list[int]]:
+        """LUT cell indices grouped by logic level, by one Kahn pass.
+
+        Level 0 reads only ports, constants and flip-flops; a LUT on
+        level ``n`` reads at least one LUT of level ``n - 1`` and none
+        above it, so every LUT of a level can be evaluated at once.
+        Raises :class:`CombinationalCycleError` naming a net on a loop.
         """
         lut_cells = [i for i, c in enumerate(self.cells) if isinstance(c, Lut)]
         dependents: dict[int, list[int]] = {i: [] for i in lut_cells}
@@ -395,16 +395,17 @@ class Netlist:
                 if drv[0] == "lut":
                     dependents[drv[1]].append(ci)
                     indeg[ci] += 1
+        levels: list[list[int]] = []
         ready = [i for i in lut_cells if indeg[i] == 0]
-        order: list[int] = []
         while ready:
-            ci = ready.pop()
-            order.append(ci)
-            for dep in dependents[ci]:
-                indeg[dep] -= 1
-                if indeg[dep] == 0:
-                    ready.append(dep)
-        if len(order) != len(lut_cells):
+            levels.append(ready)
+            ready = []
+            for ci in levels[-1]:
+                for dep in dependents[ci]:
+                    indeg[dep] -= 1
+                    if indeg[dep] == 0:
+                        ready.append(dep)
+        if sum(map(len, levels)) != len(lut_cells):
             remaining = {i for i in lut_cells if indeg[i] > 0}
             ci = min(remaining)
             seen = []
@@ -417,7 +418,7 @@ class Netlist:
                         break
             net = self.cells[ci].out
             raise CombinationalCycleError(net, self.name_of(net))
-        return order
+        return levels
 
     # -- serialization ----------------------------------------------------------
 
@@ -505,59 +506,58 @@ class Netlist:
         for cell in self.cells:
             if isinstance(cell, FlipFlop) and cell.d is None:
                 raise NetlistError(f"FF q={cell.q} has an unwired d pin")
-        order = self.topo_order()
-        luts = [self.cells[i] for i in order]
+        levels = []
+        for cells in self._levels():
+            luts = [self.cells[i] for i in cells]
+            # positions past a LUT's arity read net 0; the arity mask on
+            # the table address makes their value irrelevant
+            ins = np.zeros((len(luts), 6), np.intp)
+            for i, lut in enumerate(luts):
+                ins[i, : len(lut.inputs)] = lut.inputs
+            arity = np.array([len(lut.inputs) for lut in luts])
+            addr = np.arange(64) & ((1 << arity[:, None]) - 1)
+            bits = np.array([lut.table.bits for lut in luts], np.uint64)
+            tables = (bits[:, None] >> addr.astype(np.uint64)) & np.uint64(1)
+            levels.append(
+                _Level(
+                    out=np.array([lut.out for lut in luts], np.intp),
+                    ins=ins,
+                    base=np.arange(len(luts), dtype=np.intp) * 64,
+                    tables=tables.astype(np.uint8).ravel(),
+                )
+            )
+
         ffs = [c for c in self.cells if isinstance(c, FlipFlop)]
-
-        n_lut = len(luts)
-        lut_out = np.zeros(n_lut, np.int64)
-        lut_nin = np.zeros(n_lut, np.int64)
-        lut_ins = np.zeros((n_lut, 6), np.int64)
-        lut_tab = np.zeros(n_lut, np.uint64)
-        for i, lut in enumerate(luts):
-            lut_out[i] = lut.out
-            lut_nin[i] = len(lut.inputs)
-            lut_ins[i, : len(lut.inputs)] = lut.inputs
-            lut_tab[i] = np.uint64(lut.table.bits)
-
-        n_ff = len(ffs)
-        ff_q = np.zeros(n_ff, np.int64)
-        ff_d = np.zeros(n_ff, np.int64)
-        ff_ce = np.zeros(n_ff, np.int64)
-        ff_sr = np.zeros(n_ff, np.int64)
-        ff_set = np.zeros(n_ff, np.uint8)
-        for i, ff in enumerate(ffs):
-            ff_q[i] = ff.q
-            ff_d[i] = ff.d
-            ff_ce[i] = ff.ce
-            ff_sr[i] = ff.sr
-            ff_set[i] = 1 if ff.kind is FfKind.SET else 0
-
         input_names = tuple(self.inputs)
-        in_nets = np.array([self.inputs[n] for n in input_names], np.int64)
-        const_nets = np.array(sorted(self._consts.values()), np.int64)
-        const_vals = np.array(
-            [v for v, n in sorted(self._consts.items(), key=lambda kv: kv[1])], np.uint8
-        )
+        consts = sorted(self._consts.items(), key=lambda kv: kv[1])
         compiled = _Compiled(
             n_nets=self.net_count,
             input_names=input_names,
-            in_nets=in_nets,
-            const_nets=const_nets,
-            const_vals=const_vals,
-            lut_out=lut_out,
-            lut_nin=lut_nin,
-            lut_ins=lut_ins,
-            lut_tab=lut_tab,
-            ff_q=ff_q,
-            ff_d=ff_d,
-            ff_ce=ff_ce,
-            ff_sr=ff_sr,
-            ff_set=ff_set,
+            in_nets=np.array([self.inputs[n] for n in input_names], np.intp),
+            const_nets=np.array([n for _, n in consts], np.intp),
+            const_vals=np.array([v for v, _ in consts], np.uint8),
+            levels=tuple(levels),
+            ff_q=np.array([ff.q for ff in ffs], np.intp),
+            ff_pins=np.array([[ff.sr, ff.ce, ff.d] for ff in ffs], np.intp).reshape(-1, 3).T,
+            ff_set=np.array([ff.kind is FfKind.SET for ff in ffs], np.uint8),
             names=self.net_names(),
         )
         self._compiled = (self._version, compiled)
         return compiled
+
+
+# address weight of each LUT input position; 63 is the largest address
+_BIT_WEIGHTS = (1 << np.arange(6)).astype(np.uint8)
+
+
+@dataclass(frozen=True)
+class _Level:
+    """The LUTs of one logic level, evaluated together by :func:`simulate`."""
+
+    out: np.ndarray  # (k,) output nets
+    ins: np.ndarray  # (k, 6) input nets, 0 past each LUT's arity
+    base: np.ndarray  # (k,) 64 * row, the row's offset into ``tables``
+    tables: np.ndarray  # (64 k,) uint8 table entries, row-major, arity-masked
 
 
 @dataclass(frozen=True)
@@ -567,14 +567,9 @@ class _Compiled:
     in_nets: np.ndarray
     const_nets: np.ndarray
     const_vals: np.ndarray
-    lut_out: np.ndarray
-    lut_nin: np.ndarray
-    lut_ins: np.ndarray
-    lut_tab: np.ndarray
+    levels: tuple[_Level, ...]
     ff_q: np.ndarray
-    ff_d: np.ndarray
-    ff_ce: np.ndarray
-    ff_sr: np.ndarray
+    ff_pins: np.ndarray  # (3, n_ff) sr, ce and d nets
     ff_set: np.ndarray
     names: tuple[str, ...]
 
@@ -678,10 +673,22 @@ class Trace:
             raise NetlistError(f"trace has no net named {name!r}") from None
 
     def to_csv(self, path) -> None:
+        """Write a header of net names, then one row of 0/1 cells per cycle."""
+        n = self.n_nets
+        # each row is "v,v,...,v\n": cells at even offsets, the separator
+        # after the last cell (or the only byte, with no nets) is the newline
+        width = max(2 * n, 1)
+        # rows go out in blocks of about 64 KiB, so no buffer grows with the trace
+        step = max(1, (64 << 10) // width)
+        rows = np.full((min(step, self.cycles), width), ord(","), np.uint8)
+        rows[:, -1] = ord("\n")
         with open(path, "w") as fh:
             fh.write(",".join(self.names) + "\n")
-            for row in self.values:
-                fh.write(",".join("1" if v else "0" for v in row) + "\n")
+            for start in range(0, self.cycles, step):
+                block = self.values[start : start + step]
+                out = rows[: len(block)]
+                np.add(block != 0, np.uint8(ord("0")), out=out[:, : 2 * n : 2])
+                fh.write(str(out.data, "ascii"))
 
     @classmethod
     def from_csv(cls, path) -> "Trace":
@@ -729,52 +736,14 @@ def _csv_row_error(path, width: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _run_kernel(
-    n_cycles,
-    in_nets,
-    in_waves,
-    const_nets,
-    const_vals,
-    lut_out,
-    lut_nin,
-    lut_ins,
-    lut_tab,
-    ff_q,
-    ff_d,
-    ff_ce,
-    ff_sr,
-    ff_set,
-    values,
-):  # pragma: no cover - exercised via simulate()
-    n_ff = ff_q.shape[0]
-    state = np.zeros(n_ff, np.uint8)
-    one = np.uint64(1)
-    for t in range(n_cycles):
-        for i in range(in_nets.shape[0]):
-            values[t, in_nets[i]] = in_waves[i, t]
-        for i in range(const_nets.shape[0]):
-            values[t, const_nets[i]] = const_vals[i]
-        for f in range(n_ff):
-            values[t, ff_q[f]] = state[f]
-        for l in range(lut_out.shape[0]):
-            idx = np.uint64(0)
-            for b in range(lut_nin[l]):
-                idx |= np.uint64(values[t, lut_ins[l, b]]) << np.uint64(b)
-            values[t, lut_out[l]] = np.uint8((lut_tab[l] >> idx) & one)
-        for f in range(n_ff):
-            if values[t, ff_sr[f]] == 1:
-                state[f] = ff_set[f]
-            elif values[t, ff_ce[f]] == 1:
-                state[f] = values[t, ff_d[f]]
-
-
 def simulate(netlist: Netlist, stimulus: Stimulus, n_cycles: int) -> Trace:
     """Run the netlist for ``n_cycles`` rising edges.
 
-    Per cycle: apply inputs, evaluate LUTs in topological order against
-    the current flip-flop outputs, record every net, then update all
-    flip-flops simultaneously.  Deterministic; all flip-flops hold 0
+    Input and constant columns are written for all cycles up front; per
+    cycle: record the flip-flop outputs, evaluate the LUTs one logic
+    level at a time (one gather, one weighted sum and one table lookup
+    per level), and update all flip-flops simultaneously (``sr`` beats
+    ``ce``, which beats hold).  Deterministic; all flip-flops hold 0
     before the first edge, which is why generated designs drive RESET
     through cycle 0.
     """
@@ -788,27 +757,17 @@ def simulate(netlist: Netlist, stimulus: Stimulus, n_cycles: int) -> Trace:
     missing = [n for n in comp.input_names if n not in stimulus.waves]
     if missing:
         raise NetlistError(f"stimulus missing input ports: {missing}")
-    if comp.input_names:
-        in_waves = np.stack([stimulus.waves[n][:n_cycles] for n in comp.input_names])
-    else:
-        in_waves = np.zeros((0, n_cycles), np.uint8)
     values = np.zeros((n_cycles, comp.n_nets), np.uint8)
-    _run_kernel(
-        n_cycles,
-        comp.in_nets,
-        in_waves,
-        comp.const_nets,
-        comp.const_vals,
-        comp.lut_out,
-        comp.lut_nin,
-        comp.lut_ins,
-        comp.lut_tab,
-        comp.ff_q,
-        comp.ff_d,
-        comp.ff_ce,
-        comp.ff_sr,
-        comp.ff_set,
-        values,
-    )
+    for net, name in zip(comp.in_nets, comp.input_names):
+        values[:, net] = stimulus.waves[name][:n_cycles]
+    values[:, comp.const_nets] = comp.const_vals
+    ff_q, ff_set = comp.ff_q, comp.ff_set
+    state = np.zeros(len(ff_q), np.uint8)
+    for row in values:
+        row[ff_q] = state
+        for lv in comp.levels:
+            row[lv.out] = lv.tables[lv.base + row[lv.ins] @ _BIT_WEIGHTS]
+        sr, ce, d = row[comp.ff_pins]
+        state = np.where(sr, ff_set, np.where(ce, d, state))
     values.setflags(write=False)
     return Trace(values=values, names=comp.names)

@@ -235,6 +235,19 @@ def test_cli_analyze_empty_window_exit_two(tmp_path):
     assert code == 2
 
 
+def test_cli_analyze_zero_spectrum_window_exit_two(tmp_path, capsys):
+    cfg = ScenarioConfig(alignment="none", cycles=128)
+    path = tmp_path / "cfg.ini"
+    path.write_text(cfg.to_ini())
+    main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")])
+    code = main([
+        "analyze", "--trace", str(tmp_path / "sim" / "trace.csv"),
+        "--out", str(tmp_path / "ana"), "--spectrum-window", "0",
+    ])
+    assert code == 2
+    assert "window_len must be a power of two >= 2, got 0" in capsys.readouterr().err
+
+
 def test_cli_analyze_missing_trace_exit_two(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert main(["analyze", "--trace", str(missing), "--out", str(tmp_path / "ana")]) == 2

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmlab import fmlogic
 from fmlab.netcore import (
@@ -319,6 +321,26 @@ def test_netlist_from_text_rejects_garbage():
         Netlist.from_text("LUT x y\n")
 
 
+def _loop_csv(trace: Trace) -> str:
+    """The row-by-row CSV writer that ``Trace.to_csv`` must match byte for byte."""
+    lines = [",".join(trace.names)]
+    lines += [",".join("1" if v else "0" for v in row) for row in trace.values]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(5, 7), (3, 1), (0, 4), (4, 0), (0, 0), (20000, 5)],
+    ids=["rows", "one-net", "no-cycles", "no-nets", "empty", "many-blocks"],
+)
+def test_trace_csv_matches_row_loop(tmp_path, shape):
+    values = np.random.default_rng(7).integers(0, 2, size=shape, dtype=np.uint8)
+    trace = Trace(values=values, names=tuple(f"n{i}" for i in range(shape[1])))
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    assert path.read_bytes() == _loop_csv(trace).encode()
+
+
 def test_trace_csv_roundtrip(tmp_path):
     nl = Netlist()
     csr = fmlogic.build_fm_csr(nl, 4)
@@ -336,3 +358,64 @@ def test_trace_csv_rejects_malformed_rows(tmp_path, rows):
     path.write_text("RESET,A\n" + rows)
     with pytest.raises(NetlistError, match="line 4"):
         Trace.from_csv(path)
+
+
+# ---------------------------------------------------------------------------
+# Differential check: compiled kernel vs reference interpreter
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def netlists_with_stimuli(draw):
+    """Random acyclic netlists (LUTs read only earlier nets) and stimuli.
+
+    Flip-flops of both kinds take ``ce``/``sr`` from any earlier net and
+    may defer ``d``, which is then wired to any net, closing loops
+    through state.
+    """
+    nl = Netlist()
+    for i in range(draw(st.integers(1, 3))):
+        nl.add_input(f"I{i}")
+    if draw(st.booleans()):
+        nl.reset()
+    for value in draw(st.sets(st.integers(0, 1))):
+        nl.const(value)
+    deferred = []
+    for _ in range(draw(st.integers(1, 16))):
+        net = st.integers(0, nl.net_count - 1)
+        if draw(st.booleans()):
+            k = draw(st.integers(1, 6))
+            bits = draw(st.integers(0, (1 << (1 << k)) - 1))
+            nl.add_lut(draw(st.lists(net, min_size=k, max_size=k)), TruthTable.from_bits(k, bits))
+        else:
+            d = draw(st.none() | net)
+            q = nl.add_ff(draw(st.sampled_from(FfKind)), d, draw(net), draw(net))
+            if d is None:
+                deferred.append(q)
+    for q in deferred:
+        nl.set_ff_d(q, draw(st.integers(0, nl.net_count - 1)))
+    n_cycles = draw(st.integers(1, 24))
+    bits = st.lists(st.integers(0, 1), min_size=n_cycles, max_size=n_cycles)
+    stim = Stimulus({name: draw(bits) for name in nl.inputs})
+    return nl, stim, n_cycles
+
+
+@settings(max_examples=300, deadline=None)
+@given(netlists_with_stimuli(), st.sampled_from(FfKind))
+def test_simulate_matches_reference_on_random_netlists(case, open_kind):
+    nl, stim, n_cycles = case
+    trace = simulate(nl, stim, n_cycles)
+    assert np.array_equal(trace.values, reference_simulate(nl, stim, n_cycles).values)
+
+    text = nl.to_text()
+    back = Netlist.from_text(text)
+    assert back.to_text() == text
+    again = simulate(back, stim, n_cycles)
+    assert again.names == trace.names
+    assert np.array_equal(again.values, trace.values)
+
+    # an unwired d pin is rejected by both routes
+    nl.add_ff(open_kind, None, 0, 0)
+    for route in (simulate, reference_simulate):
+        with pytest.raises(NetlistError, match="unwired"):
+            route(nl, stim, n_cycles)
