@@ -54,10 +54,8 @@ from .trojankit import (
     AlignmentPolicy,
     ConcealedQuad,
     PayloadError,
-    PayloadFrame,
     PayloadMode,
     RandomRetry,
-    TransmitterPlan,
     TriggerError,
     TriggerSpec,
     add_opcode_bus,

@@ -184,11 +184,9 @@ class Design:
 
     netlist: Netlist
     sync: fmlogic.FmSync
-    bus: tuple
     lines: tuple
     trigger: fmlogic.FmSignal
     quad: trojankit.ConcealedQuad | None = None
-    transmitter: trojankit.TransmitterPlan | None = None
     jammer: sidechannel.JammerPlan | None = None
 
     def quad_scope(self) -> list[int]:
@@ -209,7 +207,7 @@ def construct_trigger(cfg: ScenarioConfig) -> Design:
     bus = trojankit.add_opcode_bus(nl, cfg.opcode_width)
     lines = trojankit.build_event_sync(nl, bus, cfg.trigger_spec())
     trigger = trojankit.build_trigger(nl, *lines, sync)
-    return Design(netlist=nl, sync=sync, bus=bus, lines=lines, trigger=trigger)
+    return Design(netlist=nl, sync=sync, lines=lines, trigger=trigger)
 
 
 def build_testbed(cfg: ScenarioConfig, secret: str | None) -> Design:
@@ -229,9 +227,7 @@ def build_testbed(cfg: ScenarioConfig, secret: str | None) -> Design:
     else:
         design.quad = trojankit.build_concealed(nl, carrier, sync, trigger=trigger)
         trojankit.set_payload_mode(design.quad, cfg.mode())
-        design.transmitter = trojankit.build_payload_transmitter(
-            nl, secret, trigger, design.quad, sync
-        )
+        trojankit.build_payload_transmitter(nl, secret, trigger, design.quad, sync)
     if cfg.jammer_pairs > 0:
         design.jammer = sidechannel.build_jammer(nl, sync, cfg.jammer_pairs, cfg.jammer_seed)
     nl.mark_output("TRIGGER_TAP", trigger.data_tap)
@@ -445,24 +441,24 @@ def analyze_trace(
     window_start: int = 2,
     window_stop: int | None = None,
     spectrum_window: int | None = None,
-    peak_threshold: float = 0.5,
 ) -> dict:
-    """Run the detection battery on an exported trace."""
+    """Run the detection battery on an exported trace.
+
+    Power and spectrum cover every net but RESET and the tie-offs;
+    spectral peaks are the bins within half the largest non-DC
+    magnitude, as in the default scenario config.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stop = trace.cycles if window_stop is None else window_stop
     window = (window_start, stop)
     uci = sidechannel.uci_scan(trace, window)
     pairs = sidechannel.pair_scan(trace, window)
-    scope = [
-        n for n in range(trace.n_nets)
-        if trace.names[n] not in sidechannel.DEFAULT_EXCLUDED_NAMES
-    ]
-    pt = sidechannel.power_trace(trace, scope)
+    pt = sidechannel.power_trace(trace, sidechannel.scan_nets(trace))
     series = pt.dynamic[window_start:stop]
     wlen = _pow2_floor(len(series)) if spectrum_window is None else spectrum_window
     sp = sidechannel.spectrum(series, wlen)
-    peaks = sidechannel.detect_fm_peaks(sp, peak_threshold)
+    peaks = sidechannel.detect_fm_peaks(sp, 0.5)
     report = {
         "window": list(window),
         "uci": uci.to_json_dict(trace.names),

@@ -92,16 +92,10 @@ def sync_instants(L: int, n_cycles: int, start: int = 1) -> range:
 
 @dataclass(frozen=True)
 class CsrShape:
-    """An L-stage register ring; ``stages[i]`` is the stage i+1 output net.
-
-    ``set_stage`` names the single set-type flip-flop for the standard
-    marker rings; it is None for the stage-wise complement rings used by
-    power concealment, which flip every flip-flop kind.
-    """
+    """An L-stage register ring; ``stages[i]`` is the stage i+1 output net."""
 
     stages: tuple[NetId, ...]
     L: int
-    set_stage: int | None
 
     @property
     def data_tap(self) -> NetId:
@@ -114,28 +108,41 @@ class CsrShape:
 
 @dataclass(frozen=True)
 class FmSync:
-    """The alignment generator: a CSR with its set stage at L/2."""
+    """The alignment generator: a CSR with its set stage at L/2, whose
+    stage L/2 output is the SYNC tap."""
 
     csr: CsrShape
-    tap: NetId
-    L: int
+
+    @property
+    def tap(self) -> NetId:
+        return self.csr.data_tap
+
+    @property
+    def L(self) -> int:
+        return self.csr.L
 
 
 @dataclass(frozen=True)
 class FmSignal:
     """Handle onto one FM-encoded bit.
 
-    ``data_tap`` is the stage L/2 output; ``combiner_out`` is the LUT
-    feeding the insert stage (None for raw rotors); ``data_inputs`` are
-    the nets occupying the combiner's data slots.
+    The data tap (stage L/2 output) and L are the ring's;
+    ``combiner_out`` is the LUT feeding the insert stage L/2 + 1 (None
+    for raw rotors); ``data_inputs`` are the nets occupying the
+    combiner's data slots.
     """
 
     csr: CsrShape
-    data_tap: NetId
-    insert_stage: int
-    L: int
     combiner_out: NetId | None
     data_inputs: tuple[NetId, ...]
+
+    @property
+    def data_tap(self) -> NetId:
+        return self.csr.data_tap
+
+    @property
+    def L(self) -> int:
+        return self.csr.L
 
     @property
     def stages(self) -> tuple[NetId, ...]:
@@ -195,15 +202,14 @@ def build_sync(netlist: Netlist, L: int = 8) -> FmSync:
     """
     _check_length(L)
     qs = build_ring(netlist, L, [L // 2])
-    csr = CsrShape(stages=tuple(qs), L=L, set_stage=L // 2)
-    return FmSync(csr=csr, tap=qs[L // 2 - 1], L=L)
+    return FmSync(csr=CsrShape(stages=tuple(qs), L=L))
 
 
 def build_fm_csr(netlist: Netlist, L: int = 8) -> CsrShape:
     """A free-running FM register holding value 0 (marker only)."""
     _check_length(L)
     qs = build_ring(netlist, L, [L])
-    return CsrShape(stages=tuple(qs), L=L, set_stage=L)
+    return CsrShape(stages=tuple(qs), L=L)
 
 
 def build_const_fm(netlist: Netlist, L: int, value: int) -> CsrShape:
@@ -211,7 +217,7 @@ def build_const_fm(netlist: Netlist, L: int, value: int) -> CsrShape:
     _check_length(L)
     marks = [L, L // 2] if value else [L]
     qs = build_ring(netlist, L, marks)
-    return CsrShape(stages=tuple(qs), L=L, set_stage=L)
+    return CsrShape(stages=tuple(qs), L=L)
 
 
 def make_combiner_table(
@@ -245,21 +251,15 @@ def build_fm_register(
     driven by one LUT over (SYNC, own stage L/2 tap, *data_inputs).
 
     ``set_stages`` defaults to the marker ring ([L]); ``ce`` to tied
-    high.  The ring's ``set_stage`` is recorded only when it has a
-    single set stage (the stage-wise complement rings have L - 1).
+    high.
     """
     L = sync.L
     set_stages = [L] if set_stages is None else list(set_stages)
     qs = build_ring(netlist, L, set_stages, insert_stage=L // 2 + 1, ce=ce)
-    fb = qs[L // 2 - 1]
-    comb = netlist.add_lut((sync.tap, fb, *data_inputs), table)
+    comb = netlist.add_lut((sync.tap, qs[L // 2 - 1], *data_inputs), table)
     netlist.set_ff_d(qs[L // 2], comb)
-    set_stage = set_stages[0] if len(set_stages) == 1 else None
     return FmSignal(
-        csr=CsrShape(stages=tuple(qs), L=L, set_stage=set_stage),
-        data_tap=fb,
-        insert_stage=L // 2 + 1,
-        L=L,
+        csr=CsrShape(stages=tuple(qs), L=L),
         combiner_out=comb,
         data_inputs=tuple(data_inputs),
     )
@@ -351,12 +351,6 @@ def build_locking_and(netlist: Netlist, a: FmSignal, b: FmSignal, sync: FmSync) 
     return build_fm_register(netlist, sync, table, (a.data_tap, b.data_tap))
 
 
-def _resolve_tap(fm: "FmSignal | CsrShape") -> tuple[NetId, int]:
-    if isinstance(fm, (FmSignal, CsrShape)):
-        return fm.data_tap, fm.L
-    raise FmError(f"cannot decode object of type {type(fm).__name__}")
-
-
 def fm_decode(trace: Trace, fm: "FmSignal | CsrShape", sync_cycle: int) -> FmBit:
     """Read the FM value at a SYNC instant and validate the encoding.
 
@@ -369,7 +363,7 @@ def fm_decode(trace: Trace, fm: "FmSignal | CsrShape", sync_cycle: int) -> FmBit
     of post-reset history (``sync_cycle > L``); steady-state decoding
     conventionally starts at 2L.
     """
-    tap, L = _resolve_tap(fm)
+    tap, L = fm.data_tap, fm.L
     if (sync_cycle - 1) % L:
         raise FmError(f"cycle {sync_cycle} is not a SYNC instant for L={L}")
     if sync_cycle <= L:

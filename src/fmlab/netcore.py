@@ -343,10 +343,6 @@ class Netlist:
         except KeyError:
             raise NetlistError(f"net {q} is not a flip-flop output") from None
 
-    def driver_of(self, net: NetId) -> tuple:
-        self._require_net(net, "driver query")
-        return self._drivers[net]
-
     def name_of(self, net: NetId) -> str:
         kind = self._drivers[net][0]
         if kind == "input":
@@ -360,13 +356,6 @@ class Netlist:
 
     def net_names(self) -> tuple[str, ...]:
         return tuple(self.name_of(n) for n in range(self.net_count))
-
-    def infrastructure_nets(self) -> tuple[NetId, ...]:
-        """RESET and constant tie-offs: excluded from activity scans."""
-        nets = list(self._consts.values())
-        if RESET_NAME in self.inputs:
-            nets.append(self.inputs[RESET_NAME])
-        return tuple(sorted(nets))
 
     # -- evaluation order -----------------------------------------------------
 
@@ -641,9 +630,6 @@ class Stimulus:
         stim.meta = dict(self.meta)
         return stim
 
-    def get(self, name: str) -> np.ndarray:
-        return self.waves[name]
-
 
 @dataclass(frozen=True)
 class Trace:
@@ -665,12 +651,6 @@ class Trace:
 
     def value(self, net: NetId, cycle: int) -> int:
         return int(self.values[cycle, net])
-
-    def index_of(self, name: str) -> NetId:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise NetlistError(f"trace has no net named {name!r}") from None
 
     def to_csv(self, path) -> None:
         """Write a header of net names, then one row of 0/1 cells per cycle."""

@@ -4,7 +4,8 @@ This walks the cell list directly and settles each cycle's combinational
 values by repeated sweeps until a fixpoint, instead of compiling a
 topological program.  It is deliberately slow and structurally different
 from :func:`fmlab.netcore.simulate` so the two act as independent routes
-to the same semantics.
+to the same semantics, including the rejection of a loop of LUTs with
+no flip-flop on it (a reachability search here, levelization there).
 
 ``ff_update`` can be overridden to experiment with alternative flip-flop
 rules (e.g. to demonstrate that the verification battery catches a wrong
@@ -17,7 +18,16 @@ from typing import Callable
 
 import numpy as np
 
-from .netcore import FfKind, FlipFlop, Lut, Netlist, NetlistError, Stimulus, Trace
+from .netcore import (
+    CombinationalCycleError,
+    FfKind,
+    FlipFlop,
+    Lut,
+    Netlist,
+    NetlistError,
+    Stimulus,
+    Trace,
+)
 
 
 def default_ff_update(kind: FfKind, current: int, d: int, ce: int, sr: int) -> int:
@@ -27,6 +37,21 @@ def default_ff_update(kind: FfKind, current: int, d: int, ce: int, sr: int) -> i
     if ce:
         return d
     return current
+
+
+def _check_lut_loops(netlist: Netlist) -> None:
+    """Raise :class:`CombinationalCycleError` naming a LUT whose output
+    reaches one of its own inputs through LUTs alone."""
+    lut_of = {c.out: c for c in netlist.cells if isinstance(c, Lut)}
+    for out, lut in lut_of.items():
+        seen, todo = set(), list(lut.inputs)
+        while todo:
+            net = todo.pop()
+            if net == out:
+                raise CombinationalCycleError(out, netlist.name_of(out))
+            if net in lut_of and net not in seen:
+                seen.add(net)
+                todo.extend(lut_of[net].inputs)
 
 
 def reference_simulate(
@@ -46,6 +71,7 @@ def reference_simulate(
     for ff in ffs:
         if ff.d is None:
             raise NetlistError(f"FF q={ff.q} has an unwired d pin")
+    _check_lut_loops(netlist)
     missing = [n for n in netlist.inputs if n not in stimulus.waves]
     if missing:
         raise NetlistError(f"stimulus missing input ports: {missing}")
@@ -63,7 +89,7 @@ def reference_simulate(
             row[net] = v
         for q, v in state.items():
             row[q] = v
-        # sweep to fixpoint; a LUT-only cycle would never settle
+        # sweep to fixpoint; without LUT loops, one sweep per level suffices
         for _ in range(len(luts) + 1):
             changed = False
             for lut in luts:

@@ -2,23 +2,23 @@
 payload demodulation, and the counter-jammer.
 
 Power is modeled at transition-count granularity: the dynamic component
-of a cycle is the (optionally weighted) number of scoped nets that
-changed since the previous cycle, the static component the number of
-scoped nets at 1.  Analyses take an explicit net subset so concealment
-can be verified at the replication-quad level while attacks run over
-whatever the attacker can observe.
+of a cycle is the number of scoped nets that changed since the previous
+cycle, the static component the number of scoped nets at 1.  Analyses
+take an explicit net subset so concealment can be verified at the
+replication-quad level while attacks run over whatever the attacker can
+observe.
 
-Activity scans exclude the RESET port and constant tie-offs by default:
-those are infrastructure, not logic the defender would attribute
-activity to.  Everything here is pure over immutable traces and safe
-for concurrent batch analysis; only :func:`build_jammer` mutates a
-netlist (single-owner construction, like any builder).
+Activity scans exclude the RESET port and constant tie-offs
+(:func:`scan_nets`): those are infrastructure, not logic the defender
+would attribute activity to.  Everything here is pure over immutable
+traces and safe for concurrent batch analysis; only :func:`build_jammer`
+mutates a netlist (single-owner construction, like any builder).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "JammerPlan",
     "AnalysisError",
     "DEFAULT_EXCLUDED_NAMES",
+    "scan_nets",
     "uci_scan",
     "pair_scan",
     "power_trace",
@@ -42,6 +43,7 @@ __all__ = [
     "spectrum",
     "detect_fm_peaks",
     "attacker_demodulate",
+    "period_sums",
     "oracle_threshold_accuracy",
     "build_jammer",
 ]
@@ -60,9 +62,9 @@ def _check_window(trace: Trace, window: tuple[int, int]) -> tuple[int, int]:
     return start, stop
 
 
-def _scan_nets(trace: Trace, exclude_names: Iterable[str]) -> list[NetId]:
-    excluded = set(exclude_names)
-    return [n for n in range(trace.n_nets) if trace.names[n] not in excluded]
+def scan_nets(trace: Trace) -> list[NetId]:
+    """Every net except RESET and the constant tie-offs, in id order."""
+    return [n for n in range(trace.n_nets) if trace.names[n] not in DEFAULT_EXCLUDED_NAMES]
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +93,14 @@ class UciReport:
         }
 
 
-def uci_scan(
-    trace: Trace,
-    window: tuple[int, int],
-    exclude_names: Iterable[str] = DEFAULT_EXCLUDED_NAMES,
-) -> UciReport:
+def uci_scan(trace: Trace, window: tuple[int, int]) -> UciReport:
     """Flag nets stuck at one value over the window.
 
     A net is suspicious iff its windowed duty cycle is exactly 0 or 1.
-    RESET and tie-off nets are excluded by default (see module notes).
+    RESET and tie-off nets are excluded (see module notes).
     """
     start, stop = _check_window(trace, window)
-    nets = _scan_nets(trace, exclude_names)
+    nets = scan_nets(trace)
     sub = trace.values[start:stop, nets]
     span = stop - start
     duty = sub.sum(axis=0, dtype=np.int64) / float(span)
@@ -141,11 +139,7 @@ class PairReport:
         }
 
 
-def pair_scan(
-    trace: Trace,
-    window: tuple[int, int],
-    exclude_names: Iterable[str] = DEFAULT_EXCLUDED_NAMES,
-) -> PairReport:
+def pair_scan(trace: Trace, window: tuple[int, int]) -> PairReport:
     """All always-equal and always-complementary net pairs in the window.
 
     Pairs are reported with the lower net id first; the relations are
@@ -153,7 +147,7 @@ def pair_scan(
     Grouping by waveform content keeps this near-linear in net count.
     """
     start, stop = _check_window(trace, window)
-    nets = _scan_nets(trace, exclude_names)
+    nets = scan_nets(trace)
     sub = trace.values[start:stop, nets]
     groups: dict[bytes, list[NetId]] = {}
     for i, net in enumerate(nets):
@@ -222,26 +216,14 @@ class PowerTrace:
                 fh.write(f"{t},{self.dynamic[t]},{self.static[t]}\n")
 
 
-def power_trace(
-    trace: Trace,
-    scope: Sequence[NetId],
-    weights: Mapping[NetId, float] | None = None,
-) -> PowerTrace:
+def power_trace(trace: Trace, scope: Sequence[NetId]) -> PowerTrace:
     """Transition-count power model over an explicit net subset."""
     scope = _check_scope(trace, scope)
     sub = trace.values[:, scope]
-    if weights is None:
-        w = None
-        dynamic = np.zeros(trace.cycles, np.int64)
-        static = sub.sum(axis=1, dtype=np.int64)
-        if trace.cycles > 1:
-            dynamic[1:] = (sub[1:] != sub[:-1]).sum(axis=1, dtype=np.int64)
-    else:
-        w = np.array([float(weights.get(net, 1.0)) for net in scope])
-        dynamic = np.zeros(trace.cycles, np.float64)
-        static = sub.astype(np.float64) @ w
-        if trace.cycles > 1:
-            dynamic[1:] = (sub[1:] != sub[:-1]).astype(np.float64) @ w
+    dynamic = np.zeros(trace.cycles, np.int64)
+    static = sub.sum(axis=1, dtype=np.int64)
+    if trace.cycles > 1:
+        dynamic[1:] = (sub[1:] != sub[:-1]).sum(axis=1, dtype=np.int64)
     dynamic.setflags(write=False)
     static.setflags(write=False)
     return PowerTrace(dynamic=dynamic, static=static, scope=scope)
@@ -331,9 +313,9 @@ class Spectrum:
     bin_freqs: np.ndarray
     window_len: int
 
-    def dominant_fraction(self, rel_tol: float = 1e-9) -> float | None:
-        """The oscillation fundamental: lowest-frequency bin within
-        ``rel_tol`` of the maximal non-DC magnitude.
+    def dominant_fraction(self) -> float | None:
+        """The oscillation fundamental: lowest-frequency bin within a
+        relative 1e-9 of the maximal non-DC magnitude.
 
         Pulse trains put equal energy in every harmonic, so the maximum
         alone is a tie set; the fundamental names the frequency.
@@ -343,7 +325,7 @@ class Spectrum:
         peak = float(mags.max(initial=0.0))
         if peak <= 0.0:
             return None
-        idx = int(np.argmax(mags >= peak * (1.0 - rel_tol))) + 1
+        idx = int(np.argmax(mags >= peak * (1.0 - 1e-9))) + 1
         return float(self.bin_freqs[idx])
 
     def magnitude_at(self, fraction: float) -> float:
@@ -459,17 +441,16 @@ def oracle_threshold_accuracy(sums: np.ndarray, secret: str) -> tuple[float, flo
 class JammerPlan:
     """Defender-added oscillators sharing the payload's frequencies.
 
-    ``k_pairs`` pairs of FM registers each sample a dedicated input port
-    at SYNC instants; the ports are driven with per-period pseudo-random
-    bits (seeded, reproducible), so the jammer's period sums add noise
-    an attacker cannot separate from the payload's.
+    Each FM register in ``signals`` samples its own input port at SYNC
+    instants; the ports are driven with per-period pseudo-random bits
+    (seeded, reproducible), so the jammer's period sums add noise an
+    attacker cannot separate from the payload's.
     """
 
     ports: tuple[str, ...]
     signals: tuple[FmSignal, ...]
     seed: int
     L: int
-    k_pairs: int
 
     def stage_nets(self) -> tuple[NetId, ...]:
         nets: list[NetId] = []
@@ -528,5 +509,4 @@ def build_jammer(netlist: Netlist, sync: FmSync, k_pairs: int, seed: int) -> Jam
         signals=tuple(signals),
         seed=seed,
         L=sync.L,
-        k_pairs=k_pairs,
     )

@@ -68,8 +68,6 @@ __all__ = [
     "AlignmentPolicy",
     "PayloadMode",
     "ConcealedQuad",
-    "PayloadFrame",
-    "TransmitterPlan",
     "TriggerError",
     "PayloadError",
     "add_opcode_bus",
@@ -152,18 +150,6 @@ class PayloadMode(enum.Enum):
     CONCEALED = "concealed"
     MODE1 = "mode1"
     MODE2 = "mode2"
-
-
-@dataclass(frozen=True)
-class PayloadFrame:
-    """A secret bit string transmitted at one bit per SYNC period."""
-
-    secret: str
-    period: int
-
-    def __post_init__(self):
-        if not self.secret or set(self.secret) - {"0", "1"}:
-            raise PayloadError("secret must be a nonempty string of 0/1")
 
 
 # ---------------------------------------------------------------------------
@@ -439,8 +425,6 @@ class ConcealedQuad:
     b: FmSignal
     c: CsrShape
     d: CsrShape
-    mode: PayloadMode
-    L: int
     netlist: Netlist
     trigger: FmSignal | None = None
     active: NetId | None = None
@@ -454,9 +438,6 @@ class ConcealedQuad:
 
     def stage_nets(self) -> tuple[NetId, ...]:
         return self.a.csr.stages + self.b.csr.stages + self.c.stages + self.d.stages
-
-    def members(self) -> dict[str, CsrShape]:
-        return {"a": self.a.csr, "b": self.b.csr, "c": self.c, "d": self.d}
 
     def retarget_data(self, net: NetId) -> None:
         """Repoint every combiner's single data slot at a new driver."""
@@ -515,8 +496,6 @@ def build_concealed(
         b=b,
         c=c.csr,
         d=d.csr,
-        mode=PayloadMode.CONCEALED,
-        L=L,
         netlist=netlist,
         trigger=trigger,
         active=active,
@@ -548,21 +527,11 @@ def set_payload_mode(quad: ConcealedQuad, mode: PayloadMode) -> None:
             quad._combiners[1],
             _armed_b_table(a_table, mirror=(mode is PayloadMode.MODE2)),
         )
-    quad.mode = mode
 
 
 # ---------------------------------------------------------------------------
 # Payload transmitter and the baseline for detector contrast
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TransmitterPlan:
-    """Handles onto the transmitter: its output net and ring counter."""
-
-    tx: NetId
-    ring: tuple[NetId, ...]
-    secret: str
 
 
 def build_payload_transmitter(
@@ -571,16 +540,17 @@ def build_payload_transmitter(
     trigger: FmSignal,
     carrier: ConcealedQuad,
     sync: FmSync,
-) -> TransmitterPlan:
+) -> NetId:
     """Drive the carrier with one secret bit per SYNC period after activation.
 
     A one-hot ring counter, advanced at SYNC instants while the trigger
     level is high, walks the secret; the secret itself lives in the
     selection LUT tables.  The transmitter output is forced low until
     activation so the carrier idles at FM 0, concealed.  The secret
-    repeats once the ring wraps.
+    repeats once the ring wraps.  Returns the transmitter output net.
     """
-    frame = PayloadFrame(secret=secret, period=sync.L)
+    if not secret or set(secret) - {"0", "1"}:
+        raise PayloadError("secret must be a nonempty string of 0/1")
     if not carrier.armed:
         raise PayloadError("carrier quad must be armed with the trigger")
     if carrier.trigger != trigger:
@@ -589,7 +559,7 @@ def build_payload_transmitter(
     reset = netlist.reset()
 
     advance = netlist.add_lut((sync.tap, active), tt_and(2))
-    n = len(frame.secret)
+    n = len(secret)
     ring = [
         netlist.add_ff(FfKind.SET if i == 0 else FfKind.RESET, None, advance, reset)
         for i in range(n)
@@ -598,7 +568,7 @@ def build_payload_transmitter(
         netlist.set_ff_d(ring[i], ring[i - 1])
 
     # secret held in LUT tables: OR of the one-hot lines at '1' positions
-    level = list(zip(ring, frame.secret))
+    level = list(zip(ring, secret))
     while len(level) > 1:
         grouped = []
         for lo in range(0, len(level), 6):
@@ -610,12 +580,12 @@ def build_payload_transmitter(
             grouped.append((netlist.add_lut(nets, table), "1"))
         level = grouped
     sel = level[0][0] if n > 1 else netlist.add_lut(
-        (ring[0],), tt_buf() if frame.secret == "1" else tt_const(1, 0)
+        (ring[0],), tt_buf() if secret == "1" else tt_const(1, 0)
     )
 
     tx = netlist.add_lut((sel, active), tt_and(2))
     carrier.retarget_data(tx)
-    return TransmitterPlan(tx=tx, ring=tuple(ring), secret=frame.secret)
+    return tx
 
 
 def build_baseline_trojan(netlist: Netlist, opcode_bus: Sequence[NetId], magic: int) -> NetId:

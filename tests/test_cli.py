@@ -27,11 +27,6 @@ def scenario_path(name: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def test_config_roundtrip_defaults():
-    cfg = ScenarioConfig()
-    assert ScenarioConfig.from_ini(cfg.to_ini()) == cfg
-
-
 def test_config_roundtrip_nontrivial():
     cfg = ScenarioConfig(
         L=4, alignment="random_retry", attempts=7, payload_mode="mode2",

@@ -135,17 +135,6 @@ def test_and_gate_of_zeros_decodes_zero():
     assert fm_decode(trace, gate, 17).value == 0
 
 
-def test_all_two_input_functions_exhaustive():
-    for bits in range(1, 15):
-        table = TruthTable.from_bits(2, bits)
-        for av, bv in itertools.product((0, 1), repeat=2):
-            nl, sync, _, gate = two_input_gate(table)
-            trace = simulate(nl, Stimulus.standard(42, nl, A=av, B=bv), 42)
-            want = table.eval((av, bv))
-            for t in sync_instants(L, 42, start=2 * L):
-                assert fm_decode(trace, gate, t).value == want, (bits, av, bv, t)
-
-
 def test_gate_rejects_constant_function():
     nl, sync, (conv,) = converters("A")
     with pytest.raises(FmError, match="constant"):
@@ -305,7 +294,7 @@ def test_decode_const_rotors():
 def test_decode_rejects_corrupted_ring():
     nl = Netlist()
     qs = build_ring(nl, L, [4, 5])  # two adjacent circulating ones
-    shape = fmlogic.CsrShape(stages=tuple(qs), L=L, set_stage=None)
+    shape = fmlogic.CsrShape(stages=tuple(qs), L=L)
     trace = simulate(nl, Stimulus.standard(40, nl), 40)
     with pytest.raises(MalformedFmError):
         fm_decode(trace, shape, 9)
@@ -321,18 +310,6 @@ def test_decode_validates_cycle():
         fm_decode(trace, r0, 1)
     with pytest.raises(FmError, match="beyond"):
         fm_decode(trace, r0, 41)
-
-
-@pytest.mark.parametrize(
-    "length,value,want",
-    [(8, 0, 0.125), (8, 1, 0.25), (4, 0, 0.25), (4, 1, 0.5)],
-)
-def test_duty_cycles(length, value, want):
-    nl = Netlist()
-    rotor = build_const_fm(nl, length, value)
-    n = 8 * length + 1
-    trace = simulate(nl, Stimulus.standard(n, nl), n)
-    assert duty_cycle(trace, rotor.data_tap, (1, 1 + 4 * length)) == want
 
 
 def test_duty_cycle_empty_window():

@@ -9,6 +9,7 @@ from fmlab import fmlogic
 from fmlab.netcore import (
     CombinationalCycleError,
     FfKind,
+    Lut,
     Netlist,
     NetlistError,
     Stimulus,
@@ -213,6 +214,18 @@ def test_topo_self_loop_reports_cycle_net():
     assert err.value.net == buf
 
 
+@pytest.mark.parametrize("table", [tt_buf(), tt_not()], ids=["buffer", "inverter"])
+@pytest.mark.parametrize("route", [simulate, reference_simulate], ids=["kernel", "reference"])
+def test_lut_self_loop_rejected_by_both_routes(table, route):
+    nl = Netlist()
+    a = nl.add_input("A")
+    lut = nl.add_lut((a,), table)
+    nl.set_lut_input(lut, 0, lut)
+    with pytest.raises(CombinationalCycleError) as err:
+        route(nl, Stimulus.standard(3, nl), 3)
+    assert err.value.net == lut
+
+
 def test_topo_register_ring_is_fine():
     nl = Netlist()
     fmlogic.build_fm_csr(nl, 8)
@@ -367,11 +380,14 @@ def test_trace_csv_rejects_malformed_rows(tmp_path, rows):
 
 @st.composite
 def netlists_with_stimuli(draw):
-    """Random acyclic netlists (LUTs read only earlier nets) and stimuli.
+    """Random netlists and stimuli, with a flag for a closed LUT loop.
 
-    Flip-flops of both kinds take ``ce``/``sr`` from any earlier net and
-    may defer ``d``, which is then wired to any net, closing loops
-    through state.
+    LUTs read only earlier nets, so the LUT graph is acyclic until one
+    LUT input is rewired to a LUT in its own fan-out cone, which some
+    cases do last; up to two more LUTs may then read that cone too, so
+    a LUT can lead into a loop without being on it.  Flip-flops of both
+    kinds take ``ce``/``sr`` from any earlier net and may defer ``d``,
+    which is then wired to any net, closing loops through state.
     """
     nl = Netlist()
     for i in range(draw(st.integers(1, 3))):
@@ -394,16 +410,50 @@ def netlists_with_stimuli(draw):
                 deferred.append(q)
     for q in deferred:
         nl.set_ff_d(q, draw(st.integers(0, nl.net_count - 1)))
+    luts = [c for c in nl.cells if isinstance(c, Lut)]
+    looped = bool(luts) and draw(st.sampled_from((False, False, False, True)))
+    if looped:
+        lut = draw(st.sampled_from(luts))
+        cone = {lut.out}
+        for later in luts:
+            if set(later.inputs) & cone:
+                cone.add(later.out)
+        for reader in [lut] + draw(st.lists(st.sampled_from(luts), max_size=2)):
+            position = draw(st.integers(0, len(reader.inputs) - 1))
+            nl.set_lut_input(reader.out, position, draw(st.sampled_from(sorted(cone))))
     n_cycles = draw(st.integers(1, 24))
     bits = st.lists(st.integers(0, 1), min_size=n_cycles, max_size=n_cycles)
     stim = Stimulus({name: draw(bits) for name in nl.inputs})
-    return nl, stim, n_cycles
+    return nl, stim, n_cycles, looped
+
+
+def _on_lut_loop(nl: Netlist, net: int) -> bool:
+    """True if ``net`` is a LUT output that reaches itself through LUT inputs."""
+    lut_of = {c.out: c for c in nl.cells if isinstance(c, Lut)}
+    if net not in lut_of:
+        return False
+    seen, todo = set(), list(lut_of[net].inputs)
+    while todo:
+        n = todo.pop()
+        if n == net:
+            return True
+        if n in lut_of and n not in seen:
+            seen.add(n)
+            todo.extend(lut_of[n].inputs)
+    return False
 
 
 @settings(max_examples=300, deadline=None)
 @given(netlists_with_stimuli(), st.sampled_from(FfKind))
 def test_simulate_matches_reference_on_random_netlists(case, open_kind):
-    nl, stim, n_cycles = case
+    nl, stim, n_cycles, looped = case
+    if looped:
+        # from_text rejects the forward reference, so no text round trip
+        for route in (simulate, reference_simulate):
+            with pytest.raises(CombinationalCycleError) as err:
+                route(nl, stim, n_cycles)
+            assert _on_lut_loop(nl, err.value.net)
+        return
     trace = simulate(nl, stim, n_cycles)
     assert np.array_equal(trace.values, reference_simulate(nl, stim, n_cycles).values)
 

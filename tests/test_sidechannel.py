@@ -158,16 +158,6 @@ def test_power_scope_validation():
         sc.power_trace(trace, ())
 
 
-def test_power_weights():
-    nl = Netlist()
-    nl.reset()
-    a = nl.add_input("A")
-    trace = simulate(nl, Stimulus.standard(4, nl, A=[0, 1, 0, 1]), 4)
-    pt = sc.power_trace(trace, (a,), weights={a: 2.5})
-    assert pt.dynamic.tolist() == [0.0, 2.5, 2.5, 2.5]
-    assert pt.static.tolist() == [0.0, 2.5, 0.0, 2.5]
-
-
 def test_power_stats_exact_zero_variance_when_concealed():
     trace, design = aligned_payload_run("10" * 4, PayloadMode.CONCEALED)
     pt = sc.power_trace(trace, design.quad.stage_nets())

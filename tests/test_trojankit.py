@@ -262,10 +262,7 @@ def test_quad_requires_combining_lut():
     nl = Netlist()
     sync = build_sync(nl, L)
     rotor = fmlogic.build_fm_csr(nl, L)
-    sig = fmlogic.FmSignal(
-        csr=rotor, data_tap=rotor.data_tap, insert_stage=L // 2 + 1, L=L,
-        combiner_out=None, data_inputs=(),
-    )
+    sig = fmlogic.FmSignal(csr=rotor, combiner_out=None, data_inputs=())
     with pytest.raises(PayloadError, match="combining"):
         build_concealed(nl, sig, sync)
 
