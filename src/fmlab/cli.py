@@ -559,6 +559,9 @@ def main(argv=None) -> int:
             trojankit.PayloadError, sidechannel.AnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # e.g. an --out path that names an existing file
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

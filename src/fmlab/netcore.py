@@ -44,6 +44,7 @@ traces are immutable after creation.
 from __future__ import annotations
 
 import enum
+import io
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -662,7 +663,7 @@ class Trace:
         step = max(1, (64 << 10) // width)
         rows = np.full((min(step, self.cycles), width), ord(","), np.uint8)
         rows[:, -1] = ord("\n")
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(",".join(self.names) + "\n")
             for start in range(0, self.cycles, step):
                 block = self.values[start : start + step]
@@ -674,41 +675,87 @@ class Trace:
     def from_csv(cls, path) -> "Trace":
         """Read a trace written by :meth:`to_csv`.
 
-        Every row must have one 0/1 cell per header name; otherwise a
-        :class:`NetlistError` names the first offending line.
+        The file is UTF-8 text: a header of net names (empty for a trace
+        with no nets, whose rows are then empty lines), then one row per
+        cycle.  A file in exactly the form :meth:`to_csv` writes is checked
+        and converted as one byte buffer.  Any other goes through
+        :func:`_parse_csv_lines`, which also accepts CRLF, blank lines, a
+        missing final newline and any cell numpy reads as 0 or 1, and
+        raises :class:`NetlistError` naming the first line it cannot read.
         """
-        with open(path) as fh:
-            header = fh.readline().rstrip("\n")
-            names = tuple(header.split(","))
-            try:
-                rows = [
-                    np.array(line.rstrip("\n").split(","), dtype=np.uint8)
-                    for line in fh
-                    if line.strip()
-                ]
-                values = np.vstack(rows) if rows else np.zeros((0, len(names)), np.uint8)
-            except (ValueError, OverflowError):
-                values = None
-        if values is None or values.shape[1] != len(names) or (values.size and values.max() > 1):
-            raise NetlistError(_csv_row_error(path, len(names)))
+        with open(path, "rb") as fh:
+            data = fh.read()
+        names, values = _parse_csv_buffer(data) or _parse_csv_lines(path, data)
         values.setflags(write=False)
         return cls(values=values, names=names)
 
 
-def _csv_row_error(path, width: int) -> str:
-    """Name the first trace CSV row that :meth:`Trace.from_csv` rejects."""
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno == 1 or not line.strip():
+def _all_bytes(a: np.ndarray, char: str) -> bool:
+    return a.size == 0 or a.min() == a.max() == ord(char)
+
+
+def _parse_csv_buffer(data: bytes) -> tuple[tuple[str, ...], np.ndarray] | None:
+    """Names and values of trace CSV ``data`` laid out exactly as
+    :meth:`Trace.to_csv` writes it (the header may end in CRLF), or None
+    for any other layout."""
+    end = data.find(b"\n")
+    end = len(data) if end < 0 else end
+    header = data[:end].removesuffix(b"\r")
+    if b"\r" in header:  # a lone CR ends a line in text mode
+        return None
+    try:
+        names = tuple(header.decode("utf-8").split(",")) if header else ()
+    except UnicodeDecodeError:
+        return None
+    n = len(names)
+    width = max(2 * n, 1)
+    body = np.frombuffer(data, np.uint8)[end + 1 :]
+    if body.size % width:
+        return None
+    rows = body.reshape(-1, width)
+    if not (_all_bytes(rows[:, 1 : 2 * n - 1 : 2], ",") and _all_bytes(rows[:, -1], "\n")):
+        return None
+    # a cell byte below "0" wraps past 1 as well
+    values = rows[:, : 2 * n : 2] - np.uint8(ord("0"))
+    if values.size and values.max() > 1:
+        return None
+    return names, values
+
+
+def _parse_csv_lines(path, data: bytes) -> tuple[tuple[str, ...], np.ndarray]:
+    """Parse trace CSV ``data`` line by line, as text with universal newlines.
+
+    Blank lines are skipped, except that an empty line is a cycle of a
+    trace with no nets.  Raises :class:`NetlistError` naming the first
+    line that is not UTF-8 or not one 0/1 cell per header name.
+    """
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape") as fh:
+        header = fh.readline().rstrip("\n")
+        try:
+            header.encode("utf-8")
+        except UnicodeEncodeError:
+            raise NetlistError(f"{path}: line 1 is not UTF-8 text") from None
+        names = tuple(header.split(",")) if header else ()
+        width = len(names)
+        rows = []
+        for lineno, line in enumerate(fh, start=2):
+            text = line.rstrip("\n")
+            if not text and not names:
+                rows.append(np.zeros(0, np.uint8))
                 continue
-            cells = line.rstrip("\n").split(",")
+            if not text.strip():
+                continue
+            cells = text.split(",")
             try:
-                ok = len(cells) == width and np.array(cells, dtype=np.uint8).max() <= 1
-            except (ValueError, OverflowError):
+                row = np.array(cells, dtype=np.uint8)
+                ok = len(cells) == width and row.max() <= 1
+            except (ValueError, OverflowError):  # undecodable bytes end up here too
                 ok = False
             if not ok:
-                return f"{path}: line {lineno} is not {width} comma-separated 0/1 cells"
-    return f"{path}: malformed trace rows"
+                raise NetlistError(f"{path}: line {lineno} is not {width} comma-separated 0/1 cells")
+            rows.append(row)
+    values = np.vstack(rows) if rows else np.zeros((0, width), np.uint8)
+    return names, values
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,34 @@ def test_cli_analyze_malformed_trace_exit_two(tmp_path, capsys, rows):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, line",
+    [(b"RESET,\xff\n0,1\n", 1), (b"RESET,A\n0,1\n1,\xff\n", 3)],
+    ids=["header", "row"],
+)
+def test_cli_analyze_non_utf8_trace_exit_two(tmp_path, capsys, content, line):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    assert main(["analyze", "--trace", str(path), "--out", str(tmp_path / "ana")]) == 2
+    assert f"line {line} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["scenario", "simulate", "analyze"])
+def test_cli_out_naming_a_file_exit_two(tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    if command == "analyze":
+        source = tmp_path / "trace.csv"
+        source.write_text("RESET,A\n1,0\n0,1\n")
+        argv = ["analyze", "--trace", str(source)]
+    else:
+        source = tmp_path / "cfg.ini"
+        source.write_text(ScenarioConfig(alignment="none", cycles=128).to_ini())
+        argv = [command, "--config", str(source)]
+    assert main(argv + ["--out", str(taken)]) == 2
+    assert str(taken) in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # Verify battery
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from fmlab import fmlogic
 from fmlab.netcore import (
@@ -352,6 +353,9 @@ def test_trace_csv_matches_row_loop(tmp_path, shape):
     path = tmp_path / "trace.csv"
     trace.to_csv(path)
     assert path.read_bytes() == _loop_csv(trace).encode()
+    back = Trace.from_csv(path)
+    assert back.names == trace.names
+    assert np.array_equal(back.values, trace.values)
 
 
 def test_trace_csv_roundtrip(tmp_path):
@@ -371,6 +375,142 @@ def test_trace_csv_rejects_malformed_rows(tmp_path, rows):
     path.write_text("RESET,A\n" + rows)
     with pytest.raises(NetlistError, match="line 4"):
         Trace.from_csv(path)
+
+
+@st.composite
+def traces(draw):
+    """Any trace of 0-8 nets over 0-300 cycles, with names to_csv can write."""
+    n = draw(st.integers(0, 8))
+    name = st.text(
+        st.characters(exclude_characters=",\r\n", exclude_categories=("Cs",)), min_size=1, max_size=4
+    )
+    names = tuple(draw(st.lists(name, min_size=n, max_size=n)))
+    values = draw(arrays(np.uint8, (draw(st.integers(0, 300)), n), elements=st.integers(0, 1)))
+    return Trace(values=values, names=names)
+
+
+@settings(max_examples=200, deadline=None)
+@example(
+    trace=Trace(
+        values=np.random.default_rng(3).integers(0, 2, size=(9000, 8), dtype=np.uint8),
+        names=tuple(f"n{i}" for i in range(8)),
+    )
+)  # three 64 KiB blocks
+@given(trace=traces())
+def test_trace_csv_roundtrip_any_trace(tmp_path_factory, trace):
+    path = tmp_path_factory.mktemp("csv") / "trace.csv"
+    trace.to_csv(path)
+    back = Trace.from_csv(path)
+    assert back.names == trace.names
+    assert back.values.dtype == np.uint8 and not back.values.flags.writeable
+    assert np.array_equal(back.values, trace.values)
+
+
+def _line_csv_reader(path) -> Trace:
+    """The line-splitting reader ``Trace.from_csv`` replaced: the oracle for
+    what it accepts, and for the line it names when it rejects."""
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n")
+        names = tuple(header.split(","))
+        try:
+            rows = [
+                np.array(line.rstrip("\n").split(","), dtype=np.uint8)
+                for line in fh
+                if line.strip()
+            ]
+            values = np.vstack(rows) if rows else np.zeros((0, len(names)), np.uint8)
+        except (ValueError, OverflowError):
+            values = None
+    if values is None or values.shape[1] != len(names) or (values.size and values.max() > 1):
+        width = len(names)
+        with open(path) as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if lineno == 1 or not line.strip():
+                    continue
+                cells = line.rstrip("\n").split(",")
+                try:
+                    ok = len(cells) == width and np.array(cells, dtype=np.uint8).max() <= 1
+                except (ValueError, OverflowError):
+                    ok = False
+                if not ok:
+                    raise NetlistError(f"{path}: line {lineno} is not {width} comma-separated 0/1 cells")
+        raise NetlistError(f"{path}: malformed trace rows")
+    return Trace(values=values, names=names)
+
+
+CSV_MUTATIONS = ("ragged", "cell-2", "cell-form", "stray", "crlf", "no-final-newline", "blank")
+
+
+@st.composite
+def mutated_trace_csvs(draw):
+    """The CSV of a trace with 1-4 nets after one to three mutations."""
+    n = draw(st.integers(1, 4))
+    values = draw(arrays(np.uint8, (draw(st.integers(1, 10)), n), elements=st.integers(0, 1)))
+    text = _loop_csv(Trace(values=values, names=tuple(f"n{i}" for i in range(n))))
+    for kind in draw(st.lists(st.sampled_from(CSV_MUTATIONS), min_size=1, max_size=3)):
+        lines = text.split("\n")
+        if len(lines) < 2:  # a stray overwrite took the only newline
+            break
+        row = draw(st.integers(1, len(lines) - 1))
+        if kind in ("ragged", "cell-2", "cell-form"):
+            cells = lines[row].split(",")
+            col = draw(st.integers(0, len(cells) - 1))
+            if kind == "ragged":
+                cells = cells[:-1] if draw(st.booleans()) else cells + ["0"]
+            elif kind == "cell-2":
+                cells[col] = "2"
+            else:
+                cells[col] = draw(st.sampled_from(["01", "+1", "-0", " 1", "1 ", "\t0", "00"]))
+            lines[row] = ",".join(cells)
+            text = "\n".join(lines)
+        elif kind == "stray":  # inserted or overwritten, half the time at a separator
+            char = draw(st.sampled_from([" ", "\t", ";"]))
+            commas = [i for i, c in enumerate(text) if c == ","]
+            if commas and draw(st.booleans()):
+                at = draw(st.sampled_from(commas))
+            else:
+                at = draw(st.integers(0, len(text)))
+            text = text[:at] + char + text[at + draw(st.integers(0, 1)) :]
+        elif kind == "crlf":  # every newline, or the one after line ``row``
+            if draw(st.booleans()):
+                text = text.replace("\n", "\r\n")
+            else:
+                lines[row - 1] += "\r"
+                text = "\n".join(lines)
+        elif kind == "no-final-newline":
+            text = text.removesuffix("\n")
+        elif kind == "blank":
+            # after the header: a blank header line would read as no nets
+            lines.insert(row, draw(st.sampled_from(["", " ", "\t"])))
+            text = "\n".join(lines)
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@example(text="n0,n1\n0,1\n1\n")  # ragged
+@example(text="n0,n1\n0,1\n2,0\n")  # a 2
+@example(text="n0,n1\n0 1\n1,0\n")  # a space for a separator
+@example(text="n0,n1\n0;1\n1,0\n")  # a stray separator
+@example(text="n0,n1\n0, 1\n\t1,0\n")  # stray space and tab beside cells
+@example(text="n0,n1\r\n0,1\r\n1,0\r\n")  # CRLF
+@example(text="n0,n1\n0,1\r1,0\n")  # a lone CR
+@example(text="n0,n1\n0,1\n1,0")  # no final newline
+@example(text="n0,n1\n0,1\n\n \n1,0\n")  # blank lines
+@example(text="n0,n1\n01,+1\n-0,1\n")  # cells numpy reads as 0/1
+@given(text=mutated_trace_csvs())
+def test_trace_csv_reader_matches_line_reader_on_mutations(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("csv") / "trace.csv"
+    path.write_bytes(text.encode())
+    try:
+        expected = _line_csv_reader(path)
+    except NetlistError as exc:
+        with pytest.raises(NetlistError) as err:
+            Trace.from_csv(path)
+        assert str(err.value) == str(exc)
+    else:
+        back = Trace.from_csv(path)
+        assert back.names == expected.names
+        assert np.array_equal(back.values, expected.values)
 
 
 # ---------------------------------------------------------------------------
