@@ -166,9 +166,12 @@ class ScenarioConfig:
     @classmethod
     def load(cls, path) -> "ScenarioConfig":
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            line = exc.object[: exc.start].count(b"\n") + 1
+            raise ConfigError(f"config {path}: line {line} is not UTF-8 text") from None
         return cls.from_ini(text)
 
 
@@ -300,7 +303,7 @@ def _balance_check(trace: Trace, design: Design, start: int, stop: int) -> dict:
     L = design.sync.L
     rises, falls, ones = sidechannel.transition_counts(trace, design.quad_scope())
     r, f, o = rises[start:stop], falls[start:stop], ones[start:stop]
-    expected = 3 * L // 4  # 6 for L=8
+    expected = 6  # the quad makes 6 rises and 6 falls per cycle at every L
     return {
         "window": [start, stop],
         "rises_constant": bool(len(set(r.tolist())) == 1 and r[0] == expected),

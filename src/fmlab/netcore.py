@@ -21,7 +21,8 @@ together with their driver, so an out-of-range id is the only way to
 reference an undriven net.  The one exception is a flip-flop's ``d``
 pin, which may be left open at construction time and wired later with
 :meth:`Netlist.set_ff_d`; this is how sequential loops (shift-register
-rings) are closed.
+rings) are closed.  :meth:`Netlist.set_lut_input` may likewise point a
+LUT input at a later net, which the text form reads back.
 
 Timing and trace conventions:
 
@@ -46,6 +47,8 @@ from __future__ import annotations
 import enum
 import io
 from dataclasses import dataclass
+from functools import partial
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -464,7 +467,8 @@ class Netlist:
                 raise NetlistError(f"malformed record on line {lineno}: {raw!r}") from None
 
         nl = cls()
-        deferred: list[tuple[int, int]] = []
+        # pins that reference a later net are wired once every net exists
+        deferred: list[Callable[[], None]] = []
         for net in range(len(records)):
             if net not in records:
                 raise NetlistError(f"net {net} has no driver record")
@@ -474,16 +478,22 @@ class Netlist:
             elif rec[0] == "CONST":
                 got = nl.const(rec[1])
             elif rec[0] == "LUT":
-                got = nl.add_lut(rec[2], TruthTable(rec[1], len(rec[2])))
+                # a LUT input rewired after construction (set_lut_input)
+                # may name a later net; it reads net 0 until then
+                _, bits, ins = rec
+                got = nl.add_lut([n if n < net else 0 for n in ins], TruthTable(bits, len(ins)))
+                deferred += [
+                    partial(nl.set_lut_input, got, pos, n) for pos, n in enumerate(ins) if n >= net
+                ]
             else:
                 _, kind, d, ce, sr = rec
                 # d may reference a later net (a closed register loop)
                 got = nl.add_ff(kind, None, ce, sr)
-                deferred.append((got, d))
+                deferred.append(partial(nl.set_ff_d, got, d))
             if got != net:
                 raise NetlistError(f"net numbering mismatch at {net}")
-        for q, d in deferred:
-            nl.set_ff_d(q, d)
+        for wire in deferred:
+            wire()
         for name, net in outputs:
             nl.mark_output(name, net)
         return nl
@@ -493,31 +503,24 @@ class Netlist:
     def _compile(self) -> "_Compiled":
         if self._compiled is not None and self._compiled[0] == self._version:
             return self._compiled[1]
-        for cell in self.cells:
-            if isinstance(cell, FlipFlop) and cell.d is None:
-                raise NetlistError(f"FF q={cell.q} has an unwired d pin")
-        levels = []
+        ffs = [c for c in self.cells if isinstance(c, FlipFlop)]
+        for ff in ffs:
+            if ff.d is None:
+                raise NetlistError(f"FF q={ff.q} has an unwired d pin")
+        # a LUT with a flip-flop in its fan-in cone is evaluated every cycle;
+        # any other reads only ports and constants and is evaluated once
+        stateful = {ff.q for ff in ffs}
+        hoisted, levels = [], []
         for cells in self._levels():
             luts = [self.cells[i] for i in cells]
-            # positions past a LUT's arity read net 0; the arity mask on
-            # the table address makes their value irrelevant
-            ins = np.zeros((len(luts), 6), np.intp)
-            for i, lut in enumerate(luts):
-                ins[i, : len(lut.inputs)] = lut.inputs
-            arity = np.array([len(lut.inputs) for lut in luts])
-            addr = np.arange(64) & ((1 << arity[:, None]) - 1)
-            bits = np.array([lut.table.bits for lut in luts], np.uint64)
-            tables = (bits[:, None] >> addr.astype(np.uint64)) & np.uint64(1)
-            levels.append(
-                _Level(
-                    out=np.array([lut.out for lut in luts], np.intp),
-                    ins=ins,
-                    base=np.arange(len(luts), dtype=np.intp) * 64,
-                    tables=tables.astype(np.uint8).ravel(),
-                )
-            )
+            cycle = [lut for lut in luts if not stateful.isdisjoint(lut.inputs)]
+            stateful.update(lut.out for lut in cycle)
+            once = [lut for lut in luts if lut.out not in stateful]
+            if once:
+                hoisted.append(_Level.of(once))
+            if cycle:
+                levels.append(_Level.of(cycle))
 
-        ffs = [c for c in self.cells if isinstance(c, FlipFlop)]
         input_names = tuple(self.inputs)
         consts = sorted(self._consts.items(), key=lambda kv: kv[1])
         compiled = _Compiled(
@@ -526,28 +529,61 @@ class Netlist:
             in_nets=np.array([self.inputs[n] for n in input_names], np.intp),
             const_nets=np.array([n for _, n in consts], np.intp),
             const_vals=np.array([v for v, _ in consts], np.uint8),
+            hoisted=tuple(hoisted),
             levels=tuple(levels),
-            ff_q=np.array([ff.q for ff in ffs], np.intp),
-            ff_pins=np.array([[ff.sr, ff.ce, ff.d] for ff in ffs], np.intp).reshape(-1, 3).T,
-            ff_set=np.array([ff.kind is FfKind.SET for ff in ffs], np.uint8),
+            ff=_Level.of([Lut(ff.q, (ff.sr, ff.ce, ff.d, ff.q), _FF_NEXT[ff.kind]) for ff in ffs]),
             names=self.net_names(),
         )
         self._compiled = (self._version, compiled)
         return compiled
 
 
-# address weight of each LUT input position; 63 is the largest address
+# address weight of each cell input position; 63 is the largest address
 _BIT_WEIGHTS = (1 << np.arange(6)).astype(np.uint8)
+
+# a flip-flop's next state as a table over its pins (sr, ce, d, q):
+# sr beats ce, which beats hold
+_FF_NEXT = {
+    kind: TruthTable.from_function(
+        4, lambda sr, ce, d, q, on_sr=kind is FfKind.SET: on_sr if sr else (d if ce else q)
+    )
+    for kind in FfKind
+}
 
 
 @dataclass(frozen=True)
 class _Level:
-    """The LUTs of one logic level, evaluated together by :func:`simulate`."""
+    """Cells evaluated together by one table lookup in :func:`simulate`.
+
+    The cells are the LUTs of one logic level, or all flip-flops, each
+    read as a 4-input LUT of its (sr, ce, d, q) pins with the table
+    ``_FF_NEXT``.
+    """
 
     out: np.ndarray  # (k,) output nets
-    ins: np.ndarray  # (k, 6) input nets, 0 past each LUT's arity
-    base: np.ndarray  # (k,) 64 * row, the row's offset into ``tables``
-    tables: np.ndarray  # (64 k,) uint8 table entries, row-major, arity-masked
+    ins: np.ndarray  # (k, w) input nets, w the widest cell's fan-in; net 0 past a cell's own
+    weights: np.ndarray  # (w,) address weight of each input position
+    base: np.ndarray  # (k,) 2**w * row, the row's offset into ``tables``
+    tables: np.ndarray  # (2**w k,) uint8 table entries, row-major
+
+    @classmethod
+    def of(cls, cells: Sequence[Lut]) -> "_Level":
+        width = max((len(c.inputs) for c in cells), default=0)
+        pad = (0,) * width
+        flat = chain.from_iterable((c.inputs + pad)[:width] for c in cells)
+        ins = np.fromiter(flat, np.intp, len(cells) * width).reshape(len(cells), width)
+        # tables are replicated across unused inputs, so the net-0 reads
+        # past a cell's fan-in do not change its output
+        entries = np.arange(1 << width, dtype=np.uint64)
+        bits = np.array([c.table.bits for c in cells], np.uint64)
+        tables = (bits[:, None] >> entries) & np.uint64(1)
+        return cls(
+            out=np.array([c.out for c in cells], np.intp),
+            ins=ins,
+            weights=_BIT_WEIGHTS[:width],
+            base=np.arange(len(cells), dtype=np.intp) << width,
+            tables=tables.astype(np.uint8).ravel(),
+        )
 
 
 @dataclass(frozen=True)
@@ -557,10 +593,9 @@ class _Compiled:
     in_nets: np.ndarray
     const_nets: np.ndarray
     const_vals: np.ndarray
-    levels: tuple[_Level, ...]
-    ff_q: np.ndarray
-    ff_pins: np.ndarray  # (3, n_ff) sr, ce and d nets
-    ff_set: np.ndarray
+    hoisted: tuple[_Level, ...]  # LUTs of no flip-flop, by level: evaluated once
+    levels: tuple[_Level, ...]  # the other LUTs, by level: evaluated every cycle
+    ff: _Level
     names: tuple[str, ...]
 
 
@@ -766,13 +801,15 @@ def _parse_csv_lines(path, data: bytes) -> tuple[tuple[str, ...], np.ndarray]:
 def simulate(netlist: Netlist, stimulus: Stimulus, n_cycles: int) -> Trace:
     """Run the netlist for ``n_cycles`` rising edges.
 
-    Input and constant columns are written for all cycles up front; per
-    cycle: record the flip-flop outputs, evaluate the LUTs one logic
-    level at a time (one gather, one weighted sum and one table lookup
-    per level), and update all flip-flops simultaneously (``sr`` beats
-    ``ce``, which beats hold).  Deterministic; all flip-flops hold 0
-    before the first edge, which is why generated designs drive RESET
-    through cycle 0.
+    Every cell is a table lookup: gather its input nets, weight them
+    into an address and read its table.  Input and constant columns are
+    written for all cycles up front, and so are the LUTs whose fan-in
+    cone holds no flip-flop, one logic level at a time over the whole
+    run.  Per cycle, the remaining LUT levels are evaluated, then all
+    flip-flops at once through their next-state table over (sr, ce, d,
+    q): ``sr`` beats ``ce``, which beats hold.  Deterministic; all
+    flip-flops hold 0 before the first edge, which is why generated
+    designs drive RESET through cycle 0.
     """
     if n_cycles < 1:
         raise NetlistError("n_cycles must be at least 1")
@@ -788,13 +825,14 @@ def simulate(netlist: Netlist, stimulus: Stimulus, n_cycles: int) -> Trace:
     for net, name in zip(comp.in_nets, comp.input_names):
         values[:, net] = stimulus.waves[name][:n_cycles]
     values[:, comp.const_nets] = comp.const_vals
-    ff_q, ff_set = comp.ff_q, comp.ff_set
-    state = np.zeros(len(ff_q), np.uint8)
+    for lv in comp.hoisted:
+        values[:, lv.out] = lv.tables[lv.base + values[:, lv.ins] @ lv.weights]
+    ff = comp.ff
+    state = np.zeros(len(ff.out), np.uint8)
     for row in values:
-        row[ff_q] = state
+        row[ff.out] = state
         for lv in comp.levels:
-            row[lv.out] = lv.tables[lv.base + row[lv.ins] @ _BIT_WEIGHTS]
-        sr, ce, d = row[comp.ff_pins]
-        state = np.where(sr, ff_set, np.where(ce, d, state))
+            row[lv.out] = lv.tables[lv.base + row[lv.ins] @ lv.weights]
+        state = ff.tables[ff.base + row[ff.ins] @ ff.weights]
     values.setflags(write=False)
     return Trace(values=values, names=comp.names)

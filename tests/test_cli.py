@@ -5,17 +5,26 @@ import json
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fmlab import verify
-from fmlab.cli import ConfigError, ScenarioConfig, main, run_scenario
-from fmlab.netcore import FfKind
+from fmlab.cli import (
+    ConfigError,
+    ScenarioConfig,
+    build_stimulus,
+    construct_design,
+    main,
+    run_scenario,
+)
+from fmlab.netcore import FfKind, Netlist, simulate
 from fmlab.reference import reference_simulate
 from fmlab.verify import check_ff_semantics, verify_suite
 
 # export hashes of the bundled scenarios, shared with the benchmark
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 EXPORTS = ("report.json", "trace.csv", "netlist.txt", "power.csv", "spectrum.csv")
+BUNDLED = ("concealed_trigger", "payload_mode1", "payload_mode2", "jammed")
 
 
 def scenario_path(name: str) -> Path:
@@ -119,12 +128,37 @@ def test_jammed_scenario(tmp_path):
     assert jam["jammed_oracle_accuracy"] <= cfg.max_jammed_accuracy
 
 
-@pytest.mark.parametrize("name", ["concealed_trigger", "payload_mode1", "payload_mode2", "jammed"])
+@pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_scenario_exports_match_golden(name, tmp_path):
     want = json.loads(GOLDEN.read_text())[name]
     run_scenario(ScenarioConfig.load(scenario_path(name)), tmp_path)
     got = {ex: hashlib.sha256((tmp_path / ex).read_bytes()).hexdigest() for ex in EXPORTS}
     assert got == want
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_netlist_text_roundtrip(name):
+    # the payload modes rewire combiner inputs to later nets
+    cfg = ScenarioConfig.load(scenario_path(name))
+    design = construct_design(cfg)
+    text = design.netlist.to_text()
+    back = Netlist.from_text(text)
+    assert back.to_text() == text
+    stim = build_stimulus(cfg, design)
+    want = simulate(design.netlist, stim, stim.length)
+    got = simulate(back, stim, stim.length)
+    assert got.names == want.names
+    assert np.array_equal(got.values, want.values)
+
+
+@pytest.mark.parametrize("L", [4, 16])
+def test_concealed_scenario_balanced_at_any_ring_length(L, tmp_path, capsys):
+    cfg = ScenarioConfig.load(scenario_path("concealed_trigger"))
+    cfg.L = L
+    path = tmp_path / "cfg.ini"
+    path.write_text(cfg.to_ini())
+    assert main(["scenario", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "PASS concealment_balance" in capsys.readouterr().out
 
 
 def test_scenario_exports_exist(tmp_path):
@@ -177,6 +211,13 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
 
 def test_cli_missing_config_exit_two(tmp_path):
     assert main(["scenario", "--config", str(tmp_path / "nope.ini")]) == 2
+
+
+def test_cli_non_utf8_config_exit_two(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(b"[scenario]\nseed = 1\xff\n")
+    assert main(["scenario", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: config {path}: line 2 is not UTF-8 text" in capsys.readouterr().err
 
 
 def test_cli_seed_and_cycles_override(tmp_path):
