@@ -88,6 +88,5 @@ from .sidechannel import (
     spectrum,
     uci_scan,
 )
-from .cli import ConfigError, ScenarioConfig, run_scenario
 
 __version__ = "0.1.0"

@@ -1,0 +1,6 @@
+"""``python -m fmlab``: the ``fmlab`` command line."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -293,27 +293,6 @@ def _find_activation(trace: Trace, design: Design) -> int | None:
     return None
 
 
-def _balance_check(trace: Trace, design: Design, start: int, stop: int) -> dict:
-    """Exact transition/ones balance over the quad stage nets.
-
-    Rises and falls cover destination cycles start..stop-1; the first
-    valid window starts once both quad halves carry data (two cycles
-    after reset).
-    """
-    L = design.sync.L
-    rises, falls, ones = sidechannel.transition_counts(trace, design.quad_scope())
-    r, f, o = rises[start:stop], falls[start:stop], ones[start:stop]
-    expected = 6  # the quad makes 6 rises and 6 falls per cycle at every L
-    return {
-        "window": [start, stop],
-        "rises_constant": bool(len(set(r.tolist())) == 1 and r[0] == expected),
-        "falls_constant": bool(len(set(f.tolist())) == 1 and f[0] == expected),
-        "static_constant": bool(len(set(o.tolist())) == 1 and o[0] == 2 * L),
-        "rise_value": int(r[0]) if len(r) else None,
-        "ones_value": int(o[0]) if len(o) else None,
-    }
-
-
 def run_scenario(cfg: ScenarioConfig, out_dir) -> tuple[dict, bool]:
     """Build, simulate, analyze, export.  Returns (report, all_checks_ok)."""
     cfg.validate()
@@ -359,25 +338,27 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> tuple[dict, bool]:
         "spectral_peaks": peaks,
     }
 
-    mode = cfg.mode()
-    if mode is PayloadMode.CONCEALED:
-        balance = _balance_check(trace, design, 3, n)
-        report["balance"] = balance
-        checks["concealment_balance"] = all(
-            balance[k] for k in ("rises_constant", "falls_constant", "static_constant")
-        )
+    # concealment holds over the whole run, or up to the activation instant
+    concealed = cfg.mode() is PayloadMode.CONCEALED
+    balance_stop = n if concealed else activation
+    if balance_stop is not None and balance_stop > 4:
+        # both quad halves carry data from cycle 2 on
+        rises, falls, ones, bad = sidechannel.quad_balance(trace, design.quad_scope(), 2, balance_stop)
+        report["balance" if concealed else "balance_pre_activation"] = {
+            "window": [3, balance_stop],  # the cycles the checked transitions land on
+            "rises_constant": len(set(rises.tolist())) == 1,
+            "falls_constant": len(set(falls.tolist())) == 1,
+            "static_constant": len(set(ones.tolist())) == 1,
+            "rise_value": int(rises[0]),
+            "ones_value": int(ones[0]),
+        }
+        checks["concealment_balance" if concealed else "concealment_before_activation"] = bad is None
+    if concealed:
         checks["power_flat"] = stats.dynamic_variance == 0.0
         checks["uci_clean"] = len(uci.suspicious) == 0
         if cfg.alignment == "none":
             checks["no_activation"] = activation is None
     else:
-        # concealment must hold up to the activation instant
-        if activation is not None and activation > 4:
-            balance = _balance_check(trace, design, 3, activation)
-            report["balance_pre_activation"] = balance
-            checks["concealment_before_activation"] = all(
-                balance[k] for k in ("rises_constant", "falls_constant", "static_constant")
-            )
         checks["activation_found"] = activation is not None
         if activation is not None:
             start = activation + L + 1

@@ -39,6 +39,7 @@ __all__ = [
     "pair_scan",
     "power_trace",
     "transition_counts",
+    "quad_balance",
     "power_stats",
     "spectrum",
     "detect_fm_peaks",
@@ -256,6 +257,26 @@ def transition_counts(
         rises[1:] = (sub[1:] > sub[:-1]).sum(axis=1)
         falls[1:] = (sub[1:] < sub[:-1]).sum(axis=1)
     return rises, falls, sub.sum(axis=1, dtype=np.int64)
+
+
+def quad_balance(
+    trace: Trace, scope: Sequence[NetId], start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
+    """A replication quad's balance over the cycles [start, stop).
+
+    Whatever the data, the quad's 4L stage nets make 6 rises, 6 falls
+    and 2L = ``len(scope) // 2`` ones on every cycle.  Returns (rises,
+    falls, ones, first_bad): ones on each cycle of the window, rises and
+    falls on each step between two of them (by the later cycle), and
+    the first cycle whose counts break the balance, or None.
+    """
+    start, stop = _check_window(trace, (start, stop))
+    rises, falls, ones = transition_counts(trace, scope)
+    rises, falls, ones = rises[start + 1 : stop], falls[start + 1 : stop], ones[start:stop]
+    bad = ones != len(scope) // 2
+    bad[1:] |= (rises != 6) | (falls != 6)
+    hits = np.flatnonzero(bad)
+    return rises, falls, ones, start + int(hits[0]) if hits.size else None
 
 
 @dataclass(frozen=True)

@@ -271,6 +271,16 @@ def scrub_sequences(program: Sequence[int], spec: TriggerSpec) -> list[int]:
     return program
 
 
+def _checked_program(program: Sequence[int], spec: TriggerSpec) -> list[int]:
+    program = list(program)
+    if not program:
+        raise TriggerError("program must be nonempty")
+    bad = [o for o in program if not 0 <= o < 1 << spec.opcode_width]
+    if bad:
+        raise TriggerError(f"program opcodes {bad[:4]} do not fit the bus")
+    return program
+
+
 def program_stimulus(
     program: Sequence[int], spec: TriggerSpec, total_cycles: int | None = None
 ) -> Stimulus:
@@ -279,13 +289,7 @@ def program_stimulus(
     Cycle 0 carries the filler opcode (it falls inside reset); the
     program occupies cycles 1..len(program); any tail is filler-padded.
     """
-    program = list(program)
-    if not program:
-        raise TriggerError("program must be nonempty")
-    top = 1 << spec.opcode_width
-    bad = [o for o in program if not 0 <= o < top]
-    if bad:
-        raise TriggerError(f"program opcodes {bad[:4]} do not fit the bus")
+    program = _checked_program(program, spec)
     n = 1 + len(program)
     if total_cycles is not None:
         if total_cycles < n:
@@ -324,16 +328,10 @@ def opcode_stimulus(
     instant.  ``RandomRetry`` places ``attempts`` sequences in disjoint
     slots at offsets drawn uniformly over one period, so each attempt
     aligns with probability 1/L independently.  Placement metadata is
-    recorded on the returned stimulus (``meta``).
+    recorded on the returned stimulus (``meta``).  The default horizon
+    ends L cycles after the last delta, where an aligned one decodes.
     """
-    program = list(program)
-    if not program:
-        raise TriggerError("program must be nonempty")
-    top = 1 << spec.opcode_width
-    bad = [o for o in program if not 0 <= o < top]
-    if bad:
-        raise TriggerError(f"program opcodes {bad[:4]} do not fit the bus")
-
+    program = _checked_program(program, spec)
     filler = spec.filler()
     meta: dict = {"policy": type(policy).__name__, "delta_cycles": []}
     if isinstance(policy, Aligned):
@@ -353,6 +351,8 @@ def opcode_stimulus(
         meta["seed"] = policy.seed
     else:
         raise TriggerError(f"unknown alignment policy {policy!r}")
+    if total_cycles is None:
+        _grow(program, max(meta["delta_cycles"]) + L, filler)
 
     stim = program_stimulus(program, spec, total_cycles=total_cycles)
     stim.meta = meta

@@ -256,16 +256,6 @@ def test_constant_stimulus_constant_trace():
     assert not trace.wave(a).any()
 
 
-def test_simulate_deterministic_and_matches_reference():
-    nl, sync, (ca, cb), gate = two_input_gate(tt_xor(2))
-    stim = Stimulus.standard(120, nl, A=np.tile([0, 1, 1], 40), B=np.tile([1, 0], 60))
-    t1 = simulate(nl, stim, 120)
-    t2 = simulate(nl, stim, 120)
-    ref = reference_simulate(nl, stim, 120)
-    assert np.array_equal(t1.values, t2.values)
-    assert np.array_equal(t1.values, ref.values)
-
-
 def _lut_only_design():
     nl = Netlist()
     a, b = nl.add_input("A"), nl.add_input("B")

@@ -180,14 +180,15 @@ def test_aligned_policy_is_the_single_activating_phase_class():
     assert sum(activating) == 1
 
 
-def test_random_retry_placement_and_alignment_classes():
+@pytest.mark.parametrize("total_cycles", [48, None])
+def test_random_retry_placement_and_alignment_classes(total_cycles):
     tb = trigger_design()
     nl, trigger = tb.netlist, tb.trigger
     seen_offsets = set()
     hits = 0
     trials = 64
     for seed in range(trials):
-        stim = opcode_stimulus([SPEC.filler()], SPEC, RandomRetry(1, seed=seed), L, total_cycles=48)
+        stim = opcode_stimulus([SPEC.filler()], SPEC, RandomRetry(1, seed=seed), L, total_cycles=total_cycles)
         delta = stim.meta["delta_cycles"][0]
         seen_offsets.add((delta - 1) % L)
         n = stim.length
@@ -234,16 +235,19 @@ def test_quad_duality_and_stage_complements():
 
 
 def test_quad_transition_balance_always_six():
+    """6 rises and 6 falls from cycle 3 on, for any data."""
     trace, quad = _quad_under_toggle()
-    rises, falls, _ = sidechannel.transition_counts(trace, quad.stage_nets())
-    assert set(rises[3:].tolist()) == {6}
-    assert set(falls[3:].tolist()) == {6}
+    assert sidechannel.quad_balance(trace, quad.stage_nets(), 2, 400)[3] is None
+    # one register of the quad instead of all four breaks it at once
+    assert sidechannel.quad_balance(trace, list(quad.a.csr.stages), 5, 400)[3] == 5
 
 
 def test_quad_static_count_is_two_l():
     trace, quad = _quad_under_toggle()
-    _, _, ones = sidechannel.transition_counts(trace, quad.stage_nets())
-    assert set(ones[1:].tolist()) == {2 * L}
+    # the ones balance from cycle 1; the step into cycle 2 still carries the load
+    _, _, ones, bad = sidechannel.quad_balance(trace, quad.stage_nets(), 1, 400)
+    assert bad == 2
+    assert set(ones.tolist()) == {2 * L}
 
 
 def test_armed_quad_rejects_wide_carriers():
@@ -282,37 +286,11 @@ def test_mode_change_requires_armed_quad():
     set_payload_mode(quad, PayloadMode.CONCEALED)  # concealed is always valid
 
 
-@pytest.mark.parametrize(
-    "mode,bit,want",
-    [
-        (PayloadMode.MODE1, "1", 32),
-        (PayloadMode.MODE1, "0", 16),
-        (PayloadMode.MODE2, "1", 64),
-        (PayloadMode.MODE2, "0", 32),
-    ],
-)
-def test_mode_period_sums(mode, bit, want):
-    trace, design = aligned_payload_run(bit * 8, mode)
-    sums = payload_sums(trace, design, 8)
-    assert set(int(v) for v in sums[1:]) == {want}  # steady after the first period
-
-
 def test_concealed_mode_sums_constant_regardless_of_bit():
     for bit in "01":
         trace, design = aligned_payload_run(bit * 8, PayloadMode.CONCEALED)
         sums = payload_sums(trace, design, 8)
         assert set(int(v) for v in sums) == {96}  # 12 transitions per cycle * 8
-
-
-def test_mode2_doubles_mode1_separation():
-    vals = {}
-    for mode in (PayloadMode.MODE1, PayloadMode.MODE2):
-        per = {}
-        for bit in "01":
-            trace, design = aligned_payload_run(bit * 8, mode)
-            per[bit] = int(payload_sums(trace, design, 8)[2])
-        vals[mode] = per["1"] - per["0"]
-    assert vals[PayloadMode.MODE2] == 2 * vals[PayloadMode.MODE1]
 
 
 def test_frozen_replicas_stop_toggling_in_mode1():
