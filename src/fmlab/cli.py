@@ -17,13 +17,14 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import fmlogic, netcore, sidechannel, trojankit
 from .netcore import Netlist, Stimulus, Trace
-from .trojankit import Aligned, PayloadMode, RandomRetry, TriggerSpec
+from .trojankit import Aligned, AlignmentPolicy, PayloadMode, RandomRetry, TriggerSpec
 
 
 class ConfigError(ValueError):
@@ -32,6 +33,7 @@ class ConfigError(ValueError):
 
 _ALIGNMENTS = ("none", "aligned", "random_retry")
 _MODES = ("concealed", "mode1", "mode2")
+EXPORTS = ("report.json", "trace.csv", "netlist.txt", "power.csv", "spectrum.csv")
 
 
 @dataclass
@@ -90,8 +92,8 @@ class ScenarioConfig:
             raise ConfigError(f"jammer_pairs: must be >= 0, got {self.jammer_pairs}")
         if self.cycles < 8 * self.L:
             raise ConfigError(f"cycles: must be at least 8*L, got {self.cycles}")
-        if self.analysis_start < 1:
-            raise ConfigError("analysis_start: must be >= 1")
+        if not 1 <= self.analysis_start < self.horizon():
+            raise ConfigError(f"analysis_start: must be in [1, {self.horizon()}), got {self.analysis_start}")
         w = self.spectrum_window
         if w < 2 or w & (w - 1):
             raise ConfigError(f"spectrum_window: must be a power of two, got {w}")
@@ -99,6 +101,8 @@ class ScenarioConfig:
             raise ConfigError(f"peak_threshold: must be in (0, 1], got {self.peak_threshold}")
         if not 0.0 < self.max_jammed_accuracy <= 1.0:
             raise ConfigError("max_jammed_accuracy: must be in (0, 1]")
+        if self.demod_threshold is not None and not 0.0 <= self.demod_threshold < math.inf:
+            raise ConfigError(f"demod_threshold: must be finite and >= 0, got {self.demod_threshold}")
 
     def trigger_spec(self) -> TriggerSpec:
         return TriggerSpec(
@@ -111,6 +115,19 @@ class ScenarioConfig:
 
     def mode(self) -> PayloadMode:
         return PayloadMode(self.payload_mode)
+
+    def policy(self) -> AlignmentPolicy | None:
+        if self.alignment == "aligned":
+            return Aligned()
+        if self.alignment == "random_retry":
+            return RandomRetry(attempts=self.attempts, seed=self.seed)
+        return None
+
+    def horizon(self) -> int:
+        """Cycles to simulate: ``cycles``, the program, or the last possible delta plus secret and slack."""
+        payload = (len(self.secret) + 3) * self.L if self.payload_mode != "concealed" else 0
+        last_delta = trojankit.latest_delta(self.policy(), self.L)
+        return max(self.cycles, self.program_length + 1, last_delta + self.L + payload + 4 * self.L)
 
     def threshold(self) -> float:
         """Demodulation threshold: configured, else the midpoint of the
@@ -253,32 +270,20 @@ def build_stimulus(cfg: ScenarioConfig, design: Design) -> Stimulus:
     deliberate insertions can activate.
     """
     spec = cfg.trigger_spec()
-    horizon = required_cycles(cfg)
+    horizon = cfg.horizon()
     background = trojankit.random_program(horizon - 1, cfg.alphabet_size, cfg.seed)
     background = trojankit.scrub_sequences(background, spec)
-    if cfg.alignment == "none":
-        stim = trojankit.program_stimulus(background, spec, total_cycles=horizon)
-        stim.meta = {"policy": "None", "delta_cycles": []}
-    elif cfg.alignment == "aligned":
-        stim = trojankit.opcode_stimulus(background, spec, Aligned(), cfg.L, total_cycles=horizon)
-    else:
-        policy = RandomRetry(attempts=cfg.attempts, seed=cfg.seed)
-        stim = trojankit.opcode_stimulus(background, spec, policy, cfg.L, total_cycles=horizon)
+    stim = trojankit.opcode_stimulus(background, spec, cfg.policy(), cfg.L, total_cycles=horizon)
     if design.jammer is not None:
         stim = stim.extended(design.jammer.stimulus_waves(horizon))
     return stim
 
 
-def required_cycles(cfg: ScenarioConfig) -> int:
-    """Horizon covering activation, the whole secret, and slack."""
-    if cfg.alignment == "aligned":
-        last_delta = cfg.L + 1
-    elif cfg.alignment == "random_retry":
-        last_delta = 1 + (cfg.attempts - 1) * (cfg.L + 8) + cfg.L + 2
-    else:
-        last_delta = 0
-    payload = (len(cfg.secret) + 3) * cfg.L if cfg.payload_mode != "concealed" else 0
-    return max(cfg.cycles, cfg.program_length + 1, last_delta + cfg.L + payload + 4 * cfg.L)
+def simulate_scenario(cfg: ScenarioConfig) -> tuple[Design, Stimulus, Trace]:
+    """Construct the testbed and simulate its stimulus over the horizon."""
+    design = construct_design(cfg)
+    stim = build_stimulus(cfg, design)
+    return design, stim, netcore.simulate(design.netlist, stim, stim.length)
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +304,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> tuple[dict, bool]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    design = construct_design(cfg)
-    stim = build_stimulus(cfg, design)
+    design, stim, trace = simulate_scenario(cfg)
     n = stim.length
-    trace = netcore.simulate(design.netlist, stim, n)
     L = cfg.L
-    names = trace.names
 
     activation = _find_activation(trace, design)
     window = (cfg.analysis_start, n)
@@ -323,13 +325,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> tuple[dict, bool]:
 
     checks: dict[str, bool] = {}
     report: dict = {
-        "config": json.loads(json.dumps(_config_dict(cfg))),
+        "config": json.loads(json.dumps(asdict(cfg))),
         "cycles": n,
         "nets": trace.n_nets,
         "cells": len(design.netlist.cells),
         "stimulus": {k: v for k, v in stim.meta.items()},
         "activation_cycle": activation,
-        "uci": uci.to_json_dict(names),
+        "uci": uci.to_json_dict(trace.names),
         "pairs": {
             "equal_count": len(pairs.equal_pairs),
             "complement_count": len(pairs.complement_pairs),
@@ -404,14 +406,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> tuple[dict, bool]:
 
 
 def _pow2_floor(n: int) -> int:
-    p = 1
-    while p * 2 <= n:
-        p *= 2
-    return p
-
-
-def _config_dict(cfg: ScenarioConfig) -> dict:
-    return {f.name: getattr(cfg, f.name) for f in fields(cfg)}
+    return 1 << max(n.bit_length() - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -497,23 +492,19 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command in ("scenario", "simulate"):
-            cfg = ScenarioConfig.load(args.config)
-            cfg = _apply_overrides(cfg, args)
-            out = args.out or cfg.out_dir
+            cfg = _apply_overrides(ScenarioConfig.load(args.config), args)
+            out = Path(args.out or cfg.out_dir)
             if args.command == "simulate":
-                design = construct_design(cfg)
-                stim = build_stimulus(cfg, design)
-                trace = netcore.simulate(design.netlist, stim, stim.length)
-                outp = Path(out)
-                outp.mkdir(parents=True, exist_ok=True)
-                (outp / "netlist.txt").write_text(design.netlist.to_text())
-                trace.to_csv(outp / "trace.csv")
+                design, _, trace = simulate_scenario(cfg)
+                out.mkdir(parents=True, exist_ok=True)
+                (out / "netlist.txt").write_text(design.netlist.to_text())
+                trace.to_csv(out / "trace.csv")
                 print(f"simulated {trace.cycles} cycles over {trace.n_nets} nets -> {out}")
                 return 0
             report, ok = run_scenario(cfg, out)
             for name, value in sorted(report["checks"].items()):
                 print(f"{'PASS' if value else 'FAIL'} {name}")
-            print(f"report: {Path(out) / 'report.json'}")
+            print(f"report: {out / 'report.json'}")
             return 0 if ok else 1
         if args.command == "analyze":
             try:

@@ -75,6 +75,7 @@ __all__ = [
     "build_trigger",
     "decode_level",
     "opcode_stimulus",
+    "latest_delta",
     "program_stimulus",
     "random_program",
     "scrub_sequences",
@@ -246,6 +247,8 @@ def decode_level(netlist: Netlist, fm: FmSignal, sync: FmSync) -> NetId:
 # Opcode stimulus
 # ---------------------------------------------------------------------------
 
+RETRY_GAP = 8  # filler cycles between consecutive RandomRetry slots
+
 
 def random_program(length: int, alphabet_size: int, seed: int) -> list[int]:
     """A background opcode stream drawn uniformly from [0, alphabet_size)."""
@@ -317,7 +320,7 @@ def _insert_sequence(program: list[int], spec: TriggerSpec, start_cycle: int) ->
 def opcode_stimulus(
     program: Sequence[int],
     spec: TriggerSpec,
-    policy: AlignmentPolicy,
+    policy: AlignmentPolicy | None,
     L: int,
     total_cycles: int | None = None,
 ) -> Stimulus:
@@ -327,31 +330,27 @@ def opcode_stimulus(
     ``Aligned`` places one sequence so its completing cycle is a SYNC
     instant.  ``RandomRetry`` places ``attempts`` sequences in disjoint
     slots at offsets drawn uniformly over one period, so each attempt
-    aligns with probability 1/L independently.  Placement metadata is
-    recorded on the returned stimulus (``meta``).  The default horizon
-    ends L cycles after the last delta, where an aligned one decodes.
+    aligns with probability 1/L independently; ``None`` places none.
+    Placement metadata is recorded on the returned stimulus (``meta``).  The
+    default horizon ends L cycles after the last delta, where an aligned one decodes.
     """
     program = _checked_program(program, spec)
     filler = spec.filler()
-    meta: dict = {"policy": type(policy).__name__, "delta_cycles": []}
+    meta: dict = {"policy": "None" if policy is None else type(policy).__name__, "delta_cycles": []}
+    starts: list[int] = []
     if isinstance(policy, Aligned):
-        delta_cycle = L + 1  # first SYNC instant with room for the 3-cycle lead-in
-        seq_start = delta_cycle - 3
-        _grow(program, delta_cycle, filler)
-        _insert_sequence(program, spec, seq_start)
-        meta["delta_cycles"].append(delta_cycle)
+        starts = [latest_delta(policy, L) - 3]
     elif isinstance(policy, RandomRetry):
         rng = np.random.default_rng(policy.seed)
-        stride = L + 8
-        for i in range(policy.attempts):
-            seq_start = 1 + i * stride + int(rng.integers(0, L))
-            _grow(program, seq_start + 3, filler)
-            _insert_sequence(program, spec, seq_start)
-            meta["delta_cycles"].append(seq_start + 3)
+        starts = [1 + i * (L + RETRY_GAP) + int(rng.integers(0, L)) for i in range(policy.attempts)]
         meta["seed"] = policy.seed
-    else:
+    elif policy is not None:
         raise TriggerError(f"unknown alignment policy {policy!r}")
-    if total_cycles is None:
+    for seq_start in starts:
+        _grow(program, seq_start + 3, filler)
+        _insert_sequence(program, spec, seq_start)
+        meta["delta_cycles"].append(seq_start + 3)
+    if total_cycles is None and meta["delta_cycles"]:
         _grow(program, max(meta["delta_cycles"]) + L, filler)
 
     stim = program_stimulus(program, spec, total_cycles=total_cycles)
@@ -359,9 +358,17 @@ def opcode_stimulus(
     return stim
 
 
+def latest_delta(policy: AlignmentPolicy | None, L: int) -> int:
+    """The last cycle ``opcode_stimulus`` can place a delta on under ``policy`` (0: none)."""
+    if isinstance(policy, Aligned):
+        return L + 1  # first SYNC instant with room for the 3-cycle lead-in
+    if isinstance(policy, RandomRetry):
+        return (policy.attempts - 1) * (L + RETRY_GAP) + L + 3
+    return 0
+
+
 def _grow(program: list[int], last_cycle: int, filler: int) -> None:
-    while len(program) < last_cycle:
-        program.append(filler)
+    program.extend([filler] * (last_cycle - len(program)))
 
 
 # ---------------------------------------------------------------------------

@@ -618,11 +618,13 @@ def check_scenario_determinism() -> CheckResult:
     cfg = cli.ScenarioConfig(alignment="aligned", payload_mode="mode1", secret="1011", cycles=256)
     with tempfile.TemporaryDirectory() as tmp:
         d1, d2 = Path(tmp, "r1"), Path(tmp, "r2")
-        cli.run_scenario(cfg, d1)
+        report, ok = cli.run_scenario(cfg, d1)
         cli.run_scenario(cfg, d2)
-        for name in ("report.json", "trace.csv", "netlist.txt", "power.csv", "spectrum.csv"):
+        for name in cli.EXPORTS:
             if (d1 / name).read_bytes() != (d2 / name).read_bytes():
                 return False, f"{name} differs between identical runs"
+    if not ok:
+        return False, f"aligned mode1 run failed its checks: {report['checks']}"
     return True, "identical configs produce byte-identical reports and exports"
 
 

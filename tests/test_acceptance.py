@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from fmlab import fmlogic, sidechannel as sc, trojankit as tk
-from fmlab.cli import ScenarioConfig, run_scenario
+from fmlab.cli import EXPORTS, ScenarioConfig, run_scenario
 from fmlab.fmlogic import (
     FmExpr,
     build_const_fm,
@@ -65,6 +65,7 @@ def test_c1_encoding_and_frequency():
         peak_idx = round(want_bin * 256)
         below = sp.magnitudes[1:peak_idx]
         assert sp.magnitudes[peak_idx] > (below.max() if len(below) else 0.0)
+        assert value == 0 or sp.magnitude_at(0.125) < 1e-9  # the slow line vanishes for value 1
     _ok(1, "duty 12.5%/25% (L=8) and 25%/50% (L=4); dominant bins f/8 and f/4")
 
 
@@ -267,7 +268,7 @@ def test_c9_determinism(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     run_scenario(cfg, d1)
     run_scenario(cfg, d2)
-    for name in ("report.json", "trace.csv", "netlist.txt", "power.csv", "spectrum.csv"):
+    for name in EXPORTS:
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
     r1 = json.loads((d1 / "report.json").read_text())
     assert r1["pass"]

@@ -1,6 +1,7 @@
 """Config round-trip, scenario runs, CLI exit codes, verify battery."""
 
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -13,12 +14,14 @@ import pytest
 
 from fmlab import verify
 from fmlab.cli import (
+    EXPORTS,
     ConfigError,
     ScenarioConfig,
     build_stimulus,
     construct_design,
     main,
     run_scenario,
+    simulate_scenario,
 )
 from fmlab.netcore import FfKind, Netlist, simulate
 from fmlab.reference import reference_simulate
@@ -26,7 +29,6 @@ from fmlab.verify import check_ff_semantics, verify_suite
 
 # export hashes of the bundled scenarios, shared with the benchmark
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
-EXPORTS = ("report.json", "trace.csv", "netlist.txt", "power.csv", "spectrum.csv")
 BUNDLED = ("concealed_trigger", "payload_mode1", "payload_mode2", "jammed")
 
 
@@ -67,6 +69,9 @@ def test_config_requires_scenario_section():
         ("alphabet_size", 99, "alphabet_size"),
         ("spectrum_window", 100, "spectrum_window"),
         ("attempts", 0, "attempts"),
+        ("demod_threshold", float("nan"), "^demod_threshold:"),
+        ("demod_threshold", float("inf"), "^demod_threshold:"),
+        ("demod_threshold", -1.0, "^demod_threshold:"),
     ],
 )
 def test_config_field_level_messages(field, value, fragment):
@@ -74,6 +79,18 @@ def test_config_field_level_messages(field, value, fragment):
     setattr(cfg, field, value)
     with pytest.raises(ConfigError, match=fragment):
         cfg.validate()
+
+
+def test_horizon_reaches_last_possible_delta():
+    # program_length 1 and cycles 8L leave the horizon to the retry layout
+    for L in (4, 6, 8, 12, 16):
+        design = construct_design(ScenarioConfig(L=L, cycles=8 * L))
+        for attempts, seed in itertools.product((1, 2, 5, 32), (0, 1, 7)):
+            cfg = ScenarioConfig(
+                L=L, alignment="random_retry", attempts=attempts, seed=seed, program_length=1, cycles=8 * L
+            )
+            stim = build_stimulus(cfg, design)
+            assert stim.length >= max(stim.meta["delta_cycles"]) + L, (L, attempts, seed)
 
 
 def test_config_unparseable_value():
@@ -143,12 +160,10 @@ def test_bundled_scenario_exports_match_golden(name, tmp_path):
 def test_bundled_netlist_text_roundtrip(name):
     # the payload modes rewire combiner inputs to later nets
     cfg = ScenarioConfig.load(scenario_path(name))
-    design = construct_design(cfg)
+    design, stim, want = simulate_scenario(cfg)
     text = design.netlist.to_text()
     back = Netlist.from_text(text)
     assert back.to_text() == text
-    stim = build_stimulus(cfg, design)
-    want = simulate(design.netlist, stim, stim.length)
     got = simulate(back, stim, stim.length)
     assert got.names == want.names
     assert np.array_equal(got.values, want.values)
@@ -162,15 +177,6 @@ def test_concealed_scenario_balanced_at_any_ring_length(L, tmp_path, capsys):
     path.write_text(cfg.to_ini())
     assert main(["scenario", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     assert "PASS concealment_balance" in capsys.readouterr().out
-
-
-def test_scenario_exports_exist(tmp_path):
-    cfg = ScenarioConfig(alignment="aligned", payload_mode="mode1", secret="1011", cycles=256)
-    run_scenario(cfg, tmp_path)
-    for name in ("report.json", "netlist.txt", "trace.csv", "power.csv", "spectrum.csv"):
-        assert (tmp_path / name).exists(), name
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert report["checks"]["demodulation_exact"]
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +216,13 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_analysis_start_past_horizon_exit_two(tmp_path, capsys):
+    path = tmp_path / "late.ini"
+    path.write_text(ScenarioConfig(analysis_start=5000, cycles=256).to_ini())
+    assert main(["scenario", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: analysis_start:" in capsys.readouterr().err
+
+
 def test_cli_missing_config_exit_two(tmp_path):
     assert main(["scenario", "--config", str(tmp_path / "nope.ini")]) == 2
 
@@ -236,13 +249,12 @@ def test_cli_seed_and_cycles_override(tmp_path):
 
 
 def test_cli_simulate_subcommand(tmp_path):
-    cfg = ScenarioConfig(alignment="none", cycles=128)
-    path = tmp_path / "cfg.ini"
-    path.write_text(cfg.to_ini())
-    code = main(["simulate", "--config", str(path), "--out", str(tmp_path / "sim")])
-    assert code == 0
-    assert (tmp_path / "sim" / "netlist.txt").exists()
-    assert (tmp_path / "sim" / "trace.csv").exists()
+    # simulate writes the same netlist and trace as a full scenario run
+    path = str(scenario_path("jammed"))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "sim")]) == 0
+    assert main(["scenario", "--config", path, "--out", str(tmp_path / "scn")]) == 0
+    for name in ("netlist.txt", "trace.csv"):
+        assert (tmp_path / "sim" / name).read_bytes() == (tmp_path / "scn" / name).read_bytes(), name
 
 
 def test_cli_analyze_subcommand(tmp_path):

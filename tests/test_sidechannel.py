@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fmlab import sidechannel as sc
-from fmlab.fmlogic import build_const_fm, build_sync
+from fmlab.fmlogic import build_sync
 from fmlab.netcore import Netlist, Stimulus, simulate, tt_buf, tt_or
 from fmlab.trojankit import (
     PayloadMode,
@@ -196,21 +196,6 @@ def test_power_stats_constant_series():
 # ---------------------------------------------------------------------------
 # spectrum / peaks
 # ---------------------------------------------------------------------------
-
-
-def _rotor_trace(value, n=300):
-    nl = Netlist()
-    rotor = build_const_fm(nl, L, value)
-    trace = simulate(nl, Stimulus.standard(n, nl), n)
-    return trace.wave(rotor.data_tap)
-
-
-def test_spectrum_fm_taps_dominant_bins():
-    sp0 = sc.spectrum(_rotor_trace(0)[2 * L + 1 :], 256)
-    sp1 = sc.spectrum(_rotor_trace(1)[2 * L + 1 :], 256)
-    assert sp0.dominant_fraction() == 0.125
-    assert sp1.dominant_fraction() == 0.25
-    assert sp1.magnitude_at(0.125) < 1e-9  # the slow line vanishes for value 1
 
 
 def test_spectrum_constant_series_flat():
