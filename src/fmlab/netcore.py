@@ -510,7 +510,7 @@ class Netlist:
         # a LUT with a flip-flop in its fan-in cone is evaluated every cycle;
         # any other reads only ports and constants and is evaluated once
         stateful = {ff.q for ff in ffs}
-        hoisted, levels = [], []
+        hoisted, loop = [], []
         for cells in self._levels():
             luts = [self.cells[i] for i in cells]
             cycle = [lut for lut in luts if not stateful.isdisjoint(lut.inputs)]
@@ -519,27 +519,43 @@ class Netlist:
             if once:
                 hoisted.append(_Level.of(once))
             if cycle:
-                levels.append(_Level.of(cycle))
+                loop.append(cycle)
 
         input_names = tuple(self.inputs)
         consts = sorted(self._consts.items(), key=lambda kv: kv[1])
+        const_nets = np.array([n for _, n in consts], np.intp)
+        const_vals = np.array([v for v, _ in consts], np.uint8)
+        pins = [Lut(ff.q, (ff.sr, ff.ce, ff.d, ff.q), _FF_NEXT[ff.kind]) for ff in ffs]
+        ff = _Level.of(pins)
+        levels, after = tuple(_Level.of(luts) for luts in loop), ()
+        # when every flip-flop folds, the LUTs that read flip-flops leave the
+        # cycle loop; they are evaluated once it has filled in every state
+        supports = _supports(pins, loop, set(self._consts.values()))
+        if supports is not None:
+            ff = _fold(ff, supports, levels, self.net_count, const_nets, const_vals)
+            levels, after = (), levels
         compiled = _Compiled(
             n_nets=self.net_count,
             input_names=input_names,
             in_nets=np.array([self.inputs[n] for n in input_names], np.intp),
-            const_nets=np.array([n for _, n in consts], np.intp),
-            const_vals=np.array([v for v, _ in consts], np.uint8),
+            const_nets=const_nets,
+            const_vals=const_vals,
             hoisted=tuple(hoisted),
-            levels=tuple(levels),
-            ff=_Level.of([Lut(ff.q, (ff.sr, ff.ce, ff.d, ff.q), _FF_NEXT[ff.kind]) for ff in ffs]),
+            levels=levels,
+            ff=ff,
+            after=after,
             names=self.net_names(),
         )
         self._compiled = (self._version, compiled)
         return compiled
 
 
-# address weight of each cell input position; 63 is the largest address
-_BIT_WEIGHTS = (1 << np.arange(6)).astype(np.uint8)
+# a flip-flop folds into one table over at most this many nets: the widest
+# address the uint8 ``@`` in :func:`simulate` forms (weights 1..128, at most 255)
+_FOLD_LIMIT = 8
+
+# address weight of each cell input position
+_BIT_WEIGHTS = (1 << np.arange(_FOLD_LIMIT)).astype(np.uint8)
 
 # a flip-flop's next state as a table over its pins (sr, ce, d, q):
 # sr beats ce, which beats hold
@@ -555,9 +571,9 @@ _FF_NEXT = {
 class _Level:
     """Cells evaluated together by one table lookup in :func:`simulate`.
 
-    The cells are the LUTs of one logic level, or all flip-flops, each
+    The cells are the LUTs of one logic level, or all flip-flops: each
     read as a 4-input LUT of its (sr, ce, d, q) pins with the table
-    ``_FF_NEXT``.
+    ``_FF_NEXT``, or, folded, as one table over its support.
     """
 
     out: np.ndarray  # (k,) output nets
@@ -567,23 +583,98 @@ class _Level:
     tables: np.ndarray  # (2**w k,) uint8 table entries, row-major
 
     @classmethod
-    def of(cls, cells: Sequence[Lut]) -> "_Level":
+    def of(cls, cells: Sequence[Lut], rows: Sequence[np.ndarray] | None = None) -> "_Level":
+        """The level of ``cells``, each read through its ``table``, or
+        through ``rows[i]`` when ``rows`` is given: 2**k explicit entries
+        for the cell's k inputs, which may be more than a TruthTable's 6."""
         width = max((len(c.inputs) for c in cells), default=0)
         pad = (0,) * width
         flat = chain.from_iterable((c.inputs + pad)[:width] for c in cells)
         ins = np.fromiter(flat, np.intp, len(cells) * width).reshape(len(cells), width)
-        # tables are replicated across unused inputs, so the net-0 reads
-        # past a cell's fan-in do not change its output
-        entries = np.arange(1 << width, dtype=np.uint64)
-        bits = np.array([c.table.bits for c in cells], np.uint64)
-        tables = (bits[:, None] >> entries) & np.uint64(1)
+        # each table repeats across the inputs past its cell's fan-in, so
+        # the net-0 reads there do not change the output: TruthTables are
+        # stored replicated, and an explicit row is read modulo its length
+        if rows is None:
+            entries = np.arange(1 << width, dtype=np.uint64)
+            bits = np.array([c.table.bits for c in cells], np.uint64)
+            tables = ((bits[:, None] >> entries) & np.uint64(1)).astype(np.uint8)
+        else:
+            size = np.array([len(r) for r in rows], np.intp)
+            start = np.cumsum(size) - size
+            flat = np.concatenate([np.zeros(0, np.uint8), *rows])
+            tables = flat[start[:, None] + (np.arange(1 << width) & (size[:, None] - 1))]
         return cls(
             out=np.array([c.out for c in cells], np.intp),
             ins=ins,
             weights=_BIT_WEIGHTS[:width],
             base=np.arange(len(cells), dtype=np.intp) << width,
-            tables=tables.astype(np.uint8).ravel(),
+            tables=tables.ravel(),
         )
+
+    def lookup(self, values: np.ndarray) -> np.ndarray:
+        """Every cell's output for each row of net ``values``, shape (rows, k)."""
+        return self.tables[self.base + values[:, self.ins] @ self.weights]
+
+
+def _supports(
+    pins: Sequence[Lut], loop: Sequence[Sequence[Lut]], consts: set[NetId]
+) -> list[tuple[list[NetId], int]] | None:
+    """Each flip-flop's support and cone depth, or None once one support
+    passes ``_FOLD_LIMIT``.
+
+    The support is the set of nets the pins reach through the ``loop``
+    LUTs (given by level): flip-flop outputs, ports and hoisted LUT
+    outputs, without constants.  The depth is the number of loop levels
+    the pins' cone spans.
+    """
+    level_of = {lut.out: (depth, lut) for depth, luts in enumerate(loop) for lut in luts}
+    found = []
+    for cell in pins:
+        support, depth, seen, todo = [], 0, set(), list(cell.inputs)
+        while todo:
+            net = todo.pop()
+            if net in seen:
+                continue
+            seen.add(net)
+            if net in level_of:
+                d, lut = level_of[net]
+                depth = max(depth, d + 1)
+                todo.extend(lut.inputs)
+            elif net not in consts:
+                support.append(net)
+                if len(support) > _FOLD_LIMIT:
+                    return None
+        found.append((sorted(support), depth))
+    return found
+
+
+def _fold(
+    ff: _Level,
+    supports: Sequence[tuple[list[NetId], int]],
+    loop: Sequence[_Level],
+    n_nets: int,
+    const_nets: np.ndarray,
+    const_vals: np.ndarray,
+) -> _Level:
+    """The flip-flop level ``ff`` as one cell per flip-flop over its support.
+
+    Each table is the flip-flop's cone of ``loop`` levels followed by its
+    next-state table, evaluated on all 2**s values of its s support nets
+    at once; support net ``b`` is address bit ``b``.
+    """
+    width = max((len(s) for s, _ in supports), default=0)
+    patterns = np.zeros((1 << width, n_nets), np.uint8)
+    patterns[:, const_nets] = const_vals
+    bits = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
+    rows = []
+    for i, (support, depth) in enumerate(supports):
+        p = patterns[: 1 << len(support)]
+        p[:, support] = bits[: len(p), : len(support)]
+        for lv in loop[:depth]:
+            p[:, lv.out] = lv.lookup(p)
+        rows.append(ff.tables[ff.base[i] + p[:, ff.ins[i]] @ ff.weights])
+    cells = [Lut(int(q), tuple(s), None) for q, (s, _) in zip(ff.out, supports)]
+    return _Level.of(cells, rows)
 
 
 @dataclass(frozen=True)
@@ -593,9 +684,10 @@ class _Compiled:
     in_nets: np.ndarray
     const_nets: np.ndarray
     const_vals: np.ndarray
-    hoisted: tuple[_Level, ...]  # LUTs of no flip-flop, by level: evaluated once
+    hoisted: tuple[_Level, ...]  # LUTs of no flip-flop, by level: evaluated before the cycle loop
     levels: tuple[_Level, ...]  # the other LUTs, by level: evaluated every cycle
     ff: _Level
+    after: tuple[_Level, ...]  # or, folded into ``ff``, evaluated after the cycle loop
     names: tuple[str, ...]
 
 
@@ -805,7 +897,12 @@ def simulate(netlist: Netlist, stimulus: Stimulus, n_cycles: int) -> Trace:
     into an address and read its table.  Input and constant columns are
     written for all cycles up front, and so are the LUTs whose fan-in
     cone holds no flip-flop, one logic level at a time over the whole
-    run.  Per cycle, the remaining LUT levels are evaluated, then all
+    run.  The other LUTs read flip-flops.  When every flip-flop's
+    support -- the nets its pins reach through those LUTs -- is at most
+    8 nets, each flip-flop was compiled into one table over its support,
+    so a cycle is one lookup for all flip-flops, and those LUTs are
+    evaluated after the cycle loop, level by level over the whole run.
+    Otherwise each cycle evaluates them level by level, then all
     flip-flops at once through their next-state table over (sr, ce, d,
     q): ``sr`` beats ``ce``, which beats hold.  Deterministic; all
     flip-flops hold 0 before the first edge, which is why generated
@@ -826,7 +923,7 @@ def simulate(netlist: Netlist, stimulus: Stimulus, n_cycles: int) -> Trace:
         values[:, net] = stimulus.waves[name][:n_cycles]
     values[:, comp.const_nets] = comp.const_vals
     for lv in comp.hoisted:
-        values[:, lv.out] = lv.tables[lv.base + values[:, lv.ins] @ lv.weights]
+        values[:, lv.out] = lv.lookup(values)
     ff = comp.ff
     state = np.zeros(len(ff.out), np.uint8)
     for row in values:
@@ -834,5 +931,7 @@ def simulate(netlist: Netlist, stimulus: Stimulus, n_cycles: int) -> Trace:
         for lv in comp.levels:
             row[lv.out] = lv.tables[lv.base + row[lv.ins] @ lv.weights]
         state = ff.tables[ff.base + row[ff.ins] @ ff.weights]
+    for lv in comp.after:
+        values[:, lv.out] = lv.lookup(values)
     values.setflags(write=False)
     return Trace(values=values, names=comp.names)

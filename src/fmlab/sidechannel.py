@@ -211,10 +211,9 @@ class PowerTrace:
         )
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("cycle,dynamic,static\n")
-            for t in range(len(self)):
-                fh.write(f"{t},{self.dynamic[t]},{self.static[t]}\n")
+        rows = zip(range(len(self)), self.dynamic.tolist(), self.static.tolist())
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("cycle,dynamic,static\n" + "".join(f"{t},{d},{s}\n" for t, d, s in rows))
 
 
 def power_trace(trace: Trace, scope: Sequence[NetId]) -> PowerTrace:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import tempfile
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -673,16 +674,19 @@ class VerifySummary:
 
 
 def verify_suite(print_fn: Callable[[str], None] | None = print) -> VerifySummary:
-    """Run every invariant check; print one pass/fail line per check."""
+    """Run every invariant check; print one pass/fail line per check,
+    with the seconds it took."""
     results = []
     for name, fn in CHECKS:
+        start = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed check is a failed check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
+        seconds = time.perf_counter() - start
         results.append((name, ok, detail))
         if print_fn:
-            print_fn(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+            print_fn(f"{'PASS' if ok else 'FAIL'} {name} ({seconds:.3f} s): {detail}")
     summary = VerifySummary(results)
     if print_fn:
         n_ok = sum(1 for _, ok, _ in results if ok)

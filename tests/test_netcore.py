@@ -1,8 +1,10 @@
 """Netlist model, truth tables, simulator semantics, serialization."""
 
+from functools import partial
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -284,27 +286,116 @@ def _mixed_level_design():
     return nl
 
 
+def _random_table(rng, arity: int) -> TruthTable:
+    return TruthTable.from_bits(arity, int.from_bytes(rng.bytes(8), "little"))
+
+
+def _wide_cone_design(extra: int):
+    """A flip-flop whose pins reach 8 + ``extra`` nets through two loop LUTs:
+    RESET, its own output and 6 + ``extra`` ports, under random tables."""
+    rng = np.random.default_rng(3)
+    nl = Netlist()
+    rst = nl.reset()
+    ports = [nl.add_input(f"I{i}") for i in range(6 + extra)]
+    q = nl.add_ff(FfKind.RESET, None, nl.const(1), rst)
+    x = nl.add_lut([q, *ports[:5]], _random_table(rng, 6))
+    nl.set_ff_d(q, nl.add_lut([x, *ports[5:]], _random_table(rng, 1 + len(ports[5:]))))
+    return nl
+
+
+def _loop_pins_design():
+    """Clock enable and set/reset driven by LUTs that read flip-flops."""
+    nl = Netlist()
+    rst, a, b = nl.reset(), nl.add_input("A"), nl.add_input("B")
+    q1 = nl.add_ff(FfKind.RESET, None, nl.const(1), rst)
+    ce = nl.add_lut([q1, a], tt_xor(2))
+    sr = nl.add_lut([rst, q1, b], TruthTable.from_function(3, lambda r, q, b: r or (q and b)))
+    q2 = nl.add_ff(FfKind.SET, None, ce, sr)
+    nl.set_ff_d(q1, nl.add_lut([q2, b], tt_xor(2)))
+    nl.set_ff_d(q2, nl.add_lut([q1, q2, a], tt_mux()))
+    return nl
+
+
+def _shared_loop_lut_design():
+    """One loop LUT read by two flip-flops (as d and as ce), another LUT
+    and an output."""
+    nl = Netlist()
+    rst, a, b = nl.reset(), nl.add_input("A"), nl.add_input("B")
+    q1 = nl.add_ff(FfKind.RESET, None, nl.const(1), rst)
+    x = nl.add_lut([q1, a], tt_xor(2))
+    q2 = nl.add_ff(FfKind.SET, x, b, rst)
+    q3 = nl.add_ff(FfKind.RESET, a, x, rst)
+    y = nl.add_lut([x, q3], tt_and(2))
+    nl.mark_output("X", x)
+    nl.set_ff_d(q1, nl.add_lut([y, q2], tt_or(2)))
+    return nl
+
+
+def _constant_inputs_design():
+    """Constants on flip-flop pins and on loop LUT inputs."""
+    nl = Netlist()
+    rst, a = nl.reset(), nl.add_input("A")
+    one, zero = nl.const(1), nl.const(0)
+    q1 = nl.add_ff(FfKind.SET, None, one, rst)
+    x = nl.add_lut([q1, one, a, zero], TruthTable.from_function(4, lambda q, o, a, z: (q and o) ^ a ^ z))
+    q2 = nl.add_ff(FfKind.RESET, x, one, zero)
+    nl.set_ff_d(q1, nl.add_lut([q2, one], tt_xor(2)))
+    return nl
+
+
+# shape: hoisted LUT levels, LUT levels in the cycle loop, LUT levels
+# after it, flip-flop table width.  A design folds when every flip-flop's
+# support (the nets its pins reach through loop LUTs, constants left
+# out) is at most 8 nets: no LUT level stays in the loop, and the
+# flip-flop table is as wide as the widest support.  Each folded case
+# would fail the reference comparison on a wrong fold: a wrongly ordered
+# or wrongly built table (wide-cone: all 8 address bits under random
+# tables), a cone missed on ce or sr (loop-pins), a loop LUT left
+# unevaluated after the loop (shared-loop-lut, whose LUT is also a
+# recorded output), or a constant read as 0 (constant-inputs, whose
+# CONST1 pins enable).
 @pytest.mark.parametrize(
-    "build, hoisted, looped",
-    [(_lut_only_design, 2, 0), (_ff_only_design, 0, 0), (_mixed_level_design, 2, 2)],
-    ids=["no-flip-flops", "no-luts", "mixed-level"],
+    "build, shape",
+    [
+        (_lut_only_design, (2, 0, 0, 0)),
+        (_ff_only_design, (0, 0, 0, 4)),
+        (_mixed_level_design, (2, 0, 2, 5)),
+        (partial(_wide_cone_design, 0), (0, 0, 2, 8)),
+        (partial(_wide_cone_design, 1), (0, 2, 0, 4)),
+        (_loop_pins_design, (0, 0, 1, 5)),
+        (_shared_loop_lut_design, (0, 0, 3, 5)),
+        (_constant_inputs_design, (0, 0, 1, 3)),
+    ],
+    ids=[
+        "no-flip-flops",
+        "no-luts",
+        "mixed-level",
+        "support-8-folds",
+        "support-9-does-not",
+        "loop-pins",
+        "shared-loop-lut",
+        "constant-inputs",
+    ],
 )
-def test_simulate_matches_reference_on_kernel_edge_cases(build, hoisted, looped):
+def test_simulate_matches_reference_on_kernel_edge_cases(build, shape):
     nl = build()
     comp = nl._compile()
-    assert (len(comp.hoisted), len(comp.levels)) == (hoisted, looped)
+    assert (len(comp.hoisted), len(comp.levels), len(comp.after), comp.ff.ins.shape[1]) == shape
     rng = np.random.default_rng(7)
-    waves = {n: rng.integers(0, 2, 40) for n in nl.inputs if n != "RESET"}
-    stim = Stimulus.standard(40, nl, **waves)
-    trace = simulate(nl, stim, 40)
-    assert np.array_equal(trace.values, reference_simulate(nl, stim, 40).values)
+    waves = {n: rng.integers(0, 2, 400) for n in nl.inputs if n != "RESET"}
+    stim = Stimulus.standard(400, nl, **waves)
+    trace = simulate(nl, stim, 400)
+    assert np.array_equal(trace.values, reference_simulate(nl, stim, 400).values)
 
 
-def test_trigger_design_cycle_loop_has_one_level():
-    # the opcode comparators read only the input bus, so they leave the loop
+def test_trigger_design_cycle_loop_has_no_lut_level():
+    # the opcode comparators read only the input bus, so they leave the
+    # loop; the one LUT level that reads flip-flops folds into the
+    # flip-flop tables and runs after the loop
     comp = trigger_design().netlist._compile()
     assert len(comp.hoisted) == 1
-    assert len(comp.levels) == 1
+    assert len(comp.levels) == 0
+    assert len(comp.after) == 1
 
 
 def test_simulate_stimulus_too_short():
@@ -559,6 +650,10 @@ def test_trace_csv_reader_matches_line_reader_on_mutations(tmp_path_factory, tex
 # ---------------------------------------------------------------------------
 
 
+def tables(k: int):
+    return st.integers(0, (1 << (1 << k)) - 1).map(partial(TruthTable.from_bits, k))
+
+
 @st.composite
 def netlists_with_stimuli(draw):
     """Random netlists and stimuli, with a flag for a closed LUT loop.
@@ -570,7 +665,9 @@ def netlists_with_stimuli(draw):
     kinds take ``ce``/``sr`` from any earlier net and may defer ``d``,
     which is then wired to any net, closing loops through state.  A LUT
     input may be rewired to a later flip-flop: a forward reference in
-    the text form, but no LUT loop.
+    the text form, but no LUT loop.  Half the netlists also get a
+    register whose next state reads up to 10 more nets, some of them new
+    ports, through two LUTs: its support may pass the fold limit.
     """
     nl = Netlist()
     for i in range(draw(st.integers(1, 3))):
@@ -584,13 +681,21 @@ def netlists_with_stimuli(draw):
         net = st.integers(0, nl.net_count - 1)
         if draw(st.booleans()):
             k = draw(st.integers(1, 6))
-            bits = draw(st.integers(0, (1 << (1 << k)) - 1))
-            nl.add_lut(draw(st.lists(net, min_size=k, max_size=k)), TruthTable.from_bits(k, bits))
+            nl.add_lut(draw(st.lists(net, min_size=k, max_size=k)), draw(tables(k)))
         else:
             d = draw(st.none() | net)
             q = nl.add_ff(draw(st.sampled_from(FfKind)), d, draw(net), draw(net))
             if d is None:
                 deferred.append(q)
+    if draw(st.booleans()):
+        for i in range(draw(st.integers(0, 6))):
+            nl.add_input(f"W{i}")
+        net = st.integers(0, nl.net_count - 1)
+        q = nl.add_ff(draw(st.sampled_from(FfKind)), None, draw(net), draw(net))
+        x = nl.add_lut([q, *draw(st.lists(net, min_size=5, max_size=5))], draw(tables(6)))
+        k = draw(st.integers(1, 6))
+        ins = [x, *draw(st.lists(net, min_size=k - 1, max_size=k - 1))]
+        nl.set_ff_d(q, nl.add_lut(ins, draw(tables(k))))
     for q in deferred:
         nl.set_ff_d(q, draw(st.integers(0, nl.net_count - 1)))
     luts = [c for c in nl.cells if isinstance(c, Lut)]
@@ -644,6 +749,9 @@ def test_simulate_matches_reference_on_random_netlists(case, open_kind):
                 route(nl, stim, n_cycles)
             assert _on_lut_loop(nl, err.value.net)
         return
+    # --hypothesis-show-statistics prints how often each kind occurs
+    comp = nl._compile()
+    event("loop LUTs per cycle" if comp.levels else "flip-flops folded" if comp.after else "no loop LUT")
     trace = simulate(nl, stim, n_cycles)
     assert np.array_equal(trace.values, reference_simulate(nl, stim, n_cycles).values)
 
