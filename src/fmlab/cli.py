@@ -487,7 +487,8 @@ def main(argv=None) -> int:
     p_ana.add_argument("--window-stop", type=int, default=None)
     p_ana.add_argument("--spectrum-window", type=int, default=None)
 
-    sub.add_parser("verify", help="run the full invariant battery")
+    p_ver = sub.add_parser("verify", help="run the full invariant battery")
+    p_ver.add_argument("--only", action="append", metavar="NAME", help="run only this check (repeatable)")
 
     args = parser.parse_args(argv)
     try:
@@ -523,9 +524,15 @@ def main(argv=None) -> int:
             print(f"analysis: {Path(args.out) / 'analysis.json'}")
             return 0
         if args.command == "verify":
-            from .verify import verify_suite
+            from . import verify
 
-            summary = verify_suite()
+            names = [name for name, _ in verify.CHECKS]
+            unknown = [name for name in args.only or () if name not in names]
+            if unknown:
+                valid = ", ".join(names)
+                print(f"error: unknown check {', '.join(unknown)}; valid names: {valid}", file=sys.stderr)
+                return 2
+            summary = verify.verify_suite(only=args.only)
             return 0 if summary.ok else 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

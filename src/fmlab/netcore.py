@@ -37,6 +37,16 @@ Timing and trace conventions:
 * Simulation is a pure function of (netlist, stimulus, n_cycles) and
   reproduces traces bit-exactly.
 
+The simulator compiles a netlist into table lookups.  LUTs that read no
+flip-flop, directly or through other LUTs, are evaluated once over all
+cycles.  The flip-flops are split into stages, each run as its own cycle
+loop of one lookup per cycle: a stage holds the flip-flops whose next
+state, through the LUTs not yet evaluated, reads at most 8 nets and no
+flip-flop of a later stage.  Between stages, the LUTs whose inputs are
+then all known are evaluated over all cycles, so a cone too wide for a
+table is cut where the flip-flops it reads end.  A design that does not
+split this way runs one loop that evaluates those LUTs every cycle.
+
 A netlist under construction is single-owner.  ``simulate`` does not
 mutate the netlist and may run concurrently for different stimuli;
 traces are immutable after creation.
@@ -523,27 +533,21 @@ class Netlist:
 
         input_names = tuple(self.inputs)
         consts = sorted(self._consts.items(), key=lambda kv: kv[1])
-        const_nets = np.array([n for _, n in consts], np.intp)
-        const_vals = np.array([v for v, _ in consts], np.uint8)
         pins = [Lut(ff.q, (ff.sr, ff.ce, ff.d, ff.q), _FF_NEXT[ff.kind]) for ff in ffs]
-        ff = _Level.of(pins)
-        levels, after = tuple(_Level.of(luts) for luts in loop), ()
-        # when every flip-flop folds, the LUTs that read flip-flops leave the
-        # cycle loop; they are evaluated once it has filled in every state
-        supports = _supports(pins, loop, set(self._consts.values()))
-        if supports is not None:
-            ff = _fold(ff, supports, levels, self.net_count, const_nets, const_vals)
-            levels, after = (), levels
+        stages = _stages(pins, loop, {net: value for value, net in consts})
+        if stages is None:
+            # each cycle evaluates the loop LUTs, then every flip-flop's
+            # next-state table over its (sr, ce, d, q) pins
+            levels = tuple(_Level.of(luts) for luts in loop)
+            stages = (_Stage(levels=levels, ff=_Level.of(pins), after=()),)
         compiled = _Compiled(
             n_nets=self.net_count,
             input_names=input_names,
             in_nets=np.array([self.inputs[n] for n in input_names], np.intp),
-            const_nets=const_nets,
-            const_vals=const_vals,
+            const_nets=np.array([n for _, n in consts], np.intp),
+            const_vals=np.array([v for v, _ in consts], np.uint8),
             hoisted=tuple(hoisted),
-            levels=levels,
-            ff=ff,
-            after=after,
+            stages=stages,
             names=self.net_names(),
         )
         self._compiled = (self._version, compiled)
@@ -556,6 +560,27 @@ _FOLD_LIMIT = 8
 
 # address weight of each cell input position
 _BIT_WEIGHTS = (1 << np.arange(_FOLD_LIMIT)).astype(np.uint8)
+
+# :func:`_fold` evaluates about this many slots at once: a slot is a row
+# of 256 bits, and a multiplexer tree over a 6-input cell needs 32 such
+# rows, so its scratch stays near 1 MiB
+_FOLD_SLOTS = 1024
+
+# :meth:`_Level.fill` forms at most this many table addresses at once
+# (256 KiB of them), so a level evaluated over a whole run needs no
+# temporary as large as the trace
+_FILL_ENTRIES = 1 << 15
+
+# all 64 bits set
+_ONES = np.uint64(_FULL64)
+
+# the slot of a flip-flop's first cone LUT in its layout (see _cone)
+_CONE_SLOT = 2 + _FOLD_LIMIT
+
+# row b holds bit b of each pattern 0..255, bit p of the row for pattern p
+_PATTERNS = np.packbits(
+    (np.arange(256) >> np.arange(_FOLD_LIMIT)[:, None]) & 1, axis=1, bitorder="little"
+).view(np.uint64)
 
 # a flip-flop's next state as a table over its pins (sr, ce, d, q):
 # sr beats ce, which beats hold
@@ -571,9 +596,9 @@ _FF_NEXT = {
 class _Level:
     """Cells evaluated together by one table lookup in :func:`simulate`.
 
-    The cells are the LUTs of one logic level, or all flip-flops: each
-    read as a 4-input LUT of its (sr, ce, d, q) pins with the table
-    ``_FF_NEXT``, or, folded, as one table over its support.
+    The cells are the LUTs of one logic level, or the flip-flops of one
+    stage: each read as a 4-input LUT of its (sr, ce, d, q) pins with the
+    table ``_FF_NEXT``, or, folded, as one table over its support.
     """
 
     out: np.ndarray  # (k,) output nets
@@ -583,98 +608,226 @@ class _Level:
     tables: np.ndarray  # (2**w k,) uint8 table entries, row-major
 
     @classmethod
-    def of(cls, cells: Sequence[Lut], rows: Sequence[np.ndarray] | None = None) -> "_Level":
-        """The level of ``cells``, each read through its ``table``, or
-        through ``rows[i]`` when ``rows`` is given: 2**k explicit entries
-        for the cell's k inputs, which may be more than a TruthTable's 6."""
+    def of(cls, cells: Sequence[Lut]) -> "_Level":
+        """The level of ``cells``, each read through its ``table``."""
         width = max((len(c.inputs) for c in cells), default=0)
         pad = (0,) * width
         flat = chain.from_iterable((c.inputs + pad)[:width] for c in cells)
         ins = np.fromiter(flat, np.intp, len(cells) * width).reshape(len(cells), width)
-        # each table repeats across the inputs past its cell's fan-in, so
-        # the net-0 reads there do not change the output: TruthTables are
-        # stored replicated, and an explicit row is read modulo its length
-        if rows is None:
-            entries = np.arange(1 << width, dtype=np.uint64)
-            bits = np.array([c.table.bits for c in cells], np.uint64)
-            tables = ((bits[:, None] >> entries) & np.uint64(1)).astype(np.uint8)
-        else:
-            size = np.array([len(r) for r in rows], np.intp)
-            start = np.cumsum(size) - size
-            flat = np.concatenate([np.zeros(0, np.uint8), *rows])
-            tables = flat[start[:, None] + (np.arange(1 << width) & (size[:, None] - 1))]
+        # TruthTables are stored replicated, so the net-0 reads past a
+        # cell's fan-in do not change its output
+        entries = np.arange(1 << width, dtype=np.uint64)
+        bits = np.array([c.table.bits for c in cells], np.uint64)
+        tables = ((bits[:, None] >> entries) & np.uint64(1)).astype(np.uint8)
+        return cls._of(ins, [c.out for c in cells], tables)
+
+    @classmethod
+    def _of(cls, ins: np.ndarray, out: Sequence[NetId], tables: np.ndarray) -> "_Level":
+        count, width = ins.shape
         return cls(
-            out=np.array([c.out for c in cells], np.intp),
+            out=np.array(out, np.intp),
             ins=ins,
             weights=_BIT_WEIGHTS[:width],
-            base=np.arange(len(cells), dtype=np.intp) << width,
+            base=np.arange(count, dtype=np.intp) << width,
             tables=tables.ravel(),
         )
 
-    def lookup(self, values: np.ndarray) -> np.ndarray:
-        """Every cell's output for each row of net ``values``, shape (rows, k)."""
-        return self.tables[self.base + values[:, self.ins] @ self.weights]
+    def fill(self, values: np.ndarray) -> None:
+        """Write every cell's output into each row of net ``values``, a
+        block of rows at a time: the table addresses of a block are
+        ``_FILL_ENTRIES`` machine words or fewer."""
+        step = max(1, _FILL_ENTRIES // max(1, len(self.out)))
+        for start in range(0, len(values), step):
+            rows = values[start : start + step]
+            rows[:, self.out] = self.tables[self.base + rows[:, self.ins] @ self.weights]
 
 
-def _supports(
-    pins: Sequence[Lut], loop: Sequence[Sequence[Lut]], consts: set[NetId]
-) -> list[tuple[list[NetId], int]] | None:
-    """Each flip-flop's support and cone depth, or None once one support
-    passes ``_FOLD_LIMIT``.
+@dataclass(frozen=True)
+class _Stage:
+    """Flip-flops that one cycle loop of :func:`simulate` updates.
 
-    The support is the set of nets the pins reach through the ``loop``
-    LUTs (given by level): flip-flop outputs, ports and hoisted LUT
-    outputs, without constants.  The depth is the number of loop levels
-    the pins' cone spans.
+    Each cycle evaluates ``levels`` and then looks up ``ff``; once the
+    loop has filled in every cycle, ``after`` is evaluated over all
+    cycles at once.  A folded stage has no ``levels``.
     """
-    level_of = {lut.out: (depth, lut) for depth, luts in enumerate(loop) for lut in luts}
-    found = []
-    for cell in pins:
-        support, depth, seen, todo = [], 0, set(), list(cell.inputs)
-        while todo:
-            net = todo.pop()
-            if net in seen:
+
+    levels: tuple[_Level, ...]  # LUT levels evaluated every cycle
+    ff: _Level
+    after: tuple[_Level, ...]  # LUT levels evaluated after the cycle loop
+
+
+# a flip-flop laid out over slots: 0 and 1 hold the constants, 2 + b its
+# support net b and 2 + _FOLD_LIMIT + j its cone's LUT j.  The layout is
+# the cone's LUTs, each as (level, slots read, table bits), then the
+# slots its next-state table reads and that table's bits.
+_Layout = tuple[tuple[tuple[int, tuple[int, ...], int], ...], tuple[int, ...], int]
+
+
+def _cone(
+    cell: Lut, unknown: Mapping[NetId, Lut], consts: Mapping[NetId, int]
+) -> tuple[list[NetId], _Layout] | None:
+    """The support of ``cell``'s inputs and the layout of its cone, or None
+    once the support passes ``_FOLD_LIMIT`` nets.
+
+    The cone is the ``unknown`` LUTs the inputs reach, each after the
+    ones it reads and one level above the highest of them.  The support
+    is the other nets they reach, constants left out, in the order a
+    depth-first walk meets them.
+    """
+    slot = dict(consts)
+    support, cells, levels = [], [], []
+    stack = [cell]  # each LUT above the ones it waits for
+    last = 1  # the slot of the last support net found, 1 before the first
+    while True:
+        top = stack[-1]
+        waits = False
+        for net in top.inputs:
+            if net in slot:
                 continue
-            seen.add(net)
-            if net in level_of:
-                d, lut = level_of[net]
-                depth = max(depth, d + 1)
-                todo.extend(lut.inputs)
-            elif net not in consts:
+            lut = unknown.get(net)
+            if lut is not None:
+                stack.append(lut)
+                waits = True
+            elif last == _CONE_SLOT - 1:
+                return None
+            else:
+                last += 1
+                slot[net] = last
                 support.append(net)
-                if len(support) > _FOLD_LIMIT:
-                    return None
-        found.append((sorted(support), depth))
-    return found
+        if waits:
+            continue
+        reads = tuple(map(slot.__getitem__, top.inputs))
+        if top is cell:
+            return support, (tuple(cells), reads, cell.table.bits)
+        stack.pop()
+        if top.out not in slot:  # a LUT the cone reads twice waits twice
+            level = 0
+            for s in reads:
+                if s >= _CONE_SLOT and levels[s - _CONE_SLOT] >= level:
+                    level = levels[s - _CONE_SLOT] + 1
+            slot[top.out] = _CONE_SLOT + len(cells)
+            cells.append((level, reads, top.table.bits))
+            levels.append(level)
 
 
-def _fold(
-    ff: _Level,
-    supports: Sequence[tuple[list[NetId], int]],
-    loop: Sequence[_Level],
-    n_nets: int,
-    const_nets: np.ndarray,
-    const_vals: np.ndarray,
-) -> _Level:
-    """The flip-flop level ``ff`` as one cell per flip-flop over its support.
+def _stages(
+    pins: Sequence[Lut], loop: Sequence[Sequence[Lut]], consts: Mapping[NetId, int]
+) -> tuple[_Stage, ...] | None:
+    """The flip-flops ``pins`` folded in stages, or None if they do not fold.
 
-    Each table is the flip-flop's cone of ``loop`` levels followed by its
-    next-state table, evaluated on all 2**s values of its s support nets
-    at once; support net ``b`` is address bit ``b``.
+    Stage k holds the pending flip-flops whose support is at most
+    ``_FOLD_LIMIT`` nets and which read no flip-flop of a later stage.  A
+    support is counted through the ``loop`` LUTs (given by level) not yet
+    evaluated: its leaves are ports, hoisted LUT outputs, flip-flop
+    outputs and the loop LUTs earlier stages evaluated.  After a stage's
+    cycle loop, the loop LUTs that then read only known nets are
+    evaluated over all cycles, so a cone wider than a table is cut where
+    the flip-flops it reads end.  None when some flip-flop never fits, or
+    when the stages would outnumber the lookups of an unfolded cycle (one
+    per loop level, and one for the flip-flops).
     """
-    width = max((len(s) for s, _ in supports), default=0)
-    patterns = np.zeros((1 << width, n_nets), np.uint8)
-    patterns[:, const_nets] = const_vals
-    bits = (np.arange(1 << width)[:, None] >> np.arange(width)) & 1
-    rows = []
-    for i, (support, depth) in enumerate(supports):
-        p = patterns[: 1 << len(support)]
-        p[:, support] = bits[: len(p), : len(support)]
-        for lv in loop[:depth]:
-            p[:, lv.out] = lv.lookup(p)
-        rows.append(ff.tables[ff.base[i] + p[:, ff.ins[i]] @ ff.weights])
-    cells = [Lut(int(q), tuple(s), None) for q, (s, _) in zip(ff.out, supports)]
-    return _Level.of(cells, rows)
+    unknown = {lut.out: lut for luts in loop for lut in luts}
+    pending = {pin.out: pin for pin in pins}
+    plans = []
+    while pending:
+        if len(plans) > len(loop):
+            return None
+        cones = {q: _cone(pin, unknown, consts) for q, pin in pending.items()}
+        # a flip-flop that reads one left for a later stage is left too
+        readers: dict[NetId, list[NetId]] = {}
+        for q, cone in cones.items():
+            for net in cone[0] if cone else ():
+                if net in pending and net != q:
+                    readers.setdefault(net, []).append(q)
+        late = [q for q, cone in cones.items() if cone is None]
+        stage = set(pending).difference(late)
+        while late:
+            for q in readers.get(late.pop(), ()):
+                if q in stage:
+                    stage.remove(q)
+                    late.append(q)
+        if not stage:
+            return None
+        members = [q for q in pending if q in stage]
+        ffs = [pending.pop(q) for q in members]
+        # the loop LUTs that reach no pending flip-flop any more are
+        # evaluated after the stage, one level above the highest of them
+        # that each reads
+        blocked, level = set(pending), {}
+        for net, lut in unknown.items():
+            if blocked.isdisjoint(lut.inputs):
+                level[net] = 1 + max((level[n] for n in lut.inputs if n in level), default=-1)
+            else:
+                blocked.add(net)
+        after = [[] for _ in range(1 + max(level.values(), default=-1))]
+        for net, depth in level.items():
+            after[depth].append(unknown.pop(net))
+        plans.append((ffs, [cones[q] for q in members], after))
+    tables = _fold([layout for _, cones, _ in plans for _, layout in cones])
+    stages = []
+    for ffs, cones, after in plans:
+        width = max(len(support) for support, _ in cones)
+        pad = [0] * width
+        flat = chain.from_iterable((support + pad)[:width] for support, _ in cones)
+        ins = np.fromiter(flat, np.intp, len(cones) * width).reshape(len(cones), width)
+        ff = _Level._of(ins, [pin.out for pin in ffs], tables[: len(ffs), : 1 << width])
+        stages.append(_Stage(levels=(), ff=ff, after=tuple(map(_Level.of, after))))
+        tables = tables[len(ffs) :]
+    return tuple(stages)
+
+
+def _fold(layouts: Sequence[_Layout]) -> np.ndarray:
+    """The next-state table of each layout from :func:`_cone`, as 256
+    entries: entry ``p`` holds the next state where support net ``b`` is
+    bit ``b`` of ``p``.
+
+    Flip-flops with the same layout have the same table, so each layout
+    is evaluated once: its slots hold their values on all 256 patterns,
+    one bit per pattern, and the cone LUTs and then the next-state table
+    are evaluated on them one level at a time, for as many layouts at
+    once as fit ``_FOLD_SLOTS``.
+    """
+    rows: dict[_Layout, int] = {}  # layout -> its row of ``words``
+    index = [rows.setdefault(layout, len(rows)) for layout in layouts]
+    words = np.empty((len(rows), 4), np.uint64)
+    todo = list(rows)
+    start = 0
+    while start < len(todo):
+        n_slots, stop, bases, steps, reads = 2, start, [], {}, []
+        while stop < len(todo) and n_slots < _FOLD_SLOTS:
+            cells, pin_reads, _ = todo[stop]
+            base = n_slots - 2  # local slot s > 1 is slot base + s here
+            for i, (level, cell_reads, entries) in enumerate(cells, n_slots + _FOLD_LIMIT):
+                cell_reads = tuple(s if s < 2 else base + s for s in cell_reads)
+                steps.setdefault(level, []).append((i, cell_reads, entries))
+            reads.append(tuple(s if s < 2 else base + s for s in pin_reads))
+            bases.append(n_slots)
+            n_slots += _FOLD_LIMIT + len(cells)
+            stop += 1
+        values = np.empty((n_slots, 4), np.uint64)
+        values[0], values[1] = 0, _ONES
+        values[np.add.outer(bases, np.arange(_FOLD_LIMIT))] = _PATTERNS
+        for level in sorted(steps):
+            outs, cells, entries = zip(*steps[level])
+            values[list(outs)] = _mux(values, cells, entries)
+        words[start:stop] = _mux(values, reads, [entries for _, _, entries in todo[start:stop]])
+        start = stop
+    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[index]
+
+
+def _mux(values: np.ndarray, reads: Sequence[tuple[int, ...]], entries: Sequence[int]) -> np.ndarray:
+    """Cells with table bits ``entries`` over the slots ``reads``, evaluated
+    on the 256-pattern rows ``values``: each table is a tree of 2-way
+    multiplexers, its last input selecting at the root."""
+    w = max(map(len, reads))
+    pad = (0,) * w  # a replicated table reads the same past its cell's fan-in
+    x = values[np.array([(r + pad)[:w] for r in reads], np.intp)]
+    entry = np.arange(1 << w, dtype=np.uint64)
+    tree = (((np.array(entries, np.uint64)[:, None] >> entry) & np.uint64(1)) * _ONES)[:, :, None]
+    for b in reversed(range(w)):
+        half = tree.shape[1] // 2
+        tree = (tree[:, :half] & ~x[:, b, None]) | (tree[:, half:] & x[:, b, None])
+    return tree[:, 0]
 
 
 @dataclass(frozen=True)
@@ -684,10 +837,8 @@ class _Compiled:
     in_nets: np.ndarray
     const_nets: np.ndarray
     const_vals: np.ndarray
-    hoisted: tuple[_Level, ...]  # LUTs of no flip-flop, by level: evaluated before the cycle loop
-    levels: tuple[_Level, ...]  # the other LUTs, by level: evaluated every cycle
-    ff: _Level
-    after: tuple[_Level, ...]  # or, folded into ``ff``, evaluated after the cycle loop
+    hoisted: tuple[_Level, ...]  # LUTs of no flip-flop, by level: evaluated before any cycle loop
+    stages: tuple[_Stage, ...]  # the flip-flops and the other LUTs, one cycle loop per stage
     names: tuple[str, ...]
 
 
@@ -897,16 +1048,18 @@ def simulate(netlist: Netlist, stimulus: Stimulus, n_cycles: int) -> Trace:
     into an address and read its table.  Input and constant columns are
     written for all cycles up front, and so are the LUTs whose fan-in
     cone holds no flip-flop, one logic level at a time over the whole
-    run.  The other LUTs read flip-flops.  When every flip-flop's
-    support -- the nets its pins reach through those LUTs -- is at most
-    8 nets, each flip-flop was compiled into one table over its support,
-    so a cycle is one lookup for all flip-flops, and those LUTs are
-    evaluated after the cycle loop, level by level over the whole run.
-    Otherwise each cycle evaluates them level by level, then all
-    flip-flops at once through their next-state table over (sr, ce, d,
-    q): ``sr`` beats ``ce``, which beats hold.  Deterministic; all
-    flip-flops hold 0 before the first edge, which is why generated
-    designs drive RESET through cycle 0.
+    run.  The flip-flops then run in stages, one cycle loop per stage.
+    A folded stage's flip-flops were each compiled into one table over
+    their support: the nets their pins reach through the LUTs not yet
+    evaluated, at most 8.  So a cycle of its loop is one lookup for all
+    of them, and after the loop the LUTs that now read only known nets
+    are evaluated level by level over the whole run; the next stage
+    reads them as inputs.  When the flip-flops do not fold, there is one
+    stage, and each cycle evaluates the LUTs that read flip-flops level
+    by level, then all flip-flops at once through their next-state table
+    over (sr, ce, d, q): ``sr`` beats ``ce``, which beats hold.
+    Deterministic; all flip-flops hold 0 before the first edge, which is
+    why generated designs drive RESET through cycle 0.
     """
     if n_cycles < 1:
         raise NetlistError("n_cycles must be at least 1")
@@ -923,15 +1076,16 @@ def simulate(netlist: Netlist, stimulus: Stimulus, n_cycles: int) -> Trace:
         values[:, net] = stimulus.waves[name][:n_cycles]
     values[:, comp.const_nets] = comp.const_vals
     for lv in comp.hoisted:
-        values[:, lv.out] = lv.lookup(values)
-    ff = comp.ff
-    state = np.zeros(len(ff.out), np.uint8)
-    for row in values:
-        row[ff.out] = state
-        for lv in comp.levels:
-            row[lv.out] = lv.tables[lv.base + row[lv.ins] @ lv.weights]
-        state = ff.tables[ff.base + row[ff.ins] @ ff.weights]
-    for lv in comp.after:
-        values[:, lv.out] = lv.lookup(values)
+        lv.fill(values)
+    for stage in comp.stages:
+        ff = stage.ff
+        state = np.zeros(len(ff.out), np.uint8)
+        for row in values:
+            row[ff.out] = state
+            for lv in stage.levels:
+                row[lv.out] = lv.tables[lv.base + row[lv.ins] @ lv.weights]
+            state = ff.tables[ff.base + row[ff.ins] @ ff.weights]
+        for lv in stage.after:
+            lv.fill(values)
     values.setflags(write=False)
     return Trace(values=values, names=comp.names)

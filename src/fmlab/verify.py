@@ -17,7 +17,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Collection
 
 import numpy as np
 
@@ -673,11 +673,15 @@ class VerifySummary:
         return [name for name, ok, _ in self.results if not ok]
 
 
-def verify_suite(print_fn: Callable[[str], None] | None = print) -> VerifySummary:
-    """Run every invariant check; print one pass/fail line per check,
-    with the seconds it took."""
+def verify_suite(
+    print_fn: Callable[[str], None] | None = print, only: Collection[str] | None = None
+) -> VerifySummary:
+    """Run every invariant check, or the ones named in ``only``; print one
+    pass/fail line per check, with the seconds it took."""
     results = []
     for name, fn in CHECKS:
+        if only is not None and name not in only:
+            continue
         start = time.perf_counter()
         try:
             ok, detail = fn()

@@ -170,21 +170,25 @@ def test_bundled_netlist_text_roundtrip(name):
     assert np.array_equal(got.values, want.values)
 
 
-# LUT levels (hoisted, in the cycle loop, after it): only the concealed
-# design has every flip-flop's support within 8 nets and folds; in the
-# others some flip-flop reaches 37 to 261 nets, so they keep their loop
+# hoisted LUT levels, then per stage: LUT levels in its cycle loop, LUT
+# levels after it, flip-flops.  The concealed design folds in one stage.
+# In the payload designs the quad's 4 insert stages read the
+# transmitter's OR tree (37 to 261 nets); they fold in a second stage,
+# where the tree's output is one leaf, with the quad's other registers.
+# A design folds only when every flip-flop fits in some stage
 @pytest.mark.parametrize(
     "name, levels",
     [
-        ("concealed_trigger", (1, 0, 2)),
-        ("payload_mode1", (1, 4, 0)),
-        ("payload_mode2", (1, 4, 0)),
-        ("jammed", (1, 6, 0)),
+        ("concealed_trigger", (1, ((0, 1, 54),))),
+        ("payload_mode1", (1, ((0, 3, 55), (0, 1, 32)))),
+        ("payload_mode2", (1, ((0, 3, 55), (0, 1, 32)))),
+        ("jammed", (1, ((0, 5, 343), (0, 1, 32)))),
     ],
 )
 def test_bundled_designs_fold_only_when_every_flip_flop_fits(name, levels):
     comp = construct_design(ScenarioConfig.load(scenario_path(name))).netlist._compile()
-    assert (len(comp.hoisted), len(comp.levels), len(comp.after)) == levels
+    stages = tuple((len(s.levels), len(s.after), len(s.ff.out)) for s in comp.stages)
+    assert (len(comp.hoisted), stages) == levels
 
 
 @pytest.mark.parametrize("L", [4, 16])
@@ -381,6 +385,18 @@ def test_verify_suite_counts_crashed_checks_as_failed(monkeypatch, capsys):
     assert lines[-1] == "1/3 checks passed"
     assert main(["verify"]) == 1
     assert capsys.readouterr().out.endswith("1/3 checks passed\n")
+
+
+def test_verify_only_runs_the_named_checks(monkeypatch, capsys):
+    ran = []
+    stub = [(name, lambda name=name: ran.append(name) or (True, "fine")) for name in ("a", "b", "c")]
+    monkeypatch.setattr(verify, "CHECKS", stub)
+    assert main(["verify", "--only", "c", "--only", "a"]) == 0
+    assert ran == ["a", "c"]
+    assert capsys.readouterr().out.endswith("2/2 checks passed\n")
+    assert main(["verify", "--only", "a", "--only", "nope"]) == 2
+    assert ran == ["a", "c"]
+    assert capsys.readouterr().err == "error: unknown check nope; valid names: a, b, c\n"
 
 
 def test_verify_balance_names_first_broken_cycle(monkeypatch):

@@ -343,28 +343,89 @@ def _constant_inputs_design():
     return nl
 
 
-# shape: hoisted LUT levels, LUT levels in the cycle loop, LUT levels
-# after it, flip-flop table width.  A design folds when every flip-flop's
-# support (the nets its pins reach through loop LUTs, constants left
-# out) is at most 8 nets: no LUT level stays in the loop, and the
-# flip-flop table is as wide as the widest support.  Each folded case
-# would fail the reference comparison on a wrong fold: a wrongly ordered
-# or wrongly built table (wide-cone: all 8 address bits under random
-# tables), a cone missed on ce or sr (loop-pins), a loop LUT left
-# unevaluated after the loop (shared-loop-lut, whose LUT is also a
-# recorded output), or a constant read as 0 (constant-inputs, whose
-# CONST1 pins enable).
+def _ring(nl: Netlist, rng, count: int) -> list[int]:
+    """``count`` registers in a ring, each loading a random function of the
+    one before it and port A."""
+    rst, a = nl.reset(), nl.inputs.get("A") or nl.add_input("A")
+    qs = [nl.add_ff(FfKind.RESET, None, nl.const(1), rst) for _ in range(count)]
+    for prev, q in zip(qs[-1:] + qs[:-1], qs):
+        nl.set_ff_d(q, nl.add_lut([prev, a], _random_table(rng, 2)))
+    return qs
+
+
+def _wide(nl: Netlist, rng, nets: list[int]) -> int:
+    """A random function of 7 to 11 ``nets``, as two LUTs."""
+    x = nl.add_lut(nets[:6], _random_table(rng, 6))
+    return nl.add_lut([x, *nets[6:]], _random_table(rng, 1 + len(nets[6:])))
+
+
+def _two_stage_design():
+    """A register that reads a cone of 9 ring registers: it folds in a
+    second stage, where that cone's output is one leaf.  A register that
+    loads it waits for that stage too."""
+    rng = np.random.default_rng(5)
+    nl = Netlist()
+    wide = _wide(nl, rng, _ring(nl, rng, 9))
+    r = nl.add_ff(FfKind.SET, None, nl.inputs["A"], nl.reset())
+    nl.set_ff_d(r, nl.add_lut([wide, r], _random_table(rng, 2)))
+    nl.add_ff(FfKind.RESET, r, nl.inputs["A"], nl.reset())
+    return nl
+
+
+def _wide_feedback_design():
+    """Nine ring registers that each also read a cone over all nine: no
+    stage fits."""
+    rng = np.random.default_rng(6)
+    nl = Netlist()
+    qs = _ring(nl, rng, 9)
+    wide = _wide(nl, rng, qs)
+    for q in qs:
+        nl.set_lut_input(nl.ff(q).d, 1, wide)
+    return nl
+
+
+def _stage_chain_design(groups: int):
+    """``groups`` banks of 9 registers; each bank after the first loads the
+    cone over the bank before it, enabled by one of its registers."""
+    rng = np.random.default_rng(8)
+    nl = Netlist()
+    bank = _ring(nl, rng, 9)
+    for _ in range(groups - 1):
+        wide = _wide(nl, rng, bank)
+        bank = [nl.add_ff(FfKind.SET, wide, q, nl.reset()) for q in bank]
+    return nl
+
+
+# shape: hoisted LUT levels, then per stage: LUT levels in its cycle
+# loop, LUT levels after it, flip-flop table width.  A stage folds when
+# each of its flip-flops' support (the nets its pins reach through loop
+# LUTs not yet evaluated, constants left out) is at most 8 nets: no LUT
+# level stays in its loop, and the flip-flop table is as wide as the
+# widest support.  A flip-flop whose cone is wider waits for a later
+# stage, after which the cone's evaluated LUTs are leaves; if none fits,
+# or the stages outnumber the loop levels plus one, the design compiles
+# as one unfolded stage.  Each folded case would fail the reference
+# comparison on a wrong fold: a wrongly ordered or wrongly built table
+# (wide-cone: all 8 address bits under random tables), a cone missed on
+# ce or sr (loop-pins), a loop LUT left unevaluated after the loop
+# (shared-loop-lut, whose LUT is also a recorded output), a constant
+# read as 0 (constant-inputs, whose CONST1 pins enable), or a stage run
+# before the cone it reads (two-stage, three-stage-chain).
 @pytest.mark.parametrize(
     "build, shape",
     [
-        (_lut_only_design, (2, 0, 0, 0)),
-        (_ff_only_design, (0, 0, 0, 4)),
-        (_mixed_level_design, (2, 0, 2, 5)),
-        (partial(_wide_cone_design, 0), (0, 0, 2, 8)),
-        (partial(_wide_cone_design, 1), (0, 2, 0, 4)),
-        (_loop_pins_design, (0, 0, 1, 5)),
-        (_shared_loop_lut_design, (0, 0, 3, 5)),
-        (_constant_inputs_design, (0, 0, 1, 3)),
+        (_lut_only_design, (2, ())),
+        (_ff_only_design, (0, ((0, 0, 4),))),
+        (_mixed_level_design, (2, ((0, 2, 5),))),
+        (partial(_wide_cone_design, 0), (0, ((0, 2, 8),))),
+        (partial(_wide_cone_design, 1), (0, ((2, 0, 4),))),
+        (_loop_pins_design, (0, ((0, 1, 5),))),
+        (_shared_loop_lut_design, (0, ((0, 3, 5),))),
+        (_constant_inputs_design, (0, ((0, 1, 3),))),
+        (_two_stage_design, (0, ((0, 2, 4), (0, 1, 4)))),
+        (_wide_feedback_design, (0, ((3, 0, 4),))),
+        (partial(_stage_chain_design, 3), (0, ((0, 2, 4), (0, 2, 4), (0, 0, 4)))),
+        (partial(_stage_chain_design, 4), (0, ((2, 0, 4),))),
     ],
     ids=[
         "no-flip-flops",
@@ -375,12 +436,17 @@ def _constant_inputs_design():
         "loop-pins",
         "shared-loop-lut",
         "constant-inputs",
+        "two-stage",
+        "wide-feedback-does-not",
+        "three-stage-chain",
+        "four-stage-chain-does-not",
     ],
 )
 def test_simulate_matches_reference_on_kernel_edge_cases(build, shape):
     nl = build()
     comp = nl._compile()
-    assert (len(comp.hoisted), len(comp.levels), len(comp.after), comp.ff.ins.shape[1]) == shape
+    stages = tuple((len(s.levels), len(s.after), s.ff.ins.shape[1]) for s in comp.stages)
+    assert (len(comp.hoisted), stages) == shape
     rng = np.random.default_rng(7)
     waves = {n: rng.integers(0, 2, 400) for n in nl.inputs if n != "RESET"}
     stim = Stimulus.standard(400, nl, **waves)
@@ -391,11 +457,10 @@ def test_simulate_matches_reference_on_kernel_edge_cases(build, shape):
 def test_trigger_design_cycle_loop_has_no_lut_level():
     # the opcode comparators read only the input bus, so they leave the
     # loop; the one LUT level that reads flip-flops folds into the
-    # flip-flop tables and runs after the loop
+    # flip-flop tables of the one stage and runs after its loop
     comp = trigger_design().netlist._compile()
     assert len(comp.hoisted) == 1
-    assert len(comp.levels) == 0
-    assert len(comp.after) == 1
+    assert [(len(s.levels), len(s.after)) for s in comp.stages] == [(0, 1)]
 
 
 def test_simulate_stimulus_too_short():
@@ -667,7 +732,9 @@ def netlists_with_stimuli(draw):
     input may be rewired to a later flip-flop: a forward reference in
     the text form, but no LUT loop.  Half the netlists also get a
     register whose next state reads up to 10 more nets, some of them new
-    ports, through two LUTs: its support may pass the fold limit.
+    ports, through two LUTs: its support may pass the fold limit.  Half
+    get one or two registers that load a cone wider than the fold limit
+    over another register, which then fold in a later stage.
     """
     nl = Netlist()
     for i in range(draw(st.integers(1, 3))):
@@ -696,6 +763,19 @@ def netlists_with_stimuli(draw):
         k = draw(st.integers(1, 6))
         ins = [x, *draw(st.lists(net, min_size=k - 1, max_size=k - 1))]
         nl.set_ff_d(q, nl.add_lut(ins, draw(tables(k))))
+    if draw(st.sampled_from((False, True, True))):
+        # one or two registers load a cone over a new register and 8 new
+        # ports, with up to 2 more nets: past the fold limit until a
+        # stage after the new register's evaluates the cone
+        net = st.integers(0, nl.net_count - 1)
+        src = nl.add_ff(draw(st.sampled_from(FfKind)), draw(net), draw(net), draw(net))
+        ports = [nl.add_input(f"V{i}") for i in range(8)]
+        more = draw(st.lists(st.integers(0, src), max_size=2))
+        leaves = draw(st.permutations(ports + more))
+        x = nl.add_lut([src, *leaves[:5]], draw(tables(6)))
+        wide = nl.add_lut([x, *leaves[5:]], draw(tables(1 + len(leaves[5:]))))
+        for _ in range(draw(st.integers(1, 2))):
+            nl.add_ff(draw(st.sampled_from(FfKind)), wide, draw(net), draw(net))
     for q in deferred:
         nl.set_ff_d(q, draw(st.integers(0, nl.net_count - 1)))
     luts = [c for c in nl.cells if isinstance(c, Lut)]
@@ -751,7 +831,7 @@ def test_simulate_matches_reference_on_random_netlists(case, open_kind):
         return
     # --hypothesis-show-statistics prints how often each kind occurs
     comp = nl._compile()
-    event("loop LUTs per cycle" if comp.levels else "flip-flops folded" if comp.after else "no loop LUT")
+    event("unfolded" if any(s.levels for s in comp.stages) else f"{len(comp.stages)} folded stages")
     trace = simulate(nl, stim, n_cycles)
     assert np.array_equal(trace.values, reference_simulate(nl, stim, n_cycles).values)
 
