@@ -447,7 +447,7 @@ class Netlist:
     @classmethod
     def from_text(cls, text: str) -> "Netlist":
         records: dict[int, tuple] = {}
-        outputs: list[tuple[str, int]] = []
+        outputs: list[tuple[int, str, int]] = []
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -456,19 +456,20 @@ class Netlist:
             tag = parts[0]
             try:
                 if tag == "IN":
-                    records[int(parts[2])] = ("IN", parts[1])
+                    records[int(parts[2])] = (lineno, "IN", parts[1])
                 elif tag == "CONST":
-                    records[int(parts[1])] = ("CONST", int(parts[2]))
+                    # index() rejects any value but 0 and 1 as malformed
+                    records[int(parts[1])] = (lineno, "CONST", ("0", "1").index(parts[2]))
                 elif tag == "LUT":
                     out = int(parts[1])
                     bits = int(parts[2], 16)
                     ins = tuple(int(p) for p in parts[3:])
-                    records[out] = ("LUT", bits, ins)
+                    records[out] = (lineno, "LUT", bits, ins)
                 elif tag in ("FFS", "FFR"):
                     q, d, ce, sr = (int(p) for p in parts[1:5])
-                    records[q] = ("FF", FfKind(tag), d, ce, sr)
+                    records[q] = (lineno, "FF", FfKind(tag), d, ce, sr)
                 elif tag == "OUT":
-                    outputs.append((parts[1], int(parts[2])))
+                    outputs.append((lineno, parts[1], int(parts[2])))
                 else:
                     raise NetlistError(f"unknown record {tag!r} on line {lineno}")
             except (IndexError, ValueError) as exc:
@@ -477,35 +478,43 @@ class Netlist:
                 raise NetlistError(f"malformed record on line {lineno}: {raw!r}") from None
 
         nl = cls()
-        # pins that reference a later net are wired once every net exists
-        deferred: list[Callable[[], None]] = []
+        # pins that reference a later net are wired once every net exists,
+        # then the outputs are marked
+        deferred: list[tuple[int, Callable[[], None]]] = []
         for net in range(len(records)):
             if net not in records:
                 raise NetlistError(f"net {net} has no driver record")
-            rec = records[net]
-            if rec[0] == "IN":
-                got = nl.add_input(rec[1])
-            elif rec[0] == "CONST":
-                got = nl.const(rec[1])
-            elif rec[0] == "LUT":
-                # a LUT input rewired after construction (set_lut_input)
-                # may name a later net; it reads net 0 until then
-                _, bits, ins = rec
-                got = nl.add_lut([n if n < net else 0 for n in ins], TruthTable(bits, len(ins)))
-                deferred += [
-                    partial(nl.set_lut_input, got, pos, n) for pos, n in enumerate(ins) if n >= net
-                ]
-            else:
-                _, kind, d, ce, sr = rec
-                # d may reference a later net (a closed register loop)
-                got = nl.add_ff(kind, None, ce, sr)
-                deferred.append(partial(nl.set_ff_d, got, d))
-            if got != net:
-                raise NetlistError(f"net numbering mismatch at {net}")
-        for wire in deferred:
-            wire()
-        for name, net in outputs:
-            nl.mark_output(name, net)
+            lineno, *rec = records[net]
+            try:
+                if rec[0] == "IN":
+                    got = nl.add_input(rec[1])
+                elif rec[0] == "CONST":
+                    got = nl.const(rec[1])
+                elif rec[0] == "LUT":
+                    # a LUT input rewired after construction (set_lut_input)
+                    # may name a later net; it reads net 0 until then
+                    _, bits, ins = rec
+                    got = nl.add_lut([n if n < net else 0 for n in ins], TruthTable(bits, len(ins)))
+                    deferred += [
+                        (lineno, partial(nl.set_lut_input, got, pos, n))
+                        for pos, n in enumerate(ins)
+                        if n >= net
+                    ]
+                else:
+                    _, kind, d, ce, sr = rec
+                    # d may reference a later net (a closed register loop)
+                    got = nl.add_ff(kind, None, ce, sr)
+                    deferred.append((lineno, partial(nl.set_ff_d, got, d)))
+                if got != net:
+                    raise NetlistError(f"net numbering mismatch at {net}")
+            except NetlistError as exc:
+                raise NetlistError(f"line {lineno}: {exc}") from None
+        deferred += [(lineno, partial(nl.mark_output, name, net)) for lineno, name, net in outputs]
+        for lineno, step in deferred:
+            try:
+                step()
+            except NetlistError as exc:
+                raise NetlistError(f"line {lineno}: {exc}") from None
         return nl
 
     # -- compilation for the simulator ---------------------------------------

@@ -1,10 +1,23 @@
-"""Invariant battery behind ``fmlab verify``.
+"""Invariant battery behind ``fmlab verify``: the acceptance spec.
 
 Each check re-derives one of the library's stated guarantees with an
 independent oracle (brute-force scan, exhaustive enumeration, analytic
 probability, or the reference interpreter) and reports pass/fail.  The
-test suite runs the same functions; the CLI prints one line per check
-and exits nonzero on any failure.
+CLI prints one line per check and exits nonzero on any failure; the test
+suite runs each check once.  The paper's acceptance criteria live here
+and nowhere else, each in the check(s) whose docstring names it:
+
+1. FM encoding and frequency: ``fmlogic-duty-cycles``
+2. gate correctness and latency: ``fmlogic-gate-correctness``,
+   ``fmlogic-latency``
+3. UCI evasion: ``fmlogic-no-constant-nets``
+4. concealment balance: ``trojankit-concealment-balance``
+5. payload channel: ``trojankit-mode-separation``,
+   ``sidechannel-demodulation``
+6. trigger retry statistics: ``trojankit-retry-rate``
+7. locking: ``trojankit-trigger-locks``, ``trojankit-trigger-soundness``
+8. jamming: ``sidechannel-jamming-monotone``
+9. determinism: ``cli-scenario-determinism``
 
 Every check is deterministic: randomized ones use frozen seeds whose
 outcomes were recorded when the bounds were locked.
@@ -176,29 +189,48 @@ def check_csr_periodicity() -> CheckResult:
 
 
 def check_duty_cycles() -> CheckResult:
+    """Criterion 1: exact tap duty cycles over 32 periods, and the L=8
+    tap's dominant spectral line at f/8 (value 0) or f/4 (value 1), with
+    the f/8 line gone for value 1."""
     expected = {(8, 0): 0.125, (8, 1): 0.25, (4, 0): 0.25, (4, 1): 0.5}
     for (L, value), want in expected.items():
         nl = Netlist()
         rotor = fmlogic.build_const_fm(nl, L, value)
-        trace = simulate(nl, Stimulus.standard(8 * L + 1, nl), 8 * L + 1)
-        got = fmlogic.duty_cycle(trace, rotor.data_tap, (1, 1 + 4 * L))
+        n = 1 + 40 * L
+        trace = simulate(nl, Stimulus.standard(n, nl), n)
+        got = fmlogic.duty_cycle(trace, rotor.data_tap, (1, 1 + 32 * L))
         if got != want:
             return False, f"L={L} value={value}: duty {got} != {want}"
-    return True, "tap duty exactly 1/L and 2/L (L=8: 12.5%/25%, L=4: 25%/50%)"
+        if L != 8:
+            continue
+        line = 0.25 if value else 0.125
+        sp = sidechannel.spectrum(trace.wave(rotor.data_tap)[17:], 256)
+        peak = round(line * 256)
+        if sp.dominant_fraction() != line or sp.magnitudes[peak] <= sp.magnitudes[1:peak].max():
+            return False, f"L=8 value={value}: dominant line {sp.dominant_fraction()}, not {line}"
+        if value and sp.magnitude_at(0.125) >= 1e-9:
+            return False, "L=8 value=1: the f/8 line did not vanish"
+    return True, (
+        "tap duty exactly 1/L and 2/L (L=8: 12.5%/25%, L=4: 25%/50%); "
+        "L=8 dominant lines f/8 and f/4, no f/8 line for value 1"
+    )
 
 
 def check_single_marker() -> CheckResult:
-    nl, sync, _, gate = two_input_gate(tt_or(2))
+    nl, sync, (ca, cb), gate = two_input_gate(tt_or(2))
     stim = Stimulus.standard(100, nl, A=np.tile([0, 1], 50), B=1)
     trace = simulate(nl, stim, 100)
-    for t in fmlogic.sync_instants(L, 100):
-        for stage, net in enumerate(gate.stages, start=1):
-            v = trace.value(net, t)
-            if stage == L and v != 1:
-                return False, f"cycle {t}: marker missing at stage {L}"
-            if stage not in (L, L // 2) and v != 0:
-                return False, f"cycle {t}: stray 1 at stage {stage}"
-    return True, "marker at stage L, data at L/2, zeros elsewhere at every SYNC instant"
+    for name, sig in (("converter A", ca), ("converter B", cb), ("gate", gate)):
+        for t in fmlogic.sync_instants(L, 100):
+            for stage, net in enumerate(sig.stages, start=1):
+                v = trace.value(net, t)
+                if stage == L and v != 1:
+                    return False, f"{name} cycle {t}: marker missing at stage {L}"
+                if stage not in (L, L // 2) and v != 0:
+                    return False, f"{name} cycle {t}: stray 1 at stage {stage}"
+    return True, (
+        "converters and gate: marker at stage L, data at L/2, zeros elsewhere at every SYNC instant"
+    )
 
 
 def check_state_periodicity() -> CheckResult:
@@ -214,6 +246,8 @@ def check_state_periodicity() -> CheckResult:
 
 
 def check_gate_correctness() -> CheckResult:
+    """Criterion 2, with ``check_latency``: every nonconstant 2-input
+    function decodes right at every SYNC instant from 2L on."""
     # exhaustive over all 14 nonconstant 2-input functions and inputs
     for bits in range(1, 15):
         table = TruthTable.from_bits(2, bits)
@@ -244,6 +278,7 @@ def check_gate_correctness() -> CheckResult:
 
 
 def check_latency() -> CheckResult:
+    """Criterion 2, with ``check_gate_correctness``: latency exactly 2L."""
     nl, sync, convs = converters("A")
     gate = fmlogic.build_fm_gate(nl, netcore.tt_buf(), convs, sync)
     present = 3 * L + 1  # a SYNC instant well past warm-up
@@ -260,7 +295,15 @@ def check_latency() -> CheckResult:
 
 
 def check_no_constant_nets() -> CheckResult:
-    """UCI evasion across every FM construction, plus the baseline contrast."""
+    """Criterion 3: UCI evasion across every FM construction, plus the
+    baseline contrast.
+
+    A net that toggles within a window toggles within every longer one
+    from the same cycle, so each design is scanned over one short span
+    from cycles 2, 3, 5 and 10: a period L for the FM designs and the
+    trigger's FM core, and 8L for the whole trigger, whose event
+    comparators need that long to see every opcode.
+    """
     designs: list[tuple[str, Netlist, int]] = []
 
     nl, sync, _, gate = two_input_gate(tt_or(2))
@@ -282,30 +325,26 @@ def check_no_constant_nets() -> CheckResult:
     fmlogic.build_locking_and(nl3, ca, cb, sync3)
     designs.append(("locking gate", nl3, 120))
 
-    designs.append(("trigger", trigger_design().netlist, 160))
-
     rng = np.random.default_rng(5)
+    scans = []  # (name, trace, span, nets that must not be flagged; None for all)
     for name, nl, n in designs:
-        waves = {}
-        for port in nl.inputs:
-            if port == "RESET":
-                continue
-            if port.startswith("OP"):
-                continue
-            waves[port] = rng.integers(0, 2, n).astype(np.uint8)
-        if any(p.startswith("OP") for p in nl.inputs):
-            ops = trojankit.scrub_sequences(
-                trojankit.random_program(n - 1, 16, 11), SPEC
-            )
-            stim = trojankit.program_stimulus(ops, SPEC, total_cycles=n)
-        else:
-            stim = Stimulus.standard(n, nl, **waves)
-        trace = simulate(nl, stim, n)
-        for start in (2, 3, 10):
-            rep = sidechannel.uci_scan(trace, (start, n))
-            if rep.suspicious:
-                bad = [trace.names[x] for x in rep.suspicious]
-                return False, f"{name}: constant nets {bad} from cycle {start}"
+        ports = [port for port in nl.inputs if port != "RESET"]
+        waves = {port: rng.integers(0, 2, n).astype(np.uint8) for port in ports}
+        scans.append((name, simulate(nl, Stimulus.standard(n, nl, **waves), n), L, None))
+
+    tb = trigger_design()
+    n = 160
+    ops = trojankit.scrub_sequences(trojankit.random_program(n - 1, 16, 11), SPEC)
+    trace = simulate(tb.netlist, trojankit.program_stimulus(ops, SPEC, total_cycles=n), n)
+    core = {*tb.trigger.stages, tb.trigger.combiner_out, *tb.sync.csr.stages}
+    scans += [("trigger", trace, 8 * L, None), ("trigger FM core", trace, L, core)]
+
+    for name, trace, span, nets in scans:
+        for start in (2, 3, 5, 10):
+            flagged = sidechannel.uci_scan(trace, (start, start + span)).suspicious
+            bad = [trace.names[x] for x in flagged if nets is None or x in nets]
+            if bad:
+                return False, f"{name}: constant nets {bad} over cycles [{start}, {start + span})"
 
     # contrast: the plain condition comparator is caught
     nl5 = Netlist()
@@ -318,7 +357,11 @@ def check_no_constant_nets() -> CheckResult:
     rep5 = sidechannel.uci_scan(trace5, (2, len(ops) + 1))
     if stuck not in rep5.suspicious:
         return False, "baseline comparator was not flagged"
-    return True, "FM constructions scan clean; baseline comparator flagged"
+    return True, (
+        "FM constructions scan clean over L-cycle windows (whole trigger: 8L) "
+        "from cycles 2, 3, 5 and 10; "
+        "baseline comparator flagged"
+    )
 
 
 def check_locking_monotone() -> CheckResult:
@@ -354,17 +397,23 @@ def _oracle_activates(program: list[int]) -> bool:
     return False
 
 
-def _simulate_stream(nl, sync, trigger, program: list[int]) -> bool:
-    n = len(program) + 2 * sync.L + 3
-    stim = trojankit.program_stimulus(program, SPEC, total_cycles=n)
-    trace = simulate(nl, stim, n)
-    last = max(fmlogic.sync_instants(sync.L, n, start=sync.L + 1))
-    return bool(fmlogic.fm_decode(trace, trigger, last).value)
+def _activated(design: cli.Design, stim: Stimulus) -> bool:
+    """Whether the trigger decodes 1 at the stimulus's last SYNC instant."""
+    n = stim.length
+    trace = simulate(design.netlist, stim, n)
+    last = max(fmlogic.sync_instants(L, n, start=L + 1))
+    return bool(fmlogic.fm_decode(trace, design.trigger, last).value)
+
+
+def _simulate_stream(design: cli.Design, program: list[int]) -> bool:
+    n = len(program) + 2 * L + 3
+    return _activated(design, trojankit.program_stimulus(program, SPEC, total_cycles=n))
 
 
 def check_trigger_soundness() -> CheckResult:
+    """Criterion 7, with ``check_trigger_locks``: the trigger fires exactly
+    when the stream oracle does, never misaligned or out of order."""
     design = trigger_design()
-    nl, sync, trigger = design.netlist, design.sync, design.trigger
     filler = SPEC.filler()
     alphabet = [*SPEC.opcodes, filler]
 
@@ -372,7 +421,7 @@ def check_trigger_soundness() -> CheckResult:
     for gram in itertools.product(alphabet, repeat=4):
         program = [filler] * 5 + list(gram) + [filler] * 3
         want = _oracle_activates(program)
-        got = _simulate_stream(nl, sync, trigger, program)
+        got = _simulate_stream(design, program)
         if got != want:
             return False, f"4-gram {gram}: circuit={got}, oracle={want}"
 
@@ -380,7 +429,7 @@ def check_trigger_soundness() -> CheckResult:
     activating = 0
     for phase in range(8):
         program = [filler] * (5 + phase) + list(SPEC.opcodes) + [filler] * (15 - phase)
-        got = _simulate_stream(nl, sync, trigger, program)
+        got = _simulate_stream(design, program)
         want = _oracle_activates(program)
         if got != want:
             return False, f"phase {phase}: circuit={got}, oracle={want}"
@@ -393,10 +442,45 @@ def check_trigger_soundness() -> CheckResult:
     for trial in range(300):
         program = [alphabet[v] for v in rng.integers(0, 5, 40)]
         want = _oracle_activates(program)
-        got = _simulate_stream(nl, sync, trigger, program)
+        got = _simulate_stream(design, program)
         if got != want:
             return False, f"random stream {trial}: circuit={got}, oracle={want}"
     return True, "circuit activation == stream oracle (625 grams, 8 phases, 300 streams)"
+
+
+def check_trigger_locks() -> CheckResult:
+    """Criterion 7, with ``check_trigger_soundness``: once activated, the
+    trigger stays locked for at least 1000 periods of random traffic."""
+    design = trigger_design()
+    n = ACTIVATION_SYNC + 1001 * L + 2
+    background = trojankit.scrub_sequences(trojankit.random_program(n - 1, 16, seed=77), SPEC)
+    stim = trojankit.opcode_stimulus(background, SPEC, Aligned(), L, total_cycles=n)
+    trace = simulate(design.netlist, stim, n)
+    held = 0
+    for t in fmlogic.sync_instants(L, n, start=ACTIVATION_SYNC):
+        if fmlogic.fm_decode(trace, design.trigger, t).value != 1:
+            return False, f"unlocked at cycle {t} after {held} periods"
+        held += 1
+    if held < 1000:
+        return False, f"locked for only {held} periods (bound 1000)"
+    return True, f"locked from cycle {ACTIVATION_SYNC} for all {held} periods (bound 1000)"
+
+
+def check_retry_rate() -> CheckResult:
+    """Criterion 6: ``RandomRetry(32)`` activates at 1 - (7/8)^32 within
+    +/-0.02 over 2000 seeded trials.
+
+    Each try lands in one of 8 phase classes and exactly one of them
+    activates (``check_trigger_soundness``), hence the 7/8 per try.
+    """
+    design = trigger_design()
+    trials, hits = 2000, 0
+    for t in range(trials):
+        policy = trojankit.RandomRetry(32, seed=10_000 + t)
+        hits += _activated(design, trojankit.opcode_stimulus([SPEC.filler()], SPEC, policy, L))
+    rate, expected = hits / trials, 1.0 - (7.0 / 8.0) ** 32
+    detail = f"{hits}/{trials} = {rate:.4f} activated vs 1 - (7/8)^32 = {expected:.4f} (+/-0.02)"
+    return abs(rate - expected) <= 0.02, detail
 
 
 def check_trigger_rarity() -> CheckResult:
@@ -408,11 +492,9 @@ def check_trigger_rarity() -> CheckResult:
     chunk = 62500
     for _ in range(16):
         ops = rng.integers(0, 16, size=chunk)
-        waves = {"RESET": np.zeros(chunk, np.uint8)}
-        waves["RESET"][0] = 1
-        for j in range(4):
-            waves[f"OP{j}"] = ((ops >> j) & 1).astype(np.uint8)
-        trace = simulate(nl, Stimulus(waves), chunk)
+        # cycle 0 carries the filler instead of ops[0]; it falls inside
+        # reset, which clears every delay-chain flip-flop
+        trace = simulate(nl, trojankit.program_stimulus(ops[1:].tolist(), SPEC), chunk)
         conj = (
             trace.wave(a) & trace.wave(b) & trace.wave(c) & trace.wave(d) & trace.wave(sync.tap)
         )
@@ -423,7 +505,8 @@ def check_trigger_rarity() -> CheckResult:
 
 
 def check_concealment_balance() -> CheckResult:
-    """Exact 0->1/1->0/static balance for arbitrary carrier data."""
+    """Criterion 4: exact 0->1/1->0/static balance for arbitrary carrier
+    data, so the dynamic power's variance is exactly 0."""
     nl, quad = data_quad()
     rng = np.random.default_rng(21)
     n = 400
@@ -452,11 +535,21 @@ def check_both_frequencies() -> CheckResult:
 
 
 def check_mode_separation() -> CheckResult:
+    """Criterion 5, with ``check_demodulation``: per-period sums 32/16
+    (mode 1) and 64/32 (mode 2), confirmed by raw per-net counting."""
     sums = {}
     for mode in (PayloadMode.MODE1, PayloadMode.MODE2):
         per_bit = {}
         for bit in "01":
-            s = payload_sums(*aligned_payload_run(bit * 8, mode), 8)
+            trace, design = aligned_payload_run(bit * 8, mode)
+            s = payload_sums(trace, design, 8)
+            # independent counting oracle: raw per-net toggles in each period
+            values = trace.values[:, design.attack_scope()].astype(np.int16)
+            toggles = np.abs(np.diff(values, axis=0)).sum(axis=1)
+            first = FIRST_BIT_START - 1  # toggles[i] is the change into cycle i + 1
+            oracle = [int(toggles[first + k * L : first + (k + 1) * L].sum()) for k in range(8)]
+            if oracle != [int(v) for v in s]:
+                return False, f"{mode.value} bit {bit}: sums {s.tolist()} != toggle counts {oracle}"
             steady = set(int(v) for v in s[1:])  # first period crosses activation
             if len(steady) != 1:
                 return False, f"{mode.value} bit {bit}: unsteady sums {sorted(steady)}"
@@ -469,7 +562,10 @@ def check_mode_separation() -> CheckResult:
         return False, f"mode2 sums {m2} != (64, 32)"
     if (m2["1"] - m2["0"]) != 2 * (m1["1"] - m1["0"]):
         return False, "mode2 separation is not exactly twice mode1"
-    return True, "per-period sums 32/16 (mode1) and 64/32 (mode2); separation doubled exactly"
+    return True, (
+        "per-period sums 32/16 (mode1) and 64/32 (mode2), equal to raw toggle counts; "
+        "separation doubled exactly"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -565,33 +661,51 @@ def check_spectral_squares() -> CheckResult:
     return True, "square waves: fundamental strictly dominant for P in {4, 8, 16}"
 
 
+def _random_secret(rng: np.random.Generator, n_bits: int) -> str:
+    return "".join("1" if v else "0" for v in rng.integers(0, 2, n_bits))
+
+
 def check_demodulation() -> CheckResult:
+    """Criterion 5, with ``check_mode_separation``: the attacker's
+    demodulator recovers 100 random 64-bit secrets exactly."""
     rng = np.random.default_rng(23)
     for mode, threshold in ((PayloadMode.MODE1, 24.0), (PayloadMode.MODE2, 48.0)):
         for trial in range(50):
-            secret = "".join("1" if v else "0" for v in rng.integers(0, 2, 64))
-            sums = payload_sums(*aligned_payload_run(secret, mode), len(secret))
-            recovered = "".join("1" if s > threshold else "0" for s in sums)
+            secret = _random_secret(rng, 64)
+            trace, design = aligned_payload_run(secret, mode)
+            pt = sidechannel.power_trace(trace, design.attack_scope())
+            recovered = sidechannel.attacker_demodulate(
+                pt, L, FIRST_BIT_START, len(secret), threshold
+            )
             if recovered != secret:
                 return False, f"{mode.value} trial {trial}: {recovered} != {secret}"
     return True, "100 random 64-bit secrets recovered exactly (50 per mode)"
 
 
 def check_jamming_monotone() -> CheckResult:
-    rng = np.random.default_rng(42)
-    secret = "".join("1" if v else "0" for v in rng.integers(0, 2, 512))
-    accs = []
-    for k in (0, 1, 2, 4, 8):
-        run = aligned_payload_run(secret, PayloadMode.MODE1, jam_pairs=k, jam_seed=0)
-        sums = payload_sums(*run, len(secret))
-        acc, _ = sidechannel.oracle_threshold_accuracy(sums, secret)
-        accs.append(round(acc, 6))
+    """Criterion 8: the best single-threshold accuracy never rises with
+    more jammer pairs, and four pairs take a 256-bit secret from exactly
+    1.0 down to at most 0.65."""
+
+    def accuracy(secret: str, pairs: int) -> float:
+        run = aligned_payload_run(secret, PayloadMode.MODE1, jam_pairs=pairs, jam_seed=0)
+        return sidechannel.oracle_threshold_accuracy(payload_sums(*run, len(secret)), secret)[0]
+
+    secret = _random_secret(np.random.default_rng(42), 512)
+    accs = [round(accuracy(secret, k), 6) for k in (0, 1, 2, 4, 8)]
     for lo, hi in zip(accs[1:], accs[:-1]):
         if lo > hi:
             return False, f"accuracy increased with more jamming: {accs}"
     if accs[0] != 1.0:
         return False, f"unjammed accuracy {accs[0]} != 1.0"
-    return True, f"oracle accuracy non-increasing in jammer pairs: {accs}"
+    secret = _random_secret(np.random.default_rng(42), 256)
+    clean, jammed = accuracy(secret, 0), accuracy(secret, 4)
+    if clean != 1.0 or not 0.5 <= jammed <= 0.65:
+        return False, f"256-bit secret, k=4: accuracy {clean} -> {jammed} (want 1.0 -> 0.5..0.65)"
+    return True, (
+        f"oracle accuracy non-increasing in jammer pairs: {accs}; "
+        f"256-bit secret 1.0 -> {jammed:.4f} with k=4 (bound 0.65)"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -616,6 +730,7 @@ def check_config_roundtrip() -> CheckResult:
 
 
 def check_scenario_determinism() -> CheckResult:
+    """Criterion 9: identical configs reproduce every export byte for byte."""
     cfg = cli.ScenarioConfig(alignment="aligned", payload_mode="mode1", secret="1011", cycles=256)
     with tempfile.TemporaryDirectory() as tmp:
         d1, d2 = Path(tmp, "r1"), Path(tmp, "r2")
@@ -646,6 +761,8 @@ CHECKS: list[tuple[str, Callable[[], CheckResult]]] = [
     ("fmlogic-no-constant-nets", check_no_constant_nets),
     ("fmlogic-locking-monotone", check_locking_monotone),
     ("trojankit-trigger-soundness", check_trigger_soundness),
+    ("trojankit-trigger-locks", check_trigger_locks),
+    ("trojankit-retry-rate", check_retry_rate),
     ("trojankit-trigger-rarity", check_trigger_rarity),
     ("trojankit-concealment-balance", check_concealment_balance),
     ("trojankit-both-frequencies", check_both_frequencies),

@@ -366,9 +366,9 @@ def test_cli_out_naming_a_file_exit_two(tmp_path, capsys, command):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("check", [fn for _, fn in verify.CHECKS], ids=[n for n, _ in verify.CHECKS])
-def test_verify_check(check):
-    ok, detail = check()
+@pytest.mark.parametrize("name", [n for n, _ in verify.CHECKS])
+def test_verify_check(name, run_check):
+    ok, detail = run_check(name)
     assert ok, detail
 
 

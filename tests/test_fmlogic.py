@@ -22,7 +22,7 @@ from fmlab.fmlogic import (
     fm_decode,
     sync_instants,
 )
-from fmlab.netcore import FlipFlop, Netlist, Stimulus, TruthTable, simulate, tt_and, tt_or, tt_xor
+from fmlab.netcore import Netlist, Stimulus, TruthTable, simulate, tt_and, tt_or, tt_xor
 from fmlab.verify import converters, two_input_gate
 
 L = 8
@@ -321,27 +321,16 @@ def test_duty_cycle_empty_window():
 
 
 # ---------------------------------------------------------------------------
-# Family-level properties
+# Family-level properties (carried by fmlab verify)
 # ---------------------------------------------------------------------------
 
 
-def test_single_marker_discipline_at_sync_instants():
-    nl, sync, (ca, cb), gate = two_input_gate(tt_or(2))
-    wave = np.tile([0, 1, 1, 0], 30)[:120]
-    trace = simulate(nl, Stimulus.standard(120, nl, A=wave, B=1), 120)
-    for sig in (ca, cb, gate):
-        for t in sync_instants(L, 120):
-            assert trace.value(sig.stages[L - 1], t) == 1
-            for stage in range(1, L + 1):
-                if stage in (L, L // 2):
-                    continue
-                assert trace.value(sig.stages[stage - 1], t) == 0
+def test_single_marker_discipline_at_sync_instants(run_check):
+    """The gate and both converters hold one marker at each SYNC instant."""
+    ok, detail = run_check("fmlogic-single-marker")
+    assert ok, detail
 
 
-def test_full_state_periodic_under_constant_inputs():
-    nl, sync, _, gate = two_input_gate(tt_xor(2))
-    trace = simulate(nl, Stimulus.standard(80, nl, A=1, B=0), 80)
-    ff_nets = [c.q for c in nl.cells if isinstance(c, FlipFlop)]
-    state = trace.values[:, ff_nets]
-    for t in range(2 * L, 80 - L):
-        assert np.array_equal(state[t], state[t + L])
+def test_full_state_periodic_under_constant_inputs(run_check):
+    ok, detail = run_check("fmlogic-state-periodicity")
+    assert ok, detail

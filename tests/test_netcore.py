@@ -532,6 +532,26 @@ def test_netlist_from_text_rejects_garbage():
         Netlist.from_text("LUT x y\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("CONST 0 7\n", "malformed record on line 1: 'CONST 0 7'"),
+        ("IN A 0\nLUT 1 0000000000000002\n", "line 2: table arity must be in [1, 6], got 0"),
+        ("IN A 0\nLUT 1 0000000000000001 0\n", "line 2: table is not replicated"),
+        ("IN A 0\nFFS 1 0 0 5\n", "line 2: FF sr references undriven net 5"),
+        ("IN A 0\nFFR 1 9 0 0\n", "line 2: FF d references undriven net 9"),
+        ("IN A 0\nLUT 1 5555555555555555 4\n", "line 2: LUT input references undriven net 4"),
+        ("IN A 0\n\nOUT Y 3\n", "line 3: output references undriven net 3"),
+        ("CONST 0 1\nCONST 1 1\n", "line 2: net numbering mismatch at 1"),
+    ],
+    ids=["const-7", "lut-no-ins", "lut-unreplicated", "ff-sr", "ff-d", "lut-in", "out", "const-2x"],
+)
+def test_netlist_from_text_names_the_bad_line(text, message):
+    with pytest.raises(NetlistError) as err:
+        Netlist.from_text(text)
+    assert str(err.value).startswith(message), str(err.value)
+
+
 def _loop_csv(trace: Trace) -> str:
     """The row-by-row CSV writer that ``Trace.to_csv`` must match byte for byte."""
     lines = [",".join(trace.names)]

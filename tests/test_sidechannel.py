@@ -20,7 +20,6 @@ from fmlab.verify import (
     aligned_payload_run,
     converters,
     data_quad,
-    payload_sums,
     two_input_gate,
 )
 
@@ -128,13 +127,9 @@ def test_power_concealed_quad_constant():
     assert set(pt.static[1:].tolist()) == {16}
 
 
-def test_power_mode1_period_sums():
-    trace, design = aligned_payload_run("1" * 6, PayloadMode.MODE1)
-    sums = payload_sums(trace, design, 6)
-    assert set(int(v) for v in sums[1:]) == {32}
-    trace, design = aligned_payload_run("0" * 6, PayloadMode.MODE1)
-    sums = payload_sums(trace, design, 6)
-    assert set(int(v) for v in sums[1:]) == {16}
+def test_power_mode1_period_sums(run_check):
+    ok, detail = run_check("trojankit-mode-separation")
+    assert ok, detail
 
 
 def test_power_no_activity_zero_dynamic():
@@ -262,11 +257,9 @@ def test_detect_peaks_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_demodulate_mode1_recovers_secret():
-    trace, design = aligned_payload_run("1011", PayloadMode.MODE1)
-    pt = sc.power_trace(trace, design.quad.stage_nets())
-    got = sc.attacker_demodulate(pt, L, FIRST_BIT_START, 4, threshold=24)
-    assert got == "1011"
+def test_demodulate_mode1_recovers_secret(run_check):
+    ok, detail = run_check("sidechannel-demodulation")
+    assert ok, detail
 
 
 def test_demodulate_mode2_doubled_margin():
