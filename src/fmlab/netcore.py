@@ -373,14 +373,6 @@ class Netlist:
 
     # -- evaluation order -----------------------------------------------------
 
-    def topo_order(self) -> list[int]:
-        """Indices of LUT cells in dependency order (level by level).
-
-        An order exists iff the LUT-only subgraph is acyclic; flip-flops
-        break loops because their outputs are state, not combinational.
-        """
-        return [ci for level in self._levels() for ci in level]
-
     def _levels(self) -> list[list[int]]:
         """LUT cell indices grouped by logic level, by one Kahn pass.
 
@@ -456,26 +448,27 @@ class Netlist:
             tag = parts[0]
             try:
                 if tag == "IN":
-                    records[int(parts[2])] = (lineno, "IN", parts[1])
+                    net, rec = int(parts[2]), ("IN", parts[1])
                 elif tag == "CONST":
                     # index() rejects any value but 0 and 1 as malformed
-                    records[int(parts[1])] = (lineno, "CONST", ("0", "1").index(parts[2]))
+                    net, rec = int(parts[1]), ("CONST", ("0", "1").index(parts[2]))
                 elif tag == "LUT":
-                    out = int(parts[1])
-                    bits = int(parts[2], 16)
-                    ins = tuple(int(p) for p in parts[3:])
-                    records[out] = (lineno, "LUT", bits, ins)
+                    net, rec = int(parts[1]), ("LUT", int(parts[2], 16), tuple(int(p) for p in parts[3:]))
                 elif tag in ("FFS", "FFR"):
-                    q, d, ce, sr = (int(p) for p in parts[1:5])
-                    records[q] = (lineno, "FF", FfKind(tag), d, ce, sr)
+                    net, d, ce, sr = (int(p) for p in parts[1:5])
+                    rec = ("FF", FfKind(tag), d, ce, sr)
                 elif tag == "OUT":
                     outputs.append((lineno, parts[1], int(parts[2])))
+                    continue
                 else:
                     raise NetlistError(f"unknown record {tag!r} on line {lineno}")
             except (IndexError, ValueError) as exc:
                 if isinstance(exc, NetlistError):
                     raise
                 raise NetlistError(f"malformed record on line {lineno}: {raw!r}") from None
+            if net in records:
+                raise NetlistError(f"line {lineno}: net {net} is already driven by line {records[net][0]}")
+            records[net] = (lineno, *rec)
 
         nl = cls()
         # pins that reference a later net are wired once every net exists,
@@ -536,7 +529,7 @@ class Netlist:
             stateful.update(lut.out for lut in cycle)
             once = [lut for lut in luts if lut.out not in stateful]
             if once:
-                hoisted.append(_Level.of(once))
+                hoisted.append(_lut_level(once))
             if cycle:
                 loop.append(cycle)
 
@@ -547,8 +540,8 @@ class Netlist:
         if stages is None:
             # each cycle evaluates the loop LUTs, then every flip-flop's
             # next-state table over its (sr, ce, d, q) pins
-            levels = tuple(_Level.of(luts) for luts in loop)
-            stages = (_Stage(levels=levels, ff=_Level.of(pins), after=()),)
+            levels = tuple(map(_lut_level, loop))
+            stages = (_Stage(levels=levels, ff=_lut_level(pins), after=()),)
         compiled = _Compiled(
             n_nets=self.net_count,
             input_names=input_names,
@@ -570,26 +563,13 @@ _FOLD_LIMIT = 8
 # address weight of each cell input position
 _BIT_WEIGHTS = (1 << np.arange(_FOLD_LIMIT)).astype(np.uint8)
 
-# :func:`_fold` evaluates about this many slots at once: a slot is a row
-# of 256 bits, and a multiplexer tree over a 6-input cell needs 32 such
-# rows, so its scratch stays near 1 MiB
-_FOLD_SLOTS = 1024
-
 # :meth:`_Level.fill` forms at most this many table addresses at once
 # (256 KiB of them), so a level evaluated over a whole run needs no
 # temporary as large as the trace
 _FILL_ENTRIES = 1 << 15
 
-# all 64 bits set
-_ONES = np.uint64(_FULL64)
-
 # the slot of a flip-flop's first cone LUT in its layout (see _cone)
 _CONE_SLOT = 2 + _FOLD_LIMIT
-
-# row b holds bit b of each pattern 0..255, bit p of the row for pattern p
-_PATTERNS = np.packbits(
-    (np.arange(256) >> np.arange(_FOLD_LIMIT)[:, None]) & 1, axis=1, bitorder="little"
-).view(np.uint64)
 
 # a flip-flop's next state as a table over its pins (sr, ce, d, q):
 # sr beats ce, which beats hold
@@ -608,6 +588,8 @@ class _Level:
     The cells are the LUTs of one logic level, or the flip-flops of one
     stage: each read as a 4-input LUT of its (sr, ce, d, q) pins with the
     table ``_FF_NEXT``, or, folded, as one table over its support.
+    :func:`_fold` builds the folded tables with the same lookup, over
+    rows of support patterns instead of cycles.
     """
 
     out: np.ndarray  # (k,) output nets
@@ -617,28 +599,24 @@ class _Level:
     tables: np.ndarray  # (2**w k,) uint8 table entries, row-major
 
     @classmethod
-    def of(cls, cells: Sequence[Lut]) -> "_Level":
-        """The level of ``cells``, each read through its ``table``."""
-        width = max((len(c.inputs) for c in cells), default=0)
-        pad = (0,) * width
-        flat = chain.from_iterable((c.inputs + pad)[:width] for c in cells)
-        ins = np.fromiter(flat, np.intp, len(cells) * width).reshape(len(cells), width)
-        # TruthTables are stored replicated, so the net-0 reads past a
-        # cell's fan-in do not change its output
-        entries = np.arange(1 << width, dtype=np.uint64)
-        bits = np.array([c.table.bits for c in cells], np.uint64)
-        tables = ((bits[:, None] >> entries) & np.uint64(1)).astype(np.uint8)
-        return cls._of(ins, [c.out for c in cells], tables)
+    def of(cls, out: Sequence[NetId], ins: Sequence[Sequence[NetId]], tables: np.ndarray) -> "_Level":
+        """Cells with output nets ``out``, input nets ``ins`` and uint8 table rows ``tables``.
 
-    @classmethod
-    def _of(cls, ins: np.ndarray, out: Sequence[NetId], tables: np.ndarray) -> "_Level":
-        count, width = ins.shape
+        Each cell's inputs are padded with net 0 to the widest cell's ``w``
+        and its row is cut to ``2**w`` entries.  The pads do not change its
+        output, because every row is replicated past its cell's inputs: a
+        ``TruthTable`` is stored so, and a folded table reads no support bit
+        past its own.
+        """
+        width = max(map(len, ins), default=0)
+        pad = (0,) * width
+        flat = chain.from_iterable((*nets, *pad)[:width] for nets in ins)
         return cls(
             out=np.array(out, np.intp),
-            ins=ins,
+            ins=np.fromiter(flat, np.intp, len(ins) * width).reshape(len(ins), width),
             weights=_BIT_WEIGHTS[:width],
-            base=np.arange(count, dtype=np.intp) << width,
-            tables=tables.ravel(),
+            base=np.arange(len(ins), dtype=np.intp) << width,
+            tables=tables[:, : 1 << width].ravel(),
         )
 
     def fill(self, values: np.ndarray) -> None:
@@ -775,12 +753,8 @@ def _stages(
     tables = _fold([layout for _, cones, _ in plans for _, layout in cones])
     stages = []
     for ffs, cones, after in plans:
-        width = max(len(support) for support, _ in cones)
-        pad = [0] * width
-        flat = chain.from_iterable((support + pad)[:width] for support, _ in cones)
-        ins = np.fromiter(flat, np.intp, len(cones) * width).reshape(len(cones), width)
-        ff = _Level._of(ins, [pin.out for pin in ffs], tables[: len(ffs), : 1 << width])
-        stages.append(_Stage(levels=(), ff=ff, after=tuple(map(_Level.of, after))))
+        ff = _Level.of([pin.out for pin in ffs], [support for support, _ in cones], tables[: len(ffs)])
+        stages.append(_Stage(levels=(), ff=ff, after=tuple(map(_lut_level, after))))
         tables = tables[len(ffs) :]
     return tuple(stages)
 
@@ -790,53 +764,45 @@ def _fold(layouts: Sequence[_Layout]) -> np.ndarray:
     entries: entry ``p`` holds the next state where support net ``b`` is
     bit ``b`` of ``p``.
 
-    Flip-flops with the same layout have the same table, so each layout
-    is evaluated once: its slots hold their values on all 256 patterns,
-    one bit per pattern, and the cone LUTs and then the next-state table
-    are evaluated on them one level at a time, for as many layouts at
-    once as fit ``_FOLD_SLOTS``.
+    Flip-flops with the same layout have the same table, so each distinct
+    layout is evaluated once, with the table lookup :func:`simulate` uses.
+    Row ``p`` of one pattern array holds every slot's value on pattern
+    ``p``: the constants and support bits in the first columns, shared by
+    all layouts, then a block per layout of its cone LUTs and next state.
+    :meth:`_Level.fill` evaluates the blocks one level at a time, each
+    next-state table a level above its cone.
     """
-    rows: dict[_Layout, int] = {}  # layout -> its row of ``words``
-    index = [rows.setdefault(layout, len(rows)) for layout in layouts]
-    words = np.empty((len(rows), 4), np.uint64)
-    todo = list(rows)
-    start = 0
-    while start < len(todo):
-        n_slots, stop, bases, steps, reads = 2, start, [], {}, []
-        while stop < len(todo) and n_slots < _FOLD_SLOTS:
-            cells, pin_reads, _ = todo[stop]
-            base = n_slots - 2  # local slot s > 1 is slot base + s here
-            for i, (level, cell_reads, entries) in enumerate(cells, n_slots + _FOLD_LIMIT):
-                cell_reads = tuple(s if s < 2 else base + s for s in cell_reads)
-                steps.setdefault(level, []).append((i, cell_reads, entries))
-            reads.append(tuple(s if s < 2 else base + s for s in pin_reads))
-            bases.append(n_slots)
-            n_slots += _FOLD_LIMIT + len(cells)
-            stop += 1
-        values = np.empty((n_slots, 4), np.uint64)
-        values[0], values[1] = 0, _ONES
-        values[np.add.outer(bases, np.arange(_FOLD_LIMIT))] = _PATTERNS
-        for level in sorted(steps):
-            outs, cells, entries = zip(*steps[level])
-            values[list(outs)] = _mux(values, cells, entries)
-        words[start:stop] = _mux(values, reads, [entries for _, _, entries in todo[start:stop]])
-        start = stop
-    return np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")[index]
+    blocks: dict[_Layout, int] = {}  # layout -> its next-state column
+    steps: dict[int, list] = {}  # level -> (column, columns read, table bits) of its cells
+    width = _CONE_SLOT
+    for layout in layouts:
+        if layout in blocks:
+            continue
+        cells, pin_reads, pin_bits = layout
+        cells += ((1 + max((level for level, _, _ in cells), default=-1), pin_reads, pin_bits),)
+        base = width - _CONE_SLOT  # cone slot s is column base + s
+        for column, (level, cell_reads, entries) in enumerate(cells, width):
+            cell_reads = tuple(s if s < _CONE_SLOT else base + s for s in cell_reads)
+            steps.setdefault(level, []).append((column, cell_reads, entries))
+        width += len(cells)
+        blocks[layout] = width - 1
+    values = np.zeros((256, width), np.uint8)
+    values[:, 1] = 1
+    values[:, 2:_CONE_SLOT] = (np.arange(256)[:, None] >> np.arange(_FOLD_LIMIT)) & 1
+    for level in sorted(steps):
+        columns, reads, entries = zip(*steps[level])
+        _Level.of(columns, reads, _rows(entries)).fill(values)
+    return values[:, [blocks[layout] for layout in layouts]].T
 
 
-def _mux(values: np.ndarray, reads: Sequence[tuple[int, ...]], entries: Sequence[int]) -> np.ndarray:
-    """Cells with table bits ``entries`` over the slots ``reads``, evaluated
-    on the 256-pattern rows ``values``: each table is a tree of 2-way
-    multiplexers, its last input selecting at the root."""
-    w = max(map(len, reads))
-    pad = (0,) * w  # a replicated table reads the same past its cell's fan-in
-    x = values[np.array([(r + pad)[:w] for r in reads], np.intp)]
-    entry = np.arange(1 << w, dtype=np.uint64)
-    tree = (((np.array(entries, np.uint64)[:, None] >> entry) & np.uint64(1)) * _ONES)[:, :, None]
-    for b in reversed(range(w)):
-        half = tree.shape[1] // 2
-        tree = (tree[:, :half] & ~x[:, b, None]) | (tree[:, half:] & x[:, b, None])
-    return tree[:, 0]
+def _rows(bits: Sequence[int]) -> np.ndarray:
+    """The 64 entries of each replicated table ``bits``, one uint8 row each."""
+    return ((np.array(bits, np.uint64)[:, None] >> np.arange(64, dtype=np.uint64)) & 1).astype(np.uint8)
+
+
+def _lut_level(cells: Sequence[Lut]) -> _Level:
+    """The level of LUT ``cells``, each read through its ``TruthTable``."""
+    return _Level.of([c.out for c in cells], [c.inputs for c in cells], _rows([c.table.bits for c in cells]))
 
 
 @dataclass(frozen=True)

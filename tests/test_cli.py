@@ -185,10 +185,12 @@ def test_bundled_netlist_text_roundtrip(name):
         ("jammed", (1, ((0, 5, 343), (0, 1, 32)))),
     ],
 )
-def test_bundled_designs_fold_only_when_every_flip_flop_fits(name, levels):
-    comp = construct_design(ScenarioConfig.load(scenario_path(name))).netlist._compile()
+def test_bundled_designs_fold_only_when_every_flip_flop_fits(folded_table_mismatches, name, levels):
+    netlist = construct_design(ScenarioConfig.load(scenario_path(name))).netlist
+    comp = netlist._compile()
     stages = tuple((len(s.levels), len(s.after), len(s.ff.out)) for s in comp.stages)
     assert (len(comp.hoisted), stages) == levels
+    assert folded_table_mismatches(netlist) == []
 
 
 @pytest.mark.parametrize("L", [4, 16])

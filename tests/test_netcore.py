@@ -203,8 +203,7 @@ def test_topo_chain_order():
     a = nl.add_input("A")
     l1 = nl.add_lut((a,), tt_not())
     l2 = nl.add_lut((l1,), tt_not())
-    order = nl.topo_order()
-    assert order.index(nl._lut_by_out[l1]) < order.index(nl._lut_by_out[l2])
+    assert nl._levels() == [[nl._lut_by_out[l1]], [nl._lut_by_out[l2]]]
 
 
 def test_topo_self_loop_reports_cycle_net():
@@ -213,7 +212,7 @@ def test_topo_self_loop_reports_cycle_net():
     buf = nl.add_lut((a,), tt_buf())
     nl.set_lut_input(buf, 0, buf)  # close a LUT-only loop
     with pytest.raises(CombinationalCycleError) as err:
-        nl.topo_order()
+        nl._levels()
     assert err.value.net == buf
 
 
@@ -232,7 +231,7 @@ def test_lut_self_loop_rejected_by_both_routes(table, route):
 def test_topo_register_ring_is_fine():
     nl = Netlist()
     fmlogic.build_fm_csr(nl, 8)
-    nl.topo_order()  # no error: the loop goes through flip-flops
+    nl._levels()  # no error: the loop goes through flip-flops
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +542,24 @@ def test_netlist_from_text_rejects_garbage():
         ("IN A 0\nLUT 1 5555555555555555 4\n", "line 2: LUT input references undriven net 4"),
         ("IN A 0\n\nOUT Y 3\n", "line 3: output references undriven net 3"),
         ("CONST 0 1\nCONST 1 1\n", "line 2: net numbering mismatch at 1"),
+        ("IN A 0\nIN B 0\n", "line 2: net 0 is already driven by line 1"),
+        (
+            "IN A 0\nLUT 1 5555555555555555 0\n\nLUT 1 aaaaaaaaaaaaaaaa 0\n",
+            "line 4: net 1 is already driven by line 2",
+        ),
     ],
-    ids=["const-7", "lut-no-ins", "lut-unreplicated", "ff-sr", "ff-d", "lut-in", "out", "const-2x"],
+    ids=[
+        "const-7",
+        "lut-no-ins",
+        "lut-unreplicated",
+        "ff-sr",
+        "ff-d",
+        "lut-in",
+        "out",
+        "const-2x",
+        "in-2x",
+        "lut-2x",
+    ],
 )
 def test_netlist_from_text_names_the_bad_line(text, message):
     with pytest.raises(NetlistError) as err:
@@ -838,7 +853,7 @@ def _on_lut_loop(nl: Netlist, net: int) -> bool:
 
 @settings(max_examples=300, deadline=None)
 @given(netlists_with_stimuli(), st.sampled_from(FfKind))
-def test_simulate_matches_reference_on_random_netlists(case, open_kind):
+def test_simulate_matches_reference_on_random_netlists(folded_table_mismatches, case, open_kind):
     nl, stim, n_cycles, looped = case
     text = nl.to_text()
     back = Netlist.from_text(text)
@@ -852,6 +867,7 @@ def test_simulate_matches_reference_on_random_netlists(case, open_kind):
     # --hypothesis-show-statistics prints how often each kind occurs
     comp = nl._compile()
     event("unfolded" if any(s.levels for s in comp.stages) else f"{len(comp.stages)} folded stages")
+    assert folded_table_mismatches(nl) == []
     trace = simulate(nl, stim, n_cycles)
     assert np.array_equal(trace.values, reference_simulate(nl, stim, n_cycles).values)
 
