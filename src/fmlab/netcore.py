@@ -56,8 +56,9 @@ from __future__ import annotations
 
 import enum
 import io
+import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -97,6 +98,18 @@ class FfKind(enum.Enum):
 
 _FULL64 = (1 << 64) - 1
 
+# input b as a replicated table (entry i is bit b of i); fixed logic is
+# bit algebra over these, e.g. INPUT_BITS[0] & INPUT_BITS[1] is a 2-input AND
+INPUT_BITS = tuple(sum(1 << i for i in range(64) if i >> b & 1) for b in range(6))
+
+# the argument tuple of every entry of a table, per arity
+_ENTRY_ARGS = [[tuple(i >> b & 1 for b in range(k)) for i in range(1 << k)] for k in range(7)]
+
+
+def _check_arity(arity: int) -> None:
+    if not 1 <= arity <= 6:
+        raise NetlistError(f"table arity must be in [1, 6], got {arity}")
+
 
 def _replicate(base: int, arity: int) -> int:
     """Spread a 2**arity-entry table across all 64 entries."""
@@ -121,8 +134,7 @@ class TruthTable:
     arity: int
 
     def __post_init__(self):
-        if not 1 <= self.arity <= 6:
-            raise NetlistError(f"table arity must be in [1, 6], got {self.arity}")
+        _check_arity(self.arity)
         if not 0 <= self.bits <= _FULL64:
             raise NetlistError("table bits out of 64-bit range")
         if self.bits != _replicate(self.bits, self.arity):
@@ -131,16 +143,20 @@ class TruthTable:
     @classmethod
     def from_bits(cls, arity: int, bits: int) -> "TruthTable":
         """Build from a 2**arity-entry table (low entry = all inputs 0)."""
-        if not 1 <= arity <= 6:
-            raise NetlistError(f"table arity must be in [1, 6], got {arity}")
+        _check_arity(arity)
         return cls(_replicate(bits, arity), arity)
 
     @classmethod
     def from_function(cls, arity: int, fn: Callable[..., int]) -> "TruthTable":
-        """Build from ``fn(*input_bits) -> 0/1`` evaluated exhaustively."""
+        """Build from ``fn(*input_bits) -> 0/1`` evaluated exhaustively.
+
+        The arity must be in [1, 6]; any other raises ``NetlistError``
+        before ``fn`` is called.  ``fn`` is called once per entry, so
+        builders of fixed logic combine ``INPUT_BITS`` instead.
+        """
+        _check_arity(arity)
         bits = 0
-        for idx in range(1 << arity):
-            args = tuple((idx >> b) & 1 for b in range(arity))
+        for idx, args in enumerate(_ENTRY_ARGS[arity]):
             if fn(*args):
                 bits |= 1 << idx
         return cls.from_bits(arity, bits)
@@ -169,20 +185,21 @@ def tt_not() -> TruthTable:
 
 
 def tt_and(k: int) -> TruthTable:
-    return TruthTable.from_function(k, lambda *b: all(b))
+    return TruthTable.from_bits(k, reduce(operator.and_, INPUT_BITS[:k], _FULL64))
 
 
 def tt_or(k: int) -> TruthTable:
-    return TruthTable.from_function(k, lambda *b: any(b))
+    return TruthTable.from_bits(k, reduce(operator.or_, INPUT_BITS[:k], 0))
 
 
 def tt_xor(k: int) -> TruthTable:
-    return TruthTable.from_function(k, lambda *b: sum(b) & 1)
+    return TruthTable.from_bits(k, reduce(operator.xor, INPUT_BITS[:k], 0))
 
 
 def tt_mux() -> TruthTable:
     """3-input mux: inputs (sel, a, b) -> a if sel else b."""
-    return TruthTable.from_function(3, lambda sel, a, b: a if sel else b)
+    sel, a, b = INPUT_BITS[:3]
+    return TruthTable.from_bits(3, sel & a | ~sel & b)
 
 
 def tt_const(arity: int, value: int) -> TruthTable:
@@ -281,7 +298,7 @@ class Netlist:
         return self._consts[value]
 
     def add_lut(self, inputs: Sequence[NetId], table: TruthTable) -> NetId:
-        inputs = tuple(int(n) for n in inputs)
+        inputs = tuple(inputs)
         if len(inputs) > 6:
             raise NetlistError(f"LUT supports at most 6 inputs, got {len(inputs)}")
         if len(inputs) != table.arity:
@@ -290,6 +307,7 @@ class Netlist:
             )
         for net in inputs:
             self._require_net(net, "LUT input")
+        inputs = tuple(map(int, inputs))
         self._touch()
         cell_index = len(self.cells)
         out = self._alloc(("lut", cell_index))

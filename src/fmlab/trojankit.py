@@ -35,18 +35,20 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 from typing import Sequence
 
 import numpy as np
 
 from .netcore import (
+    INPUT_BITS,
     FfKind,
     NetId,
     Netlist,
     Stimulus,
     TruthTable,
     tt_and,
-    tt_buf,
     tt_const,
     tt_equals,
     tt_not,
@@ -382,17 +384,12 @@ def _dual_table(table: TruthTable) -> TruthTable:
     Flipping the feedback bit and inverting the output turns the LUT of
     register x into the LUT of a register tracking NOT x stage-for-stage
     (and, applied to a marker ring, into the LUT of the dual FM value).
-    Applying it twice gives back the original function.
+    Applying it twice gives back the original function.  Flipping an
+    input swaps the table's halves where that input is 1 and 0.
     """
-    fb_mask = 1 << COMBINER_FB_POS
-
-    def fn(*bits: int) -> int:
-        idx = 0
-        for b, v in enumerate(bits):
-            idx |= (v & 1) << b
-        return 1 - table.value(idx ^ fb_mask)
-
-    return TruthTable.from_function(table.arity, fn)
+    fb, shift = INPUT_BITS[COMBINER_FB_POS], 1 << COMBINER_FB_POS
+    flipped = (table.bits & fb) >> shift | (table.bits & ~fb) << shift
+    return TruthTable.from_bits(table.arity, ~flipped)
 
 
 def _armed_b_table(a_table: TruthTable, mirror: bool) -> TruthTable:
@@ -403,19 +400,10 @@ def _armed_b_table(a_table: TruthTable, mirror: bool) -> TruthTable:
     complement (payload mode 2); otherwise the activation input is
     ignored.
     """
-    fb_mask = 1 << COMBINER_FB_POS
-    arity = a_table.arity + 1
-
-    def fn(*bits: int) -> int:
-        active = bits[-1]
-        idx = 0
-        for b, v in enumerate(bits[:-1]):
-            idx |= (v & 1) << b
-        if mirror and active:
-            return a_table.value(idx)
-        return 1 - a_table.value(idx ^ fb_mask)
-
-    return TruthTable.from_function(arity, fn)
+    dual = _dual_table(a_table).bits
+    active = INPUT_BITS[a_table.arity]
+    bits = active & a_table.bits | ~active & dual if mirror else dual
+    return TruthTable.from_bits(a_table.arity + 1, bits)
 
 
 @dataclass
@@ -541,6 +529,18 @@ def set_payload_mode(quad: ConcealedQuad, mode: PayloadMode) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _select_level(netlist: Netlist, level: list[tuple[NetId, str]]) -> list[tuple[NetId, str]]:
+    """One level of the transmitter's OR tree: per 6 lines, a LUT that is
+    the OR of the lines whose bit is '1'.  Its output's bit is '1'."""
+    grouped = []
+    for lo in range(0, len(level), 6):
+        chunk = level[lo : lo + 6]
+        ones = reduce(or_, (INPUT_BITS[i] for i, (_, bit) in enumerate(chunk) if bit == "1"), 0)
+        table = TruthTable.from_bits(len(chunk), ones)
+        grouped.append((netlist.add_lut([net for net, _ in chunk], table), "1"))
+    return grouped
+
+
 def build_payload_transmitter(
     netlist: Netlist,
     secret: str,
@@ -575,20 +575,11 @@ def build_payload_transmitter(
         netlist.set_ff_d(ring[i], ring[i - 1])
 
     # secret held in LUT tables: OR of the one-hot lines at '1' positions
-    level = list(zip(ring, secret))
+    # (for n = 1, one buffer or constant)
+    level = _select_level(netlist, list(zip(ring, secret)))
     while len(level) > 1:
-        grouped = []
-        for lo in range(0, len(level), 6):
-            chunk = level[lo : lo + 6]
-            nets = [n for n, _ in chunk]
-            table = TruthTable.from_function(
-                len(nets), lambda *bits, ch=chunk: int(any(b and ch[i][1] == "1" for i, b in enumerate(bits)))
-            )
-            grouped.append((netlist.add_lut(nets, table), "1"))
-        level = grouped
-    sel = level[0][0] if n > 1 else netlist.add_lut(
-        (ring[0],), tt_buf() if secret == "1" else tt_const(1, 0)
-    )
+        level = _select_level(netlist, level)
+    sel = level[0][0]
 
     tx = netlist.add_lut((sel, active), tt_and(2))
     carrier.retarget_data(tx)

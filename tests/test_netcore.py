@@ -65,6 +65,7 @@ def test_tt_helpers():
     assert tt_not().eval((1,)) == 0
     assert tt_mux().eval((1, 1, 0)) == 1  # sel picks first data input
     assert tt_mux().eval((0, 1, 0)) == 0
+    assert tt_mux() == TruthTable.from_function(3, lambda sel, a, b: a if sel else b)
     assert tt_equals(4, 11).eval((1, 1, 0, 1)) == 1
     assert tt_equals(4, 11).eval((0, 1, 0, 1)) == 0
 
@@ -123,9 +124,46 @@ def test_add_lut_undriven_input():
         nl.add_lut((99,), tt_buf())
 
 
+@pytest.mark.parametrize("net", [1.7, "1", None])
+def test_add_lut_rejects_non_integer_nets(net):
+    nl = Netlist()
+    nl.add_input("A")
+    nl.add_input("B")
+    with pytest.raises(NetlistError, match="undriven"):
+        nl.add_lut([net], tt_buf())
+    assert nl.cells == []
+
+
 def test_seven_input_function_needs_multiple_luts():
     with pytest.raises(NetlistError):
         tt_and(7)
+
+
+@pytest.mark.parametrize("arity", [0, 7, 40])
+def test_from_function_checks_arity_before_calling(arity):
+    def fn(*bits):
+        raise AssertionError("fn called")
+
+    with pytest.raises(NetlistError, match="arity"):
+        TruthTable.from_function(arity, fn)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, (1 << (1 << k)) - 1))))
+def test_from_function_matches_from_bits(case):
+    arity, bits = case
+
+    def lookup(*args):
+        return bits >> sum(v << b for b, v in enumerate(args)) & 1
+
+    assert TruthTable.from_function(arity, lookup) == TruthTable.from_bits(arity, bits)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_tt_gates_match_their_definitions(k):
+    assert tt_and(k) == TruthTable.from_function(k, lambda *b: all(b))
+    assert tt_or(k) == TruthTable.from_function(k, lambda *b: any(b))
+    assert tt_xor(k) == TruthTable.from_function(k, lambda *b: sum(b) & 1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fmlab import fmlogic, sidechannel
 from fmlab.cli import ScenarioConfig, construct_design
-from fmlab.fmlogic import build_std_to_fm, build_sync, fm_decode, sync_instants
-from fmlab.netcore import Netlist, Stimulus, simulate
+from fmlab.fmlogic import COMBINER_FB_POS, build_std_to_fm, build_sync, fm_decode, sync_instants
+from fmlab.netcore import FlipFlop, Lut, Netlist, Stimulus, TruthTable, simulate
 from fmlab.trojankit import (
     Aligned,
     PayloadError,
@@ -14,6 +16,8 @@ from fmlab.trojankit import (
     RandomRetry,
     TriggerError,
     TriggerSpec,
+    _armed_b_table,
+    _dual_table,
     add_opcode_bus,
     build_baseline_trojan,
     build_concealed,
@@ -362,6 +366,81 @@ def test_transmitter_rejects_bad_secret():
         build_payload_transmitter(d.netlist, "10a1", d.trigger, d.quad, d.sync)
     with pytest.raises(PayloadError, match="secret"):
         build_payload_transmitter(d.netlist, "", d.trigger, d.quad, d.sync)
+
+
+def _trigger_and_carrier():
+    nl = Netlist()
+    sync = build_sync(nl, L)
+    bus = add_opcode_bus(nl, SPEC.opcode_width)
+    trig = build_trigger(nl, *build_event_sync(nl, bus, SPEC), sync)
+    return nl, sync, trig, build_std_to_fm(nl, nl.const(0), sync)
+
+
+def _or_tree_size(n: int) -> int:
+    size = 0
+    while True:
+        n = -(-n // 6)
+        size += n
+        if n == 1:
+            return size
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(alphabet="01", min_size=1, max_size=300))
+def test_transmitter_selection_tables_or_the_secret_lines(secret):
+    nl, sync, trig, carrier = _trigger_and_carrier()
+    quad = build_concealed(nl, carrier, sync, trigger=trig)
+    first = len(nl.cells)
+    build_payload_transmitter(nl, secret, trig, quad, sync)
+    cells = nl.cells[first:]
+    # each ring line carries its secret bit, each selection LUT output '1'
+    bit = {ff.q: s for ff, s in zip((c for c in cells if isinstance(c, FlipFlop)), secret, strict=True)}
+    checked = 0
+    for lut in (c for c in cells if isinstance(c, Lut)):
+        if all(net in bit for net in lut.inputs):
+            ch = [bit[net] for net in lut.inputs]
+            expected = TruthTable.from_function(
+                len(ch), lambda *b: int(any(v and s == "1" for v, s in zip(b, ch)))
+            )
+            assert lut.table == expected
+            bit[lut.out] = "1"
+            checked += 1
+    assert checked == _or_tree_size(len(secret))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, (1 << (1 << k)) - 1))),
+    st.booleans(),
+)
+def test_complement_and_armed_tables_match_their_definitions(case, mirror):
+    arity, bits = case
+    a = TruthTable.from_bits(arity, bits)
+    fb = 1 << COMBINER_FB_POS
+
+    def index(args):
+        return sum(v << b for b, v in enumerate(args))
+
+    def armed(*args):
+        if mirror and args[-1]:
+            return a.value(index(args[:-1]))
+        return 1 - a.value(index(args[:-1]) ^ fb)
+
+    assert _dual_table(a) == TruthTable.from_function(arity, lambda *args: 1 - a.value(index(args) ^ fb))
+    if arity < 6:
+        assert _armed_b_table(a, mirror) == TruthTable.from_function(arity + 1, armed)
+
+
+def test_payload_tables_are_built_without_from_function(monkeypatch):
+    nl, sync, trig, carrier = _trigger_and_carrier()
+
+    def fail(*args):
+        raise AssertionError("TruthTable.from_function called")
+
+    monkeypatch.setattr(TruthTable, "from_function", fail)
+    quad = build_concealed(nl, carrier, sync, trigger=trig)
+    set_payload_mode(quad, PayloadMode.MODE2)
+    build_payload_transmitter(nl, "1011" * 16, trig, quad, sync)
 
 
 # ---------------------------------------------------------------------------
