@@ -46,6 +46,9 @@ flip-flop of a later stage.  Between stages, the LUTs whose inputs are
 then all known are evaluated over all cycles, so a cone too wide for a
 table is cut where the flip-flops it reads end.  A design that does not
 split this way runs one loop that evaluates those LUTs every cycle.
+Each loop memoizes, for one call, the next state by the state and the
+stage's external inputs: an FM ring revisits few states, so most cycles
+are one dict lookup.
 
 A netlist under construction is single-owner.  ``simulate`` does not
 mutate the netlist and may run concurrently for different stimuli;
@@ -203,8 +206,7 @@ def tt_mux() -> TruthTable:
 
 
 def tt_const(arity: int, value: int) -> TruthTable:
-    bits = ((1 << (1 << arity)) - 1) if value else 0
-    return TruthTable.from_bits(arity, bits)
+    return TruthTable.from_bits(arity, -1 if value else 0)
 
 
 def tt_equals(width: int, value: int) -> TruthTable:
@@ -263,7 +265,7 @@ class Netlist:
         return len(self._drivers) - 1
 
     def _require_net(self, net: NetId, role: str) -> None:
-        if not isinstance(net, (int, np.integer)) or not 0 <= net < self.net_count:
+        if isinstance(net, bool) or not isinstance(net, (int, np.integer)) or not 0 <= net < self.net_count:
             raise NetlistError(f"{role} references undriven net {net!r}")
 
     def _touch(self) -> None:
@@ -559,7 +561,7 @@ class Netlist:
             # each cycle evaluates the loop LUTs, then every flip-flop's
             # next-state table over its (sr, ce, d, q) pins
             levels = tuple(map(_lut_level, loop))
-            stages = (_Stage(levels=levels, ff=_lut_level(pins), after=()),)
+            stages = (_Stage.of(levels, _lut_level(pins), ()),)
         compiled = _Compiled(
             n_nets=self.net_count,
             input_names=input_names,
@@ -653,12 +655,21 @@ class _Stage:
 
     Each cycle evaluates ``levels`` and then looks up ``ff``; once the
     loop has filled in every cycle, ``after`` is evaluated over all
-    cycles at once.  A folded stage has no ``levels``.
+    cycles at once.  A folded stage has no ``levels``.  The state and
+    the ``reads`` of a cycle decide its next state.
     """
 
     levels: tuple[_Level, ...]  # LUT levels evaluated every cycle
     ff: _Level
     after: tuple[_Level, ...]  # LUT levels evaluated after the cycle loop
+    reads: np.ndarray  # (r,) sorted nets the loop reads and does not write
+
+    @classmethod
+    def of(cls, levels: tuple[_Level, ...], ff: _Level, after: tuple[_Level, ...]) -> "_Stage":
+        cells = (*levels, ff)
+        reads = set(chain.from_iterable(lv.ins.ravel().tolist() for lv in cells))
+        reads.difference_update(*(lv.out.tolist() for lv in cells))
+        return cls(levels, ff, after, np.array(sorted(reads), np.intp))
 
 
 # a flip-flop laid out over slots: 0 and 1 hold the constants, 2 + b its
@@ -772,7 +783,7 @@ def _stages(
     stages = []
     for ffs, cones, after in plans:
         ff = _Level.of([pin.out for pin in ffs], [support for support, _ in cones], tables[: len(ffs)])
-        stages.append(_Stage(levels=(), ff=ff, after=tuple(map(_lut_level, after))))
+        stages.append(_Stage.of((), ff, tuple(map(_lut_level, after))))
         tables = tables[len(ffs) :]
     return tuple(stages)
 
@@ -1043,14 +1054,16 @@ def simulate(netlist: Netlist, stimulus: Stimulus, n_cycles: int) -> Trace:
     cone holds no flip-flop, one logic level at a time over the whole
     run.  The flip-flops then run in stages, one cycle loop per stage.
     A folded stage's flip-flops were each compiled into one table over
-    their support: the nets their pins reach through the LUTs not yet
-    evaluated, at most 8.  So a cycle of its loop is one lookup for all
-    of them, and after the loop the LUTs that now read only known nets
-    are evaluated level by level over the whole run; the next stage
-    reads them as inputs.  When the flip-flops do not fold, there is one
-    stage, and each cycle evaluates the LUTs that read flip-flops level
-    by level, then all flip-flops at once through their next-state table
-    over (sr, ce, d, q): ``sr`` beats ``ce``, which beats hold.
+    their support, at most 8 nets, so a cycle is one lookup for all of
+    them.  When they do not fold, there is one stage, and each cycle
+    evaluates the LUTs that read flip-flops level by level, then every
+    flip-flop's table over (sr, ce, d, q): ``sr`` beats ``ce``, which
+    beats hold.  The loop keys each cycle by its state bytes and the
+    packed bits of the stage's ``reads``; a key seen before in this call
+    gives the next state from a dict, and only a new key does the
+    lookups.  After the loop the state columns are written for every
+    cycle, and the stage's LUT levels, then its ``after`` levels, are
+    evaluated over the whole run; the next stage reads them as inputs.
     Deterministic; all flip-flops hold 0 before the first edge, which is
     why generated designs drive RESET through cycle 0.
     """
@@ -1072,13 +1085,22 @@ def simulate(netlist: Netlist, stimulus: Stimulus, n_cycles: int) -> Trace:
         lv.fill(values)
     for stage in comp.stages:
         ff = stage.ff
-        state = np.zeros(len(ff.out), np.uint8)
-        for row in values:
-            row[ff.out] = state
-            for lv in stage.levels:
-                row[lv.out] = lv.tables[lv.base + row[lv.ins] @ lv.weights]
-            state = ff.tables[ff.base + row[ff.ins] @ ff.weights]
-        for lv in stage.after:
+        packed = np.ascontiguousarray(np.packbits(values[:, stage.reads], axis=1))
+        codes = packed.view(f"V{packed.shape[1]}").ravel().tolist() if packed.size else [b""] * n_cycles
+        memo: dict[tuple[bytes, bytes], bytes] = {}
+        state, states = bytes(len(ff.out)), []
+        for t, code in enumerate(codes):
+            states.append(state)
+            nxt = memo.get((state, code))
+            if nxt is None:
+                row = values[t]
+                row[ff.out] = np.frombuffer(state, np.uint8)
+                for lv in stage.levels:
+                    row[lv.out] = lv.tables[lv.base + row[lv.ins] @ lv.weights]
+                nxt = memo[state, code] = ff.tables[ff.base + row[ff.ins] @ ff.weights].tobytes()
+            state = nxt
+        values[:, ff.out] = np.frombuffer(b"".join(states), np.uint8).reshape(n_cycles, -1)
+        for lv in (*stage.levels, *stage.after):
             lv.fill(values)
     values.setflags(write=False)
     return Trace(values=values, names=comp.names)

@@ -157,6 +157,13 @@ def test_bundled_scenario_exports_match_golden(name, tmp_path):
     assert got == want
 
 
+def test_jammed_scenario_simulates_as_the_reference():
+    # the whole horizon: the first stage (343 flip-flops) meets a new
+    # (state, input) key every cycle, the second mostly repeats them
+    design, stim, trace = simulate_scenario(ScenarioConfig.load(scenario_path("jammed")))
+    assert np.array_equal(trace.values, reference_simulate(design.netlist, stim, stim.length).values)
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_netlist_text_roundtrip(name):
     # the payload modes rewire combiner inputs to later nets

@@ -1,10 +1,11 @@
 """Netlist model, truth tables, simulator semantics, serialization."""
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,6 +22,7 @@ from fmlab.netcore import (
     simulate,
     tt_and,
     tt_buf,
+    tt_const,
     tt_equals,
     tt_mux,
     tt_not,
@@ -132,6 +134,44 @@ def test_add_lut_rejects_non_integer_nets(net):
     with pytest.raises(NetlistError, match="undriven"):
         nl.add_lut([net], tt_buf())
     assert nl.cells == []
+
+
+# each wires its ``net`` argument to a fresh netlist's pin; ``q`` is an
+# open flip-flop and ``x`` a buffer LUT
+_BOOL_WIRINGS = {
+    "add_lut": lambda nl, q, x, net: nl.add_lut([net], tt_buf()),
+    "add_ff": lambda nl, q, x, net: nl.add_ff(FfKind.RESET, None, net, q),
+    "set_ff_d": lambda nl, q, x, net: nl.set_ff_d(q, net),
+    "set_lut_input": lambda nl, q, x, net: nl.set_lut_input(x, 0, net),
+}
+
+
+@pytest.mark.parametrize("net", [True, False, np.True_], ids=["True", "False", "np.True_"])
+@pytest.mark.parametrize("wiring", list(_BOOL_WIRINGS))
+def test_netlist_rejects_boolean_nets(wiring, net):
+    # bool is an int subclass: True would wire net 1, False net 0
+    nl = Netlist()
+    a, b = nl.add_input("A"), nl.add_input("B")
+    q = nl.add_ff(FfKind.RESET, None, a, b)
+    x = nl.add_lut([a], tt_buf())
+    version = nl._version
+    with pytest.raises(NetlistError, match="undriven net"):
+        _BOOL_WIRINGS[wiring](nl, q, x, net)
+    assert nl._version == version
+
+
+def test_tt_const_checks_arity_before_building():
+    # an arity of 26 would first build a 2**26-bit (8 MiB) table
+    tracemalloc.start()
+    try:
+        with pytest.raises(NetlistError, match="arity"):
+            tt_const(26, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert tt_const(3, 1).is_constant() and tt_const(3, 1).bits == (1 << 64) - 1
+    assert tt_const(3, 0).bits == 0
 
 
 def test_seven_input_function_needs_multiple_luts():
@@ -380,6 +420,19 @@ def _constant_inputs_design():
     return nl
 
 
+def _free_running_design():
+    """A two-register ring with constant pins beside an unused port: its
+    stage reads no net it does not write, so every cycle's memo key has
+    an empty input part."""
+    nl = Netlist()
+    one, zero = nl.const(1), nl.const(0)
+    nl.add_input("A")
+    q1 = nl.add_ff(FfKind.SET, None, one, zero)
+    q2 = nl.add_ff(FfKind.RESET, q1, one, zero)
+    nl.set_ff_d(q1, nl.add_lut([q2], tt_not()))
+    return nl
+
+
 def _ring(nl: Netlist, rng, count: int) -> list[int]:
     """``count`` registers in a ring, each loading a random function of the
     one before it and port A."""
@@ -446,8 +499,9 @@ def _stage_chain_design(groups: int):
 # (wide-cone: all 8 address bits under random tables), a cone missed on
 # ce or sr (loop-pins), a loop LUT left unevaluated after the loop
 # (shared-loop-lut, whose LUT is also a recorded output), a constant
-# read as 0 (constant-inputs, whose CONST1 pins enable), or a stage run
-# before the cone it reads (two-stage, three-stage-chain).
+# read as 0 (constant-inputs, whose CONST1 pins enable), a stage run
+# before the cone it reads (two-stage, three-stage-chain), or a memo key
+# with no input part (free-running).
 @pytest.mark.parametrize(
     "build, shape",
     [
@@ -459,6 +513,7 @@ def _stage_chain_design(groups: int):
         (_loop_pins_design, (0, ((0, 1, 5),))),
         (_shared_loop_lut_design, (0, ((0, 3, 5),))),
         (_constant_inputs_design, (0, ((0, 1, 3),))),
+        (_free_running_design, (0, ((0, 1, 2),))),
         (_two_stage_design, (0, ((0, 2, 4), (0, 1, 4)))),
         (_wide_feedback_design, (0, ((3, 0, 4),))),
         (partial(_stage_chain_design, 3), (0, ((0, 2, 4), (0, 2, 4), (0, 0, 4)))),
@@ -473,6 +528,7 @@ def _stage_chain_design(groups: int):
         "loop-pins",
         "shared-loop-lut",
         "constant-inputs",
+        "free-running",
         "two-stage",
         "wide-feedback-does-not",
         "three-stage-chain",
@@ -918,3 +974,32 @@ def test_simulate_matches_reference_on_random_netlists(folded_table_mismatches, 
     for route in (simulate, reference_simulate):
         with pytest.raises(NetlistError, match="unwired"):
             route(nl, stim, n_cycles)
+
+
+def _memo_hit_share(nl: Netlist, trace: Trace) -> float:
+    """The share of cycles whose (state, external inputs) key an earlier
+    cycle of the same stage's loop already had, over all stages."""
+    stages = nl._compile().stages
+    keys = sum(len({(row[s.ff.out].tobytes(), row[s.reads].tobytes()) for row in trace.values}) for s in stages)
+    return 1 - keys / (trace.cycles * len(stages))
+
+
+@settings(max_examples=150, deadline=None)
+@given(netlists_with_stimuli(), st.integers(1, 8), st.integers(64, 300), st.data())
+def test_simulate_matches_reference_on_periodic_stimuli(case, period, n_cycles, data):
+    """Every port repeats a random pattern of ``period`` cycles, so the
+    flip-flops settle into a short cycle and most cycles of each stage's
+    loop take their next state from the memo instead of the tables."""
+    nl, _, _, looped = case
+    assume(not looped)
+    pattern = st.lists(st.integers(0, 1), min_size=period, max_size=period)
+    stim = Stimulus({name: np.resize(data.draw(pattern), n_cycles) for name in nl.inputs})
+    trace = simulate(nl, stim, n_cycles)
+    stages = nl._compile().stages
+    if stages:
+        share = _memo_hit_share(nl, trace)
+        band = "< 50%" if share < 0.5 else "50-90%" if share < 0.9 else ">= 90%"
+        event(f"{'unfolded' if stages[0].levels else 'folded'}, memo hits {band}")
+    else:
+        event("no flip-flops")
+    assert np.array_equal(trace.values, reference_simulate(nl, stim, n_cycles).values)

@@ -9,6 +9,7 @@ from fmlab import fmlogic, sidechannel
 from fmlab.cli import ScenarioConfig, construct_design
 from fmlab.fmlogic import COMBINER_FB_POS, build_std_to_fm, build_sync, fm_decode, sync_instants
 from fmlab.netcore import FlipFlop, Lut, Netlist, Stimulus, TruthTable, simulate
+from fmlab.reference import reference_simulate
 from fmlab.trojankit import (
     Aligned,
     PayloadError,
@@ -489,3 +490,12 @@ def test_program_stimulus_validation():
         program_stimulus([99], SPEC)
     with pytest.raises(TriggerError, match="shorter"):
         program_stimulus([1, 2, 3], SPEC, total_cycles=2)
+
+
+def test_retry_trial_simulates_as_the_reference():
+    # c6's first trial, whole: its one stage revisits few (state, input)
+    # keys, so most cycles come from the simulator's memo
+    nl = trigger_design().netlist
+    stim = opcode_stimulus([SPEC.filler()], SPEC, RandomRetry(32, seed=10_000), L)
+    want = reference_simulate(nl, stim, stim.length)
+    assert np.array_equal(simulate(nl, stim, stim.length).values, want.values)
