@@ -345,7 +345,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> tuple[dict, bool]:
     balance_stop = n if concealed else activation
     if balance_stop is not None and balance_stop > 4:
         # both quad halves carry data from cycle 2 on
-        rises, falls, ones, bad = sidechannel.quad_balance(trace, design.quad_scope(), 2, balance_stop)
+        rises, falls, ones, bad = sidechannel.quad_balance(quad_pt, 2, balance_stop)
         report["balance" if concealed else "balance_pre_activation"] = {
             "window": [3, balance_stop],  # the cycles the checked transitions land on
             "rises_constant": len(set(rises.tolist())) == 1,

@@ -75,7 +75,6 @@ NetId = int
 
 RESET_NAME = "RESET"
 CONST_NAMES = {0: "CONST0", 1: "CONST1"}
-_RESERVED = {RESET_NAME: None, **{v: k for k, v in CONST_NAMES.items()}}
 
 
 class NetlistError(ValueError):
@@ -541,17 +540,8 @@ class Netlist:
                 raise NetlistError(f"FF q={ff.q} has an unwired d pin")
         # a LUT with a flip-flop in its fan-in cone is evaluated every cycle;
         # any other reads only ports and constants and is evaluated once
-        stateful = {ff.q for ff in ffs}
-        hoisted, loop = [], []
-        for cells in self._levels():
-            luts = [self.cells[i] for i in cells]
-            cycle = [lut for lut in luts if not stateful.isdisjoint(lut.inputs)]
-            stateful.update(lut.out for lut in cycle)
-            once = [lut for lut in luts if lut.out not in stateful]
-            if once:
-                hoisted.append(_lut_level(once))
-            if cycle:
-                loop.append(cycle)
+        order = (self.cells[i] for cells in self._levels() for i in cells)
+        hoisted, loop = _place(order, [ff.q for ff in ffs])
 
         input_names = tuple(self.inputs)
         consts = sorted(self._consts.items(), key=lambda kv: kv[1])
@@ -560,7 +550,7 @@ class Netlist:
         if stages is None:
             # each cycle evaluates the loop LUTs, then every flip-flop's
             # next-state table over its (sr, ce, d, q) pins
-            levels = tuple(map(_lut_level, loop))
+            levels = tuple(map(_lut_level, _place(loop, ())[0]))
             stages = (_Stage.of(levels, _lut_level(pins), ()),)
         compiled = _Compiled(
             n_nets=self.net_count,
@@ -568,7 +558,7 @@ class Netlist:
             in_nets=np.array([self.inputs[n] for n in input_names], np.intp),
             const_nets=np.array([n for _, n in consts], np.intp),
             const_vals=np.array([v for v, _ in consts], np.uint8),
-            hoisted=tuple(hoisted),
+            hoisted=tuple(map(_lut_level, hoisted)),
             stages=stages,
             names=self.net_names(),
         )
@@ -726,27 +716,52 @@ def _cone(
             levels.append(level)
 
 
+def _place(luts: Iterable[Lut], blocked: Iterable[NetId]) -> tuple[list[list[Lut]], list[Lut]]:
+    """Split topologically ordered ``luts`` into the levels of those that
+    reach no ``blocked`` net, each one level above the highest of them it
+    reads, and the rest in their order.
+
+    Whichever LUTs can be evaluated over the whole run are placed by
+    this rule: the hoisted ones (blocked by the flip-flops), those after
+    a stage (blocked by the flip-flops of later stages) and the levels of
+    an unfolded cycle (nothing blocked).
+    """
+    blocked, level, ready, rest = set(blocked), {}, [], []
+    for lut in luts:
+        if blocked.isdisjoint(lut.inputs):
+            level[lut.out] = 1 + max((level[n] for n in lut.inputs if n in level), default=-1)
+            ready.append(lut)
+        else:
+            blocked.add(lut.out)
+            rest.append(lut)
+    levels = [[] for _ in range(1 + max(level.values(), default=-1))]
+    for lut in ready:
+        levels[level[lut.out]].append(lut)
+    return levels, rest
+
+
 def _stages(
-    pins: Sequence[Lut], loop: Sequence[Sequence[Lut]], consts: Mapping[NetId, int]
+    pins: Sequence[Lut], loop: Sequence[Lut], consts: Mapping[NetId, int]
 ) -> tuple[_Stage, ...] | None:
     """The flip-flops ``pins`` folded in stages, or None if they do not fold.
 
     Stage k holds the pending flip-flops whose support is at most
     ``_FOLD_LIMIT`` nets and which read no flip-flop of a later stage.  A
-    support is counted through the ``loop`` LUTs (given by level) not yet
-    evaluated: its leaves are ports, hoisted LUT outputs, flip-flop
-    outputs and the loop LUTs earlier stages evaluated.  After a stage's
-    cycle loop, the loop LUTs that then read only known nets are
-    evaluated over all cycles, so a cone wider than a table is cut where
-    the flip-flops it reads end.  None when some flip-flop never fits, or
-    when the stages would outnumber the lookups of an unfolded cycle (one
-    per loop level, and one for the flip-flops).
+    support is counted through the ``loop`` LUTs (in topological order)
+    not yet evaluated: its leaves are ports, hoisted LUT outputs,
+    flip-flop outputs and the loop LUTs earlier stages evaluated.  After
+    a stage's cycle loop, the loop LUTs that reach no pending flip-flop
+    are evaluated over all cycles (:func:`_place`), so a cone wider than
+    a table is cut where the flip-flops it reads end.  None when some
+    flip-flop never fits, or when the stages would outnumber the lookups
+    of an unfolded cycle (one per loop level, and one for the flip-flops).
     """
-    unknown = {lut.out: lut for luts in loop for lut in luts}
+    depth = len(_place(loop, ())[0])
+    unknown = {lut.out: lut for lut in loop}
     pending = {pin.out: pin for pin in pins}
     plans = []
     while pending:
-        if len(plans) > len(loop):
+        if len(plans) > depth:
             return None
         cones = {q: _cone(pin, unknown, consts) for q, pin in pending.items()}
         # a flip-flop that reads one left for a later stage is left too
@@ -766,18 +781,8 @@ def _stages(
             return None
         members = [q for q in pending if q in stage]
         ffs = [pending.pop(q) for q in members]
-        # the loop LUTs that reach no pending flip-flop any more are
-        # evaluated after the stage, one level above the highest of them
-        # that each reads
-        blocked, level = set(pending), {}
-        for net, lut in unknown.items():
-            if blocked.isdisjoint(lut.inputs):
-                level[net] = 1 + max((level[n] for n in lut.inputs if n in level), default=-1)
-            else:
-                blocked.add(net)
-        after = [[] for _ in range(1 + max(level.values(), default=-1))]
-        for net, depth in level.items():
-            after[depth].append(unknown.pop(net))
+        after, left = _place(unknown.values(), pending)
+        unknown = {lut.out: lut for lut in left}
         plans.append((ffs, [cones[q] for q in members], after))
     tables = _fold([layout for _, cones, _ in plans for _, layout in cones])
     stages = []

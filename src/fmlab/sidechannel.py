@@ -38,7 +38,6 @@ __all__ = [
     "uci_scan",
     "pair_scan",
     "power_trace",
-    "transition_counts",
     "quad_balance",
     "power_stats",
     "spectrum",
@@ -239,40 +238,24 @@ def _check_scope(trace: Trace, scope: Sequence[NetId]) -> tuple[NetId, ...]:
     return scope
 
 
-def transition_counts(
-    trace: Trace, scope: Sequence[NetId]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-cycle (rises, falls, ones) over the scoped nets.
-
-    Indexed by destination cycle like :attr:`PowerTrace.dynamic`:
-    ``rises[t]`` and ``falls[t]`` count 0->1 and 1->0 changes between
-    cycles t-1 and t (both 0 at t = 0); ``ones[t]`` counts nets at 1
-    during cycle t.
-    """
-    sub = trace.values[:, _check_scope(trace, scope)]
-    rises = np.zeros(trace.cycles, np.int64)
-    falls = np.zeros(trace.cycles, np.int64)
-    if trace.cycles > 1:
-        rises[1:] = (sub[1:] > sub[:-1]).sum(axis=1)
-        falls[1:] = (sub[1:] < sub[:-1]).sum(axis=1)
-    return rises, falls, sub.sum(axis=1, dtype=np.int64)
-
-
 def quad_balance(
-    trace: Trace, scope: Sequence[NetId], start: int, stop: int
+    pt: PowerTrace, start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int | None]:
-    """A replication quad's balance over the cycles [start, stop).
+    """A replication quad's balance over the cycles [start, stop), read
+    from the quad's power trace ``pt``.
 
     Whatever the data, the quad's 4L stage nets make 6 rises, 6 falls
-    and 2L = ``len(scope) // 2`` ones on every cycle.  Returns (rises,
-    falls, ones, first_bad): ones on each cycle of the window, rises and
-    falls on each step between two of them (by the later cycle), and
-    the first cycle whose counts break the balance, or None.
+    and 2L = ``len(pt.scope) // 2`` ones on every cycle.  A step's
+    changes are its rises plus its falls and its change in ones is their
+    difference, so both are exact halves.  Returns (rises, falls, ones,
+    first_bad): ones on each cycle of the window, rises and falls on
+    each step between two of them (by the later cycle), and the first
+    cycle whose counts break the balance, or None.
     """
-    start, stop = _check_window(trace, (start, stop))
-    rises, falls, ones = transition_counts(trace, scope)
-    rises, falls, ones = rises[start + 1 : stop], falls[start + 1 : stop], ones[start:stop]
-    bad = ones != len(scope) // 2
+    win = pt.window(start, stop)
+    ones, changes, moved = win.static, win.dynamic[1:], np.diff(win.static)
+    rises, falls = (changes + moved) // 2, (changes - moved) // 2
+    bad = ones != len(pt.scope) // 2
     bad[1:] |= (rises != 6) | (falls != 6)
     hits = np.flatnonzero(bad)
     return rises, falls, ones, start + int(hits[0]) if hits.size else None

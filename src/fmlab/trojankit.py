@@ -216,21 +216,16 @@ def build_trigger(
     c: NetId,
     d: NetId,
     sync: FmSync,
-    locking: bool = True,
 ) -> FmSignal:
     """Capture the A.B.C.D conjunction into the FM domain.
 
     The four event lines feed the insert LUT directly, which samples
     their conjunction at SYNC instants; together with SYNC and the
-    feedback tap this fills all six LUT pins.  With ``locking`` the
-    captured 1 is ORed with the register's own data tap and therefore
-    re-inserts itself at every later SYNC instant; without it the
-    activation is visible for exactly one rotation (L cycles).
+    feedback tap this fills all six LUT pins.  The captured 1 is ORed
+    with the register's own data tap and therefore re-inserts itself at
+    every later SYNC instant: the trigger locks.
     """
-    if locking:
-        table = make_combiner_table(4, lambda f, ev: (ev[0] & ev[1] & ev[2] & ev[3]) | f)
-    else:
-        table = make_combiner_table(4, lambda f, ev: ev[0] & ev[1] & ev[2] & ev[3])
+    table = make_combiner_table(4, lambda f, ev: (ev[0] & ev[1] & ev[2] & ev[3]) | f)
     return build_fm_register(netlist, sync, table, (a, b, c, d))
 
 
@@ -276,47 +271,14 @@ def scrub_sequences(program: Sequence[int], spec: TriggerSpec) -> list[int]:
     return program
 
 
-def _checked_program(program: Sequence[int], spec: TriggerSpec) -> list[int]:
-    program = list(program)
-    if not program:
-        raise TriggerError("program must be nonempty")
-    bad = [o for o in program if not 0 <= o < 1 << spec.opcode_width]
-    if bad:
-        raise TriggerError(f"program opcodes {bad[:4]} do not fit the bus")
-    return program
-
-
 def program_stimulus(
     program: Sequence[int], spec: TriggerSpec, total_cycles: int | None = None
 ) -> Stimulus:
-    """Bus waveforms for a program as-is (no trigger insertion).
-
-    Cycle 0 carries the filler opcode (it falls inside reset); the
-    program occupies cycles 1..len(program); any tail is filler-padded.
-    """
-    program = _checked_program(program, spec)
-    n = 1 + len(program)
-    if total_cycles is not None:
-        if total_cycles < n:
-            raise TriggerError(f"total_cycles {total_cycles} shorter than program ({n})")
-        n = total_cycles
-    filler = spec.filler()
-    opcodes = np.full(n, filler, np.int64)
-    opcodes[1 : 1 + len(program)] = program
-    waves = {"RESET": np.zeros(n, np.uint8)}
-    waves["RESET"][0] = 1
-    for j in range(spec.opcode_width):
-        waves[f"OP{j}"] = ((opcodes >> j) & 1).astype(np.uint8)
-    return Stimulus(waves)
-
-
-def _insert_sequence(program: list[int], spec: TriggerSpec, start_cycle: int) -> None:
-    """Overwrite program slots so alpha..delta occupy start..start+3.
-
-    Cycle t is program index t - 1 (cycle 0 carries filler).
-    """
-    for i, opcode in enumerate(spec.opcodes):
-        program[start_cycle - 1 + i] = opcode
+    """Bus waveforms for a program as-is: :func:`opcode_stimulus` placing
+    no trigger sequence.  Its ``meta`` is empty."""
+    stim = opcode_stimulus(program, spec, None, 0, total_cycles)
+    stim.meta = {}
+    return stim
 
 
 def opcode_stimulus(
@@ -329,6 +291,9 @@ def opcode_stimulus(
     """Bus waveforms (ports OP*) plus RESET for a program with trigger
     sequences placed per the alignment policy.
 
+    Cycle 0 carries the filler opcode (it falls inside reset); the
+    program occupies cycles 1..len(program), each placed sequence
+    overwrites the four cycles it takes, and any tail is filler-padded.
     ``Aligned`` places one sequence so its completing cycle is a SYNC
     instant.  ``RandomRetry`` places ``attempts`` sequences in disjoint
     slots at offsets drawn uniformly over one period, so each attempt
@@ -336,8 +301,13 @@ def opcode_stimulus(
     Placement metadata is recorded on the returned stimulus (``meta``).  The
     default horizon ends L cycles after the last delta, where an aligned one decodes.
     """
-    program = _checked_program(program, spec)
-    filler = spec.filler()
+    ops = np.asarray(program, np.int64)
+    if not ops.size:
+        raise TriggerError("program must be nonempty")
+    bad = ops[ops >> spec.opcode_width != 0]
+    if bad.size:
+        raise TriggerError(f"program opcodes {bad[:4].tolist()} do not fit the bus")
+    # delta_cycles is filled in below; its key stays second in the report's stimulus block
     meta: dict = {"policy": "None" if policy is None else type(policy).__name__, "delta_cycles": []}
     starts: list[int] = []
     if isinstance(policy, Aligned):
@@ -348,14 +318,22 @@ def opcode_stimulus(
         meta["seed"] = policy.seed
     elif policy is not None:
         raise TriggerError(f"unknown alignment policy {policy!r}")
-    for seq_start in starts:
-        _grow(program, seq_start + 3, filler)
-        _insert_sequence(program, spec, seq_start)
-        meta["delta_cycles"].append(seq_start + 3)
-    if total_cycles is None and meta["delta_cycles"]:
-        _grow(program, max(meta["delta_cycles"]) + L, filler)
-
-    stim = program_stimulus(program, spec, total_cycles=total_cycles)
+    meta["delta_cycles"] = deltas = [start + 3 for start in starts]
+    n = 1 + max([len(ops), *deltas])  # the cycles the program and the sequences take
+    if total_cycles is not None:
+        if total_cycles < n:
+            raise TriggerError(f"total_cycles {total_cycles} shorter than program ({n})")
+        n = total_cycles
+    elif deltas:
+        n = max(n, max(deltas) + L + 1)
+    opcodes = np.full(n, spec.filler(), np.int64)
+    opcodes[1 : 1 + len(ops)] = ops
+    for start in starts:
+        opcodes[start : start + 4] = spec.opcodes
+    waves = {"RESET": (np.arange(n) == 0).astype(np.uint8)}
+    for j in range(spec.opcode_width):
+        waves[f"OP{j}"] = ((opcodes >> j) & 1).astype(np.uint8)
+    stim = Stimulus(waves)
     stim.meta = meta
     return stim
 
@@ -367,10 +345,6 @@ def latest_delta(policy: AlignmentPolicy | None, L: int) -> int:
     if isinstance(policy, RandomRetry):
         return (policy.attempts - 1) * (L + RETRY_GAP) + L + 3
     return 0
-
-
-def _grow(program: list[int], last_cycle: int, filler: int) -> None:
-    program.extend([filler] * (last_cycle - len(program)))
 
 
 # ---------------------------------------------------------------------------

@@ -512,10 +512,10 @@ def check_concealment_balance() -> CheckResult:
     n = 400
     stim = Stimulus.standard(n, nl, DATA=rng.integers(0, 2, n).astype(np.uint8))
     trace = simulate(nl, stim, n)
-    rises, falls, ones, bad = sidechannel.quad_balance(trace, quad.stage_nets(), 2, n)
+    pt = sidechannel.power_trace(trace, quad.stage_nets())
+    rises, falls, ones, bad = sidechannel.quad_balance(pt, 2, n)
     if bad is not None:
         return False, f"balance broken first at cycle {bad}: {ones[bad - 2]} ones"
-    pt = sidechannel.power_trace(trace, quad.stage_nets())
     var = float(pt.dynamic[3:].var())
     if var != 0.0:
         return False, f"dynamic variance {var} != 0"

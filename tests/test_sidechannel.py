@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from fmlab import sidechannel as sc
 from fmlab.fmlogic import build_sync
-from fmlab.netcore import Netlist, Stimulus, simulate, tt_buf, tt_or
+from fmlab.netcore import Netlist, Stimulus, Trace, simulate, tt_buf, tt_or
 from fmlab.trojankit import (
     PayloadMode,
     add_opcode_bus,
@@ -151,6 +153,57 @@ def test_power_scope_validation():
         sc.power_trace(trace, (99,))
     with pytest.raises(sc.AnalysisError, match="nonempty"):
         sc.power_trace(trace, ())
+
+
+@st.composite
+def balance_cases(draw):
+    """A 0/1 trace, a scope and a window for :func:`sc.quad_balance`.
+
+    Half the traces are quad-like: complementary column pairs of which
+    exactly 6 toggle on every step, so the scope of all pairs balances
+    until a few flipped cells break it.  The others are random columns.
+    The scope is every column or a random subset, in random order.
+    """
+    cycles = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pairs = draw(st.integers(6, 9))
+        steps = np.zeros((cycles, pairs), np.uint8)
+        for t in range(1, cycles):
+            steps[t, rng.permutation(pairs)[:6]] = 1
+        half = np.bitwise_xor.accumulate(steps) ^ rng.integers(0, 2, pairs, np.uint8)
+        values = np.hstack([half, 1 - half])
+        for _ in range(draw(st.integers(0, 2))):
+            values[rng.integers(cycles), rng.integers(2 * pairs)] ^= 1
+    else:
+        values = rng.integers(0, 2, (cycles, draw(st.integers(1, 20))), np.uint8)
+    nets = values.shape[1]
+    scope = rng.permutation(nets)[: draw(st.integers(1, nets))] if draw(st.booleans()) else range(nets)
+    start = draw(st.integers(0, cycles - 1))
+    stop = draw(st.integers(start + 1, cycles))
+    trace = Trace(values=values, names=tuple(f"n{i}" for i in range(nets)))
+    return trace, list(scope), start, stop
+
+
+@settings(max_examples=300, deadline=None)
+@given(balance_cases())
+def test_quad_balance_matches_direct_counting(case):
+    """The rises and falls ``quad_balance`` derives from a power trace's
+    changes and ones are the 0->1 and 1->0 changes counted directly, and
+    the first broken cycle is the first that breaks those counts."""
+    trace, scope, start, stop = case
+    rises, falls, ones, bad = sc.quad_balance(sc.power_trace(trace, scope), start, stop)
+    sub = trace.values[start:stop, scope]
+    want_rises = (sub[1:] > sub[:-1]).sum(axis=1)
+    want_falls = (sub[1:] < sub[:-1]).sum(axis=1)
+    want_ones = sub.sum(axis=1)
+    assert np.array_equal(rises, want_rises) and np.array_equal(falls, want_falls)
+    assert np.array_equal(ones, want_ones)
+    broken = want_ones != len(scope) // 2
+    broken[1:] |= (want_rises != 6) | (want_falls != 6)
+    want_bad = start + int(np.argmax(broken)) if broken.any() else None
+    assert bad == want_bad
+    event("balanced" if bad is None else "broken on the window's first cycle" if bad == start else "broken later")
 
 
 def test_power_stats_exact_zero_variance_when_concealed():

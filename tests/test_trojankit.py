@@ -153,7 +153,8 @@ def test_unlocked_trigger_reverts_after_one_rotation():
     sync = build_sync(nl, L)
     bus = add_opcode_bus(nl, SPEC.opcode_width)
     lines = build_event_sync(nl, bus, SPEC)
-    plain = build_trigger(nl, *lines, sync, locking=False)
+    table = fmlogic.make_combiner_table(4, lambda f, ev: ev[0] & ev[1] & ev[2] & ev[3])
+    plain = fmlogic.build_fm_register(nl, sync, table, lines)
     stim = opcode_stimulus([SPEC.filler()], SPEC, Aligned(), L, total_cycles=120)
     trace = simulate(nl, stim, 120)
     decoded = {t: fm_decode(trace, plain, t).value for t in sync_instants(L, 120, start=L + 1)}
@@ -242,15 +243,15 @@ def test_quad_duality_and_stage_complements():
 def test_quad_transition_balance_always_six():
     """6 rises and 6 falls from cycle 3 on, for any data."""
     trace, quad = _quad_under_toggle()
-    assert sidechannel.quad_balance(trace, quad.stage_nets(), 2, 400)[3] is None
+    assert sidechannel.quad_balance(sidechannel.power_trace(trace, quad.stage_nets()), 2, 400)[3] is None
     # one register of the quad instead of all four breaks it at once
-    assert sidechannel.quad_balance(trace, list(quad.a.csr.stages), 5, 400)[3] == 5
+    assert sidechannel.quad_balance(sidechannel.power_trace(trace, quad.a.csr.stages), 5, 400)[3] == 5
 
 
 def test_quad_static_count_is_two_l():
     trace, quad = _quad_under_toggle()
     # the ones balance from cycle 1; the step into cycle 2 still carries the load
-    _, _, ones, bad = sidechannel.quad_balance(trace, quad.stage_nets(), 1, 400)
+    _, _, ones, bad = sidechannel.quad_balance(sidechannel.power_trace(trace, quad.stage_nets()), 1, 400)
     assert bad == 2
     assert set(ones.tolist()) == {2 * L}
 
@@ -490,6 +491,16 @@ def test_program_stimulus_validation():
         program_stimulus([99], SPEC)
     with pytest.raises(TriggerError, match="shorter"):
         program_stimulus([1, 2, 3], SPEC, total_cycles=2)
+    # opcode_stimulus checks the program, then the policy, then the horizon
+    with pytest.raises(TriggerError, match="nonempty"):
+        opcode_stimulus([], SPEC, "bogus", L)
+    with pytest.raises(TriggerError, match=r"opcodes \[16, -1\] do not fit"):
+        opcode_stimulus([1, 16, -1], SPEC, "bogus", L)
+    with pytest.raises(TriggerError, match="unknown alignment policy 'bogus'"):
+        opcode_stimulus([1], SPEC, "bogus", L, total_cycles=1)
+    # the aligned sequence ends on cycle L + 1, past the one-opcode program
+    with pytest.raises(TriggerError, match=rf"total_cycles {L} shorter than program \({L + 2}\)"):
+        opcode_stimulus([1], SPEC, Aligned(), L, total_cycles=L)
 
 
 def test_retry_trial_simulates_as_the_reference():
