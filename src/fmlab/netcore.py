@@ -48,7 +48,10 @@ table is cut where the flip-flops it reads end.  A design that does not
 split this way runs one loop that evaluates those LUTs every cycle.
 Each loop memoizes, for one call, the next state by the state and the
 stage's external inputs: an FM ring revisits few states, so most cycles
-are one dict lookup.
+are one dict lookup.  A stage whose largest strongly connected component
+of flip-flops is larger than every other is cut into up to three loops
+(what it reads, itself, the rest), so a counter that steps once a period
+keys its memo by its own state, not also by the rings' phases.
 
 A netlist under construction is single-owner.  ``simulate`` does not
 mutate the netlist and may run concurrently for different stimuli;
@@ -66,6 +69,8 @@ from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+
+from . import scc
 
 # The kernel is plain numpy; perfbench/run.py still stamps this flag.
 HAVE_NUMBA = False
@@ -377,18 +382,17 @@ class Netlist:
             raise NetlistError(f"net {q} is not a flip-flop output") from None
 
     def name_of(self, net: NetId) -> str:
-        kind = self._drivers[net][0]
-        if kind == "input":
-            return self._drivers[net][1]
-        if kind == "const":
-            return CONST_NAMES[self._drivers[net][1]]
-        for name, n in self.outputs.items():
-            if n == net:
-                return name
-        return f"n{net}"
+        return self.net_names()[net]
 
     def net_names(self) -> tuple[str, ...]:
-        return tuple(self.name_of(n) for n in range(self.net_count))
+        """Each net's name: its port's, its constant's, its first output's, or ``n<net>``."""
+        named: dict[NetId, str] = {}
+        for name, net in self.outputs.items():
+            named.setdefault(net, name)
+        return tuple(
+            arg if kind == "input" else CONST_NAMES[arg] if kind == "const" else named.get(net, f"n{net}")
+            for net, (kind, arg) in enumerate(self._drivers)
+        )
 
     # -- evaluation order -----------------------------------------------------
 
@@ -646,7 +650,9 @@ class _Stage:
     Each cycle evaluates ``levels`` and then looks up ``ff``; once the
     loop has filled in every cycle, ``after`` is evaluated over all
     cycles at once.  A folded stage has no ``levels``.  The state and
-    the ``reads`` of a cycle decide its next state.
+    the ``reads`` of a cycle decide its next state; ``reads`` holds no
+    flip-flop of this stage or a later one, so the loop's memo is keyed
+    by this stage's state alone.
     """
 
     levels: tuple[_Level, ...]  # LUT levels evaluated every cycle
@@ -743,47 +749,53 @@ def _place(luts: Iterable[Lut], blocked: Iterable[NetId]) -> tuple[list[list[Lut
 def _stages(
     pins: Sequence[Lut], loop: Sequence[Lut], consts: Mapping[NetId, int]
 ) -> tuple[_Stage, ...] | None:
-    """The flip-flops ``pins`` folded in stages, or None if they do not fold.
+    """The flip-flops ``pins`` (in net order) folded in stages, or None if
+    they do not fold.
 
-    Stage k holds the pending flip-flops whose support is at most
-    ``_FOLD_LIMIT`` nets and which read no flip-flop of a later stage.  A
+    Plan k holds the pending flip-flops whose support is at most
+    ``_FOLD_LIMIT`` nets and which read no flip-flop of a later plan.  A
     support is counted through the ``loop`` LUTs (in topological order)
     not yet evaluated: its leaves are ports, hoisted LUT outputs,
-    flip-flop outputs and the loop LUTs earlier stages evaluated.  After
-    a stage's cycle loop, the loop LUTs that reach no pending flip-flop
-    are evaluated over all cycles (:func:`_place`), so a cone wider than
-    a table is cut where the flip-flops it reads end.  None when some
-    flip-flop never fits, or when the stages would outnumber the lookups
-    of an unfolded cycle (one per loop level, and one for the flip-flops).
+    flip-flop outputs and the loop LUTs earlier plans evaluated.  Each
+    plan is one stage, or up to three where :func:`scc.cut` cuts it at its
+    largest strongly connected component (SCC) of the graph in which a
+    flip-flop reads the pending ones in its support.  After a plan, the
+    loop LUTs that reach no pending flip-flop are evaluated over all
+    cycles (:func:`_place`, its last stage's ``after``), so a cone wider
+    than a table is cut where the flip-flops it reads end.  None when
+    some flip-flop never fits, or when the plans would outnumber the
+    lookups of an unfolded cycle (one per loop level, and one for the
+    flip-flops).
     """
     depth = len(_place(loop, ())[0])
     unknown = {lut.out: lut for lut in loop}
     pending = {pin.out: pin for pin in pins}
-    plans = []
+    plans, rounds = [], 0
     while pending:
-        if len(plans) > depth:
+        if rounds > depth:
             return None
+        rounds += 1
         cones = {q: _cone(pin, unknown, consts) for q, pin in pending.items()}
-        # a flip-flop that reads one left for a later stage is left too
-        readers: dict[NetId, list[NetId]] = {}
-        for q, cone in cones.items():
-            for net in cone[0] if cone else ():
-                if net in pending and net != q:
-                    readers.setdefault(net, []).append(q)
-        late = [q for q, cone in cones.items() if cone is None]
-        stage = set(pending).difference(late)
-        while late:
-            for q in readers.get(late.pop(), ()):
-                if q in stage:
-                    stage.remove(q)
-                    late.append(q)
+        # flip-flop q reads the pending ones in its support, itself among
+        # them; one too wide to fold is not walked and reads only itself
+        reads = {q: cone[0] if cone else (q,) for q, cone in cones.items()}
+        # an SCC that holds a flip-flop too wide to fold, or reads one left
+        # for a later plan (each comes after the SCCs it reads), is left too
+        late = {q for q, cone in cones.items() if cone is None}
+        stage = []
+        for group in scc.components(reads):
+            if late and not late.isdisjoint(chain.from_iterable(map(reads.__getitem__, group))):
+                late.update(group)
+            else:
+                stage.append(group)
         if not stage:
             return None
-        members = [q for q in pending if q in stage]
-        ffs = [pending.pop(q) for q in members]
+        parts = scc.cut(stage, reads)
+        ffs = {q: pending.pop(q) for part in parts for q in part}
         after, left = _place(unknown.values(), pending)
         unknown = {lut.out: lut for lut in left}
-        plans.append((ffs, [cones[q] for q in members], after))
+        for part in parts:
+            plans.append(([ffs[q] for q in part], [cones[q] for q in part], after if part is parts[-1] else []))
     tables = _fold([layout for _, cones, _ in plans for _, layout in cones])
     stages = []
     for ffs, cones, after in plans:
@@ -807,10 +819,13 @@ def _fold(layouts: Sequence[_Layout]) -> np.ndarray:
     next-state table a level above its cone.
     """
     blocks: dict[_Layout, int] = {}  # layout -> its next-state column
+    picks = []  # the next-state column of each layout
     steps: dict[int, list] = {}  # level -> (column, columns read, table bits) of its cells
     width = _CONE_SLOT
     for layout in layouts:
-        if layout in blocks:
+        column = blocks.get(layout)
+        if column is not None:
+            picks.append(column)
             continue
         cells, pin_reads, pin_bits = layout
         cells += ((1 + max((level for level, _, _ in cells), default=-1), pin_reads, pin_bits),)
@@ -820,13 +835,14 @@ def _fold(layouts: Sequence[_Layout]) -> np.ndarray:
             steps.setdefault(level, []).append((column, cell_reads, entries))
         width += len(cells)
         blocks[layout] = width - 1
+        picks.append(width - 1)
     values = np.zeros((256, width), np.uint8)
     values[:, 1] = 1
     values[:, 2:_CONE_SLOT] = (np.arange(256)[:, None] >> np.arange(_FOLD_LIMIT)) & 1
     for level in sorted(steps):
         columns, reads, entries = zip(*steps[level])
         _Level.of(columns, reads, _rows(entries)).fill(values)
-    return values[:, [blocks[layout] for layout in layouts]].T
+    return values[:, picks].T
 
 
 def _rows(bits: Sequence[int]) -> np.ndarray:

@@ -298,6 +298,7 @@ def opcode_stimulus(
     instant.  ``RandomRetry`` places ``attempts`` sequences in disjoint
     slots at offsets drawn uniformly over one period, so each attempt
     aligns with probability 1/L independently; ``None`` places none.
+    A policy needs the designs' ring length: ``L`` even and at least 4.
     Placement metadata is recorded on the returned stimulus (``meta``).  The
     default horizon ends L cycles after the last delta, where an aligned one decodes.
     """
@@ -310,6 +311,8 @@ def opcode_stimulus(
     # delta_cycles is filled in below; its key stays second in the report's stimulus block
     meta: dict = {"policy": "None" if policy is None else type(policy).__name__, "delta_cycles": []}
     starts: list[int] = []
+    if policy is not None and (L < 4 or L % 2):
+        raise TriggerError(f"CSR length must be even and at least 4, got {L}")
     if isinstance(policy, Aligned):
         starts = [latest_delta(policy, L) - 3]
     elif isinstance(policy, RandomRetry):

@@ -2,6 +2,7 @@
 
 import tracemalloc
 from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fmlab import fmlogic
+from fmlab import fmlogic, scc
 from fmlab.netcore import (
     CombinationalCycleError,
     FfKind,
@@ -486,6 +487,24 @@ def _stage_chain_design(groups: int):
     return nl
 
 
+def _largest_scc_design():
+    """A 2-register ring whose tap enables a 4-register one-hot counter,
+    and a toggle register that reads neither: the counter is the largest
+    strongly connected component of the stage, so it runs in a loop of
+    its own after the ring's and before the toggle's."""
+    nl = Netlist()
+    rst, a, one = nl.reset(), nl.add_input("A"), nl.const(1)
+    r1 = nl.add_ff(FfKind.SET, None, one, rst)
+    r2 = nl.add_ff(FfKind.RESET, r1, one, rst)
+    nl.set_ff_d(r1, r2)
+    counter = [nl.add_ff(FfKind.SET if i == 0 else FfKind.RESET, None, r2, rst) for i in range(4)]
+    for prev, q in zip(counter[-1:] + counter[:-1], counter):
+        nl.set_ff_d(q, prev)
+    toggle = nl.add_ff(FfKind.RESET, None, a, rst)
+    nl.set_ff_d(toggle, nl.add_lut([toggle], tt_not()))
+    return nl
+
+
 # shape: hoisted LUT levels, then per stage: LUT levels in its cycle
 # loop, LUT levels after it, flip-flop table width.  A stage folds when
 # each of its flip-flops' support (the nets its pins reach through loop
@@ -500,8 +519,10 @@ def _stage_chain_design(groups: int):
 # ce or sr (loop-pins), a loop LUT left unevaluated after the loop
 # (shared-loop-lut, whose LUT is also a recorded output), a constant
 # read as 0 (constant-inputs, whose CONST1 pins enable), a stage run
-# before the cone it reads (two-stage, three-stage-chain), or a memo key
-# with no input part (free-running).
+# before the cone it reads (two-stage, three-stage-chain), a memo key
+# with no input part (free-running), or the largest strongly connected
+# component of a stage run before the ring it reads (largest-scc-splits:
+# a stage cut into the ring, the counter and the toggle).
 @pytest.mark.parametrize(
     "build, shape",
     [
@@ -518,6 +539,7 @@ def _stage_chain_design(groups: int):
         (_wide_feedback_design, (0, ((3, 0, 4),))),
         (partial(_stage_chain_design, 3), (0, ((0, 2, 4), (0, 2, 4), (0, 0, 4)))),
         (partial(_stage_chain_design, 4), (0, ((2, 0, 4),))),
+        (_largest_scc_design, (0, ((0, 0, 3), (0, 0, 4), (0, 1, 3)))),
     ],
     ids=[
         "no-flip-flops",
@@ -533,6 +555,7 @@ def _stage_chain_design(groups: int):
         "wide-feedback-does-not",
         "three-stage-chain",
         "four-stage-chain-does-not",
+        "largest-scc-splits",
     ],
 )
 def test_simulate_matches_reference_on_kernel_edge_cases(build, shape):
@@ -974,6 +997,33 @@ def test_simulate_matches_reference_on_random_netlists(folded_table_mismatches, 
     for route in (simulate, reference_simulate):
         with pytest.raises(NetlistError, match="unwired"):
             route(nl, stim, n_cycles)
+
+
+@settings(max_examples=150, deadline=None)
+@given(netlists_with_stimuli())
+def test_no_stage_reads_a_flip_flop_of_its_own_or_a_later_stage(case):
+    """Each stage's loop reads only flip-flops whose state columns earlier
+    stages have written, including the parts a stage is cut into at its
+    largest strongly connected component."""
+    nl, _, _, looped = case
+    assume(not looped)
+    real, parts = scc.cut, []
+
+    def cut(sccs, reads):
+        parts.append(real(sccs, reads))
+        return parts[-1]
+
+    with mock.patch.object(scc, "cut", cut):
+        stages = nl._compile().stages
+    # --hypothesis-show-statistics prints how often stages are cut
+    if any(s.levels for s in stages):
+        event("unfolded")
+    else:
+        event(f"stages cut: {sum(len(p) > 1 for p in parts)}")
+    written = set()
+    for stage in reversed(stages):
+        written.update(stage.ff.out.tolist())
+        assert written.isdisjoint(stage.reads.tolist())
 
 
 def _memo_hit_share(nl: Netlist, trace: Trace) -> float:

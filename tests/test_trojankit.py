@@ -491,7 +491,8 @@ def test_program_stimulus_validation():
         program_stimulus([99], SPEC)
     with pytest.raises(TriggerError, match="shorter"):
         program_stimulus([1, 2, 3], SPEC, total_cycles=2)
-    # opcode_stimulus checks the program, then the policy, then the horizon
+    # opcode_stimulus checks the program, then the ring length and the
+    # policy, then the horizon
     with pytest.raises(TriggerError, match="nonempty"):
         opcode_stimulus([], SPEC, "bogus", L)
     with pytest.raises(TriggerError, match=r"opcodes \[16, -1\] do not fit"):
@@ -501,6 +502,17 @@ def test_program_stimulus_validation():
     # the aligned sequence ends on cycle L + 1, past the one-opcode program
     with pytest.raises(TriggerError, match=rf"total_cycles {L} shorter than program \({L + 2}\)"):
         opcode_stimulus([1], SPEC, Aligned(), L, total_cycles=L)
+
+
+@pytest.mark.parametrize("policy", [Aligned(), RandomRetry(2, seed=1)])
+@pytest.mark.parametrize("ring", [-2, 0, 1, 2, 3, 5])
+def test_opcode_stimulus_checks_the_ring_length(policy, ring):
+    # L = 2 would place an aligned sequence's alpha on cycle 0, inside
+    # reset, and L = 1 fails inside numpy; the designs take no such L
+    with pytest.raises(TriggerError, match=rf"CSR length must be even and at least 4, got {ring}"):
+        opcode_stimulus([1, 2, 9, 9], SPEC, policy, ring)
+    # with no policy nothing is placed, so L is not read
+    assert opcode_stimulus([1, 2, 9, 9], SPEC, None, ring).length == 5
 
 
 def test_retry_trial_simulates_as_the_reference():
