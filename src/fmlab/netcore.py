@@ -636,11 +636,13 @@ class _Level:
     def fill(self, values: np.ndarray) -> None:
         """Write every cell's output into each row of net ``values``, a
         block of rows at a time: the table addresses of a block are
-        ``_FILL_ENTRIES`` machine words or fewer."""
+        ``_FILL_ENTRIES`` machine words or fewer.  The gather lays a block
+        out with its rows innermost: einsum forms the addresses along them,
+        where a uint8 ``@`` walks one (cell, input) row at a time."""
         step = max(1, _FILL_ENTRIES // max(1, len(self.out)))
         for start in range(0, len(values), step):
             rows = values[start : start + step]
-            rows[:, self.out] = self.tables[self.base + rows[:, self.ins] @ self.weights]
+            rows[:, self.out] = self.tables[self.base + np.einsum("nkw,w->nk", rows[:, self.ins], self.weights)]
 
 
 @dataclass(frozen=True)

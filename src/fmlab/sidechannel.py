@@ -18,6 +18,7 @@ mutates a netlist (single-owner construction, like any builder).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -101,18 +102,14 @@ def uci_scan(trace: Trace, window: tuple[int, int]) -> UciReport:
     """
     start, stop = _check_window(trace, window)
     nets = scan_nets(trace)
-    sub = trace.values[start:stop, nets]
     span = stop - start
-    duty = sub.sum(axis=0, dtype=np.int64) / float(span)
-    constant = []
-    for i, net in enumerate(nets):
-        if duty[i] == 0.0:
-            constant.append((net, 0))
-        elif duty[i] == 1.0:
-            constant.append((net, 1))
+    # the narrowest unsigned type that holds the span holds every count
+    ones = trace.values[start:stop].sum(axis=0, dtype=np.min_scalar_type(span))[nets]
+    duty_cycles = dict(zip(nets, (ones / float(span)).tolist()))
+    constant = tuple((net, int(d)) for net, d in duty_cycles.items() if d == 0.0 or d == 1.0)
     return UciReport(
-        constant_nets=tuple(constant),
-        duty_cycles={net: float(duty[i]) for i, net in enumerate(nets)},
+        constant_nets=constant,
+        duty_cycles=duty_cycles,
         suspicious=tuple(n for n, _ in constant),
         window=(start, stop),
     )
@@ -144,25 +141,27 @@ def pair_scan(trace: Trace, window: tuple[int, int]) -> PairReport:
 
     Pairs are reported with the lower net id first; the relations are
     symmetric and the trivial self-pair is excluded by construction.
-    Grouping by waveform content keeps this near-linear in net count.
+    Nets are grouped by their waveforms, packed 8 cycles per byte, so
+    this is near-linear in net count.
     """
     start, stop = _check_window(trace, window)
     nets = scan_nets(trace)
-    sub = trace.values[start:stop, nets]
+    # one row of packed bytes per net; the gather lays each net's cycles out
+    # contiguously, so the transpose is C-contiguous and nothing is copied
+    packed = np.ascontiguousarray(np.packbits(trace.values[start:stop, nets], axis=0).T)
+    # flip every cycle's bit but not the last byte's padding, which packbits leaves 0
+    flipped = packed ^ np.packbits(np.ones(stop - start, np.uint8))
+    key_type = f"V{packed.shape[1]}"
+    keys = packed.view(key_type).ravel().tolist()
+    complement_of = dict(zip(keys, flipped.view(key_type).ravel().tolist()))
     groups: dict[bytes, list[NetId]] = {}
-    for i, net in enumerate(nets):
-        groups.setdefault(sub[:, i].tobytes(), []).append(net)
+    for net, key in zip(nets, keys):
+        groups.setdefault(key, []).append(net)
 
-    equal: list[tuple[NetId, NetId]] = []
-    for members in groups.values():
-        members.sort()
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                equal.append((members[i], members[j]))
-
+    equal = [pair for members in groups.values() for pair in combinations(members, 2)]
     complement: list[tuple[NetId, NetId]] = []
     for key, members in groups.items():
-        comp_key = (1 - np.frombuffer(key, dtype=np.uint8)).tobytes()
+        comp_key = complement_of[key]
         if comp_key <= key:  # visit each group pairing once
             continue
         partners = groups.get(comp_key)
@@ -170,7 +169,7 @@ def pair_scan(trace: Trace, window: tuple[int, int]) -> PairReport:
             continue
         for a in members:
             for b in partners:
-                complement.append(tuple(sorted((a, b))))
+                complement.append((a, b) if a < b else (b, a))
     equal.sort()
     complement.sort()
     return PairReport(

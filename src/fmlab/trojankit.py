@@ -316,8 +316,8 @@ def opcode_stimulus(
     if isinstance(policy, Aligned):
         starts = [latest_delta(policy, L) - 3]
     elif isinstance(policy, RandomRetry):
-        rng = np.random.default_rng(policy.seed)
-        starts = [1 + i * (L + RETRY_GAP) + int(rng.integers(0, L)) for i in range(policy.attempts)]
+        offsets = np.random.default_rng(policy.seed).integers(0, L, size=policy.attempts)
+        starts = [1 + i * (L + RETRY_GAP) + offset for i, offset in enumerate(offsets.tolist())]
         meta["seed"] = policy.seed
     elif policy is not None:
         raise TriggerError(f"unknown alignment policy {policy!r}")

@@ -1,11 +1,15 @@
 """Activity scans, power model, spectra, demodulation, jamming."""
 
+from importlib import resources
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fmlab import sidechannel as sc
+from fmlab.cli import ScenarioConfig, simulate_scenario
 from fmlab.fmlogic import build_sync
 from fmlab.netcore import Netlist, Stimulus, Trace, simulate, tt_buf, tt_or
 from fmlab.trojankit import (
@@ -115,6 +119,90 @@ def test_pair_scan_independent_signals_unrelated():
     report = sc.pair_scan(trace, (2 * L, 80))
     rel = set(report.equal_pairs) | set(report.complement_pairs)
     assert tuple(sorted((ca.data_tap, cb.data_tap))) not in rel
+
+
+# ---------------------------------------------------------------------------
+# Both scans against net-by-net and pair-by-pair references
+# ---------------------------------------------------------------------------
+
+
+def _scan_references(trace, window):
+    """(constant nets, duty cycles, equal pairs, complement pairs) over
+    the window, from each net's waveform and every pair of them."""
+    start, stop = window
+    nets = [n for n in range(trace.n_nets) if trace.names[n] not in ("RESET", "CONST0", "CONST1")]
+    waves = {n: tuple(trace.values[start:stop, n].tolist()) for n in nets}
+    flipped = {n: tuple(1 - v for v in wave) for n, wave in waves.items()}
+    constant = [(n, wave[0]) for n, wave in waves.items() if len(set(wave)) == 1]
+    duty = {n: sum(wave) / len(wave) for n, wave in waves.items()}
+    pairs = list(combinations(nets, 2))
+    equal = [(a, b) for a, b in pairs if waves[a] == waves[b]]
+    complement = [(a, b) for a, b in pairs if waves[a] == flipped[b]]
+    return constant, duty, equal, complement
+
+
+def _check_scans(trace, window) -> sc.PairReport:
+    constant, duty, equal, complement = _scan_references(trace, window)
+    uci = sc.uci_scan(trace, window)
+    assert uci.constant_nets == tuple(constant)
+    assert uci.suspicious == tuple(n for n, _ in constant)
+    assert uci.duty_cycles == duty and all(type(d) is float for d in uci.duty_cycles.values())
+    pairs = sc.pair_scan(trace, window)
+    assert pairs.equal_pairs == tuple(equal)
+    assert pairs.complement_pairs == tuple(complement)
+    return pairs
+
+
+@st.composite
+def scan_cases(draw):
+    """A 0/1 trace of 0-40 nets and a window of it for the scans.
+
+    Each column is random, a copy or complement of an earlier one, or
+    constant; RESET and the tie-off names label random columns.  The
+    window spans one cycle, a multiple of 8 cycles, or neither, so the
+    packed waveforms' last byte is full or padded.
+    """
+    n = draw(st.integers(0, 40))
+    span = draw(
+        st.one_of(
+            st.just(1),
+            st.integers(1, 6).map(lambda k: 8 * k),
+            st.integers(2, 60).filter(lambda s: s % 8),
+        )
+    )
+    start = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, 2, (start + span + draw(st.integers(0, 4)), n), np.uint8)
+    for j in range(n):
+        kind = draw(st.sampled_from(("random", "copy", "complement", "constant")))
+        if kind == "constant":
+            values[:, j] = rng.integers(0, 2)
+        elif kind != "random" and j:
+            earlier = values[:, draw(st.integers(0, j - 1))]
+            values[:, j] = earlier if kind == "copy" else 1 - earlier
+    names = [f"n{j}" for j in range(n)]
+    for name in ("RESET", "CONST0", "CONST1"):
+        if n and draw(st.booleans()):
+            names[draw(st.integers(0, n - 1))] = name
+    return Trace(values=values, names=tuple(names)), (start, start + span)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan_cases())
+def test_scans_match_net_and_pair_references(case):
+    """``uci_scan`` and ``pair_scan`` report what each net's waveform and
+    every pair of them show, padded last byte or not."""
+    trace, (start, stop) = case
+    pairs = _check_scans(trace, (start, stop))
+    event(f"span mod 8: {(stop - start) % 8}")
+    event("complement pairs" if pairs.complement_pairs else "no complement pairs")
+
+
+@pytest.mark.parametrize("name", ["concealed_trigger", "payload_mode1", "payload_mode2", "jammed"])
+def test_scans_match_references_on_bundled_scenarios(name):
+    cfg = ScenarioConfig.load(resources.files("fmlab") / "scenarios" / f"{name}.ini")
+    _, _, trace = simulate_scenario(cfg)
+    _check_scans(trace, (cfg.analysis_start, trace.cycles))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from fmlab.fmlogic import COMBINER_FB_POS, build_std_to_fm, build_sync, fm_decod
 from fmlab.netcore import FlipFlop, Lut, Netlist, Stimulus, TruthTable, simulate
 from fmlab.reference import reference_simulate
 from fmlab.trojankit import (
+    RETRY_GAP,
     Aligned,
     PayloadError,
     PayloadMode,
@@ -211,6 +212,18 @@ def test_random_retry_meta_records_attempts():
     stim = opcode_stimulus([SPEC.filler()], SPEC, RandomRetry(5, seed=3), L)
     assert len(stim.meta["delta_cycles"]) == 5
     assert stim.meta["seed"] == 3
+
+
+@pytest.mark.parametrize("ring", [4, 6, 8, 12, 16])
+def test_random_retry_deltas_match_one_draw_per_attempt(ring):
+    # the offsets are drawn in one call; each must be the draw a scalar
+    # call per attempt gives, so seeded retry stimuli do not change
+    for seed in range(200):
+        attempts = 1 + seed % 33
+        rng = np.random.default_rng(seed)
+        want = [1 + i * (ring + RETRY_GAP) + int(rng.integers(0, ring)) + 3 for i in range(attempts)]
+        stim = opcode_stimulus([SPEC.filler()], SPEC, RandomRetry(attempts, seed=seed), ring)
+        assert stim.meta["delta_cycles"] == want
 
 
 # ---------------------------------------------------------------------------
