@@ -1,4 +1,5 @@
-"""Netlist data model and cycle-accurate simulator for FPGA-style primitives.
+"""Netlist data model for FPGA-style primitives: truth tables, the netlist
+and its text form, stimuli and traces with their CSV form.
 
 The model knows two cell kinds:
 
@@ -37,25 +38,10 @@ Timing and trace conventions:
 * Simulation is a pure function of (netlist, stimulus, n_cycles) and
   reproduces traces bit-exactly.
 
-The simulator compiles a netlist into table lookups.  LUTs that read no
-flip-flop, directly or through other LUTs, are evaluated once over all
-cycles.  The flip-flops are split into stages, each run as its own cycle
-loop of one lookup per cycle: a stage holds the flip-flops whose next
-state, through the LUTs not yet evaluated, reads at most 8 nets and no
-flip-flop of a later stage.  Between stages, the LUTs whose inputs are
-then all known are evaluated over all cycles, so a cone too wide for a
-table is cut where the flip-flops it reads end.  A design that does not
-split this way runs one loop that evaluates those LUTs every cycle.
-Each loop memoizes, for one call, the next state by the state and the
-stage's external inputs: an FM ring revisits few states, so most cycles
-are one dict lookup.  A stage whose largest strongly connected component
-of flip-flops is larger than every other is cut into up to three loops
-(what it reads, itself, the rest), so a counter that steps once a period
-keys its memo by its own state, not also by the rings' phases.
-
-A netlist under construction is single-owner.  ``simulate`` does not
-mutate the netlist and may run concurrently for different stimuli;
-traces are immutable after creation.
+A netlist under construction is single-owner.  ``simulate``, the
+cycle-accurate simulator of :mod:`fmlab.kernel`, does not mutate the
+netlist and may run concurrently for different stimuli; traces are
+immutable after creation.
 """
 
 from __future__ import annotations
@@ -65,12 +51,9 @@ import io
 import operator
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-
-from . import scc
 
 # The kernel is plain numpy; perfbench/run.py still stamps this flag.
 HAVE_NUMBA = False
@@ -97,6 +80,12 @@ class CombinationalCycleError(NetlistError):
 class FfKind(enum.Enum):
     SET = "FFS"
     RESET = "FFR"
+
+
+def _check_name(role: str, name: str) -> None:
+    # the text form splits its fields on whitespace, a trace CSV header on commas
+    if not name or any(ch.isspace() or ch == "," for ch in name):
+        raise NetlistError(f"{role} name {name!r} is empty or holds whitespace or a comma")
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +267,7 @@ class Netlist:
     # -- construction ---------------------------------------------------------
 
     def add_input(self, name: str) -> NetId:
-        if not name:
-            raise NetlistError("input name must be nonempty")
+        _check_name("input", name)
         if name in self.inputs:
             raise NetlistError(f"duplicate input name {name!r}")
         if name in CONST_NAMES.values():
@@ -361,6 +349,7 @@ class Netlist:
         lut.table = table
 
     def mark_output(self, name: str, net: NetId) -> None:
+        _check_name("output", name)
         if name in self.outputs:
             raise NetlistError(f"duplicate output name {name!r}")
         self._require_net(net, "output")
@@ -393,50 +382,6 @@ class Netlist:
             arg if kind == "input" else CONST_NAMES[arg] if kind == "const" else named.get(net, f"n{net}")
             for net, (kind, arg) in enumerate(self._drivers)
         )
-
-    # -- evaluation order -----------------------------------------------------
-
-    def _levels(self) -> list[list[int]]:
-        """LUT cell indices grouped by logic level, by one Kahn pass.
-
-        Level 0 reads only ports, constants and flip-flops; a LUT on
-        level ``n`` reads at least one LUT of level ``n - 1`` and none
-        above it, so every LUT of a level can be evaluated at once.
-        Raises :class:`CombinationalCycleError` naming a net on a loop.
-        """
-        lut_cells = [i for i, c in enumerate(self.cells) if isinstance(c, Lut)]
-        dependents: dict[int, list[int]] = {i: [] for i in lut_cells}
-        indeg = {i: 0 for i in lut_cells}
-        for ci in lut_cells:
-            for net in self.cells[ci].inputs:
-                drv = self._drivers[net]
-                if drv[0] == "lut":
-                    dependents[drv[1]].append(ci)
-                    indeg[ci] += 1
-        levels: list[list[int]] = []
-        ready = [i for i in lut_cells if indeg[i] == 0]
-        while ready:
-            levels.append(ready)
-            ready = []
-            for ci in levels[-1]:
-                for dep in dependents[ci]:
-                    indeg[dep] -= 1
-                    if indeg[dep] == 0:
-                        ready.append(dep)
-        if sum(map(len, levels)) != len(lut_cells):
-            remaining = {i for i in lut_cells if indeg[i] > 0}
-            ci = min(remaining)
-            seen = []
-            while ci not in seen:
-                seen.append(ci)
-                for net in self.cells[ci].inputs:
-                    drv = self._drivers[net]
-                    if drv[0] == "lut" and drv[1] in remaining:
-                        ci = drv[1]
-                        break
-            net = self.cells[ci].out
-            raise CombinationalCycleError(net, self.name_of(net))
-        return levels
 
     # -- serialization ----------------------------------------------------------
 
@@ -535,338 +480,10 @@ class Netlist:
 
     # -- compilation for the simulator ---------------------------------------
 
-    def _compile(self) -> "_Compiled":
-        if self._compiled is not None and self._compiled[0] == self._version:
-            return self._compiled[1]
-        ffs = [c for c in self.cells if isinstance(c, FlipFlop)]
-        for ff in ffs:
-            if ff.d is None:
-                raise NetlistError(f"FF q={ff.q} has an unwired d pin")
-        # a LUT with a flip-flop in its fan-in cone is evaluated every cycle;
-        # any other reads only ports and constants and is evaluated once
-        order = (self.cells[i] for cells in self._levels() for i in cells)
-        hoisted, loop = _place(order, [ff.q for ff in ffs])
-
-        input_names = tuple(self.inputs)
-        consts = sorted(self._consts.items(), key=lambda kv: kv[1])
-        pins = [Lut(ff.q, (ff.sr, ff.ce, ff.d, ff.q), _FF_NEXT[ff.kind]) for ff in ffs]
-        stages = _stages(pins, loop, {net: value for value, net in consts})
-        if stages is None:
-            # each cycle evaluates the loop LUTs, then every flip-flop's
-            # next-state table over its (sr, ce, d, q) pins
-            levels = tuple(map(_lut_level, _place(loop, ())[0]))
-            stages = (_Stage.of(levels, _lut_level(pins), ()),)
-        compiled = _Compiled(
-            n_nets=self.net_count,
-            input_names=input_names,
-            in_nets=np.array([self.inputs[n] for n in input_names], np.intp),
-            const_nets=np.array([n for _, n in consts], np.intp),
-            const_vals=np.array([v for v, _ in consts], np.uint8),
-            hoisted=tuple(map(_lut_level, hoisted)),
-            stages=stages,
-            names=self.net_names(),
-        )
-        self._compiled = (self._version, compiled)
-        return compiled
-
-
-# a flip-flop folds into one table over at most this many nets: the widest
-# address the uint8 ``@`` in :func:`simulate` forms (weights 1..128, at most 255)
-_FOLD_LIMIT = 8
-
-# address weight of each cell input position
-_BIT_WEIGHTS = (1 << np.arange(_FOLD_LIMIT)).astype(np.uint8)
-
-# :meth:`_Level.fill` forms at most this many table addresses at once
-# (256 KiB of them), so a level evaluated over a whole run needs no
-# temporary as large as the trace
-_FILL_ENTRIES = 1 << 15
-
-# the slot of a flip-flop's first cone LUT in its layout (see _cone)
-_CONE_SLOT = 2 + _FOLD_LIMIT
-
-# a flip-flop's next state as a table over its pins (sr, ce, d, q):
-# sr beats ce, which beats hold
-_FF_NEXT = {
-    kind: TruthTable.from_function(
-        4, lambda sr, ce, d, q, on_sr=kind is FfKind.SET: on_sr if sr else (d if ce else q)
-    )
-    for kind in FfKind
-}
-
-
-@dataclass(frozen=True)
-class _Level:
-    """Cells evaluated together by one table lookup in :func:`simulate`.
-
-    The cells are the LUTs of one logic level, or the flip-flops of one
-    stage: each read as a 4-input LUT of its (sr, ce, d, q) pins with the
-    table ``_FF_NEXT``, or, folded, as one table over its support.
-    :func:`_fold` builds the folded tables with the same lookup, over
-    rows of support patterns instead of cycles.
-    """
-
-    out: np.ndarray  # (k,) output nets
-    ins: np.ndarray  # (k, w) input nets, w the widest cell's fan-in; net 0 past a cell's own
-    weights: np.ndarray  # (w,) address weight of each input position
-    base: np.ndarray  # (k,) 2**w * row, the row's offset into ``tables``
-    tables: np.ndarray  # (2**w k,) uint8 table entries, row-major
-
-    @classmethod
-    def of(cls, out: Sequence[NetId], ins: Sequence[Sequence[NetId]], tables: np.ndarray) -> "_Level":
-        """Cells with output nets ``out``, input nets ``ins`` and uint8 table rows ``tables``.
-
-        Each cell's inputs are padded with net 0 to the widest cell's ``w``
-        and its row is cut to ``2**w`` entries.  The pads do not change its
-        output, because every row is replicated past its cell's inputs: a
-        ``TruthTable`` is stored so, and a folded table reads no support bit
-        past its own.
-        """
-        width = max(map(len, ins), default=0)
-        pad = (0,) * width
-        flat = chain.from_iterable((*nets, *pad)[:width] for nets in ins)
-        return cls(
-            out=np.array(out, np.intp),
-            ins=np.fromiter(flat, np.intp, len(ins) * width).reshape(len(ins), width),
-            weights=_BIT_WEIGHTS[:width],
-            base=np.arange(len(ins), dtype=np.intp) << width,
-            tables=tables[:, : 1 << width].ravel(),
-        )
-
-    def fill(self, values: np.ndarray) -> None:
-        """Write every cell's output into each row of net ``values``, a
-        block of rows at a time: the table addresses of a block are
-        ``_FILL_ENTRIES`` machine words or fewer.  The gather lays a block
-        out with its rows innermost: einsum forms the addresses along them,
-        where a uint8 ``@`` walks one (cell, input) row at a time."""
-        step = max(1, _FILL_ENTRIES // max(1, len(self.out)))
-        for start in range(0, len(values), step):
-            rows = values[start : start + step]
-            rows[:, self.out] = self.tables[self.base + np.einsum("nkw,w->nk", rows[:, self.ins], self.weights)]
-
-
-@dataclass(frozen=True)
-class _Stage:
-    """Flip-flops that one cycle loop of :func:`simulate` updates.
-
-    Each cycle evaluates ``levels`` and then looks up ``ff``; once the
-    loop has filled in every cycle, ``after`` is evaluated over all
-    cycles at once.  A folded stage has no ``levels``.  The state and
-    the ``reads`` of a cycle decide its next state; ``reads`` holds no
-    flip-flop of this stage or a later one, so the loop's memo is keyed
-    by this stage's state alone.
-    """
-
-    levels: tuple[_Level, ...]  # LUT levels evaluated every cycle
-    ff: _Level
-    after: tuple[_Level, ...]  # LUT levels evaluated after the cycle loop
-    reads: np.ndarray  # (r,) sorted nets the loop reads and does not write
-
-    @classmethod
-    def of(cls, levels: tuple[_Level, ...], ff: _Level, after: tuple[_Level, ...]) -> "_Stage":
-        cells = (*levels, ff)
-        reads = set(chain.from_iterable(lv.ins.ravel().tolist() for lv in cells))
-        reads.difference_update(*(lv.out.tolist() for lv in cells))
-        return cls(levels, ff, after, np.array(sorted(reads), np.intp))
-
-
-# a flip-flop laid out over slots: 0 and 1 hold the constants, 2 + b its
-# support net b and 2 + _FOLD_LIMIT + j its cone's LUT j.  The layout is
-# the cone's LUTs, each as (level, slots read, table bits), then the
-# slots its next-state table reads and that table's bits.
-_Layout = tuple[tuple[tuple[int, tuple[int, ...], int], ...], tuple[int, ...], int]
-
-
-def _cone(
-    cell: Lut, unknown: Mapping[NetId, Lut], consts: Mapping[NetId, int]
-) -> tuple[list[NetId], _Layout] | None:
-    """The support of ``cell``'s inputs and the layout of its cone, or None
-    once the support passes ``_FOLD_LIMIT`` nets.
-
-    The cone is the ``unknown`` LUTs the inputs reach, each after the
-    ones it reads and one level above the highest of them.  The support
-    is the other nets they reach, constants left out, in the order a
-    depth-first walk meets them.
-    """
-    slot = dict(consts)
-    support, cells, levels = [], [], []
-    stack = [cell]  # each LUT above the ones it waits for
-    last = 1  # the slot of the last support net found, 1 before the first
-    while True:
-        top = stack[-1]
-        waits = False
-        for net in top.inputs:
-            if net in slot:
-                continue
-            lut = unknown.get(net)
-            if lut is not None:
-                stack.append(lut)
-                waits = True
-            elif last == _CONE_SLOT - 1:
-                return None
-            else:
-                last += 1
-                slot[net] = last
-                support.append(net)
-        if waits:
-            continue
-        reads = tuple(map(slot.__getitem__, top.inputs))
-        if top is cell:
-            return support, (tuple(cells), reads, cell.table.bits)
-        stack.pop()
-        if top.out not in slot:  # a LUT the cone reads twice waits twice
-            level = 0
-            for s in reads:
-                if s >= _CONE_SLOT and levels[s - _CONE_SLOT] >= level:
-                    level = levels[s - _CONE_SLOT] + 1
-            slot[top.out] = _CONE_SLOT + len(cells)
-            cells.append((level, reads, top.table.bits))
-            levels.append(level)
-
-
-def _place(luts: Iterable[Lut], blocked: Iterable[NetId]) -> tuple[list[list[Lut]], list[Lut]]:
-    """Split topologically ordered ``luts`` into the levels of those that
-    reach no ``blocked`` net, each one level above the highest of them it
-    reads, and the rest in their order.
-
-    Whichever LUTs can be evaluated over the whole run are placed by
-    this rule: the hoisted ones (blocked by the flip-flops), those after
-    a stage (blocked by the flip-flops of later stages) and the levels of
-    an unfolded cycle (nothing blocked).
-    """
-    blocked, level, ready, rest = set(blocked), {}, [], []
-    for lut in luts:
-        if blocked.isdisjoint(lut.inputs):
-            level[lut.out] = 1 + max((level[n] for n in lut.inputs if n in level), default=-1)
-            ready.append(lut)
-        else:
-            blocked.add(lut.out)
-            rest.append(lut)
-    levels = [[] for _ in range(1 + max(level.values(), default=-1))]
-    for lut in ready:
-        levels[level[lut.out]].append(lut)
-    return levels, rest
-
-
-def _stages(
-    pins: Sequence[Lut], loop: Sequence[Lut], consts: Mapping[NetId, int]
-) -> tuple[_Stage, ...] | None:
-    """The flip-flops ``pins`` (in net order) folded in stages, or None if
-    they do not fold.
-
-    Plan k holds the pending flip-flops whose support is at most
-    ``_FOLD_LIMIT`` nets and which read no flip-flop of a later plan.  A
-    support is counted through the ``loop`` LUTs (in topological order)
-    not yet evaluated: its leaves are ports, hoisted LUT outputs,
-    flip-flop outputs and the loop LUTs earlier plans evaluated.  Each
-    plan is one stage, or up to three where :func:`scc.cut` cuts it at its
-    largest strongly connected component (SCC) of the graph in which a
-    flip-flop reads the pending ones in its support.  After a plan, the
-    loop LUTs that reach no pending flip-flop are evaluated over all
-    cycles (:func:`_place`, its last stage's ``after``), so a cone wider
-    than a table is cut where the flip-flops it reads end.  None when
-    some flip-flop never fits, or when the plans would outnumber the
-    lookups of an unfolded cycle (one per loop level, and one for the
-    flip-flops).
-    """
-    depth = len(_place(loop, ())[0])
-    unknown = {lut.out: lut for lut in loop}
-    pending = {pin.out: pin for pin in pins}
-    plans, rounds = [], 0
-    while pending:
-        if rounds > depth:
-            return None
-        rounds += 1
-        cones = {q: _cone(pin, unknown, consts) for q, pin in pending.items()}
-        # flip-flop q reads the pending ones in its support, itself among
-        # them; one too wide to fold is not walked and reads only itself
-        reads = {q: cone[0] if cone else (q,) for q, cone in cones.items()}
-        # an SCC that holds a flip-flop too wide to fold, or reads one left
-        # for a later plan (each comes after the SCCs it reads), is left too
-        late = {q for q, cone in cones.items() if cone is None}
-        stage = []
-        for group in scc.components(reads):
-            if late and not late.isdisjoint(chain.from_iterable(map(reads.__getitem__, group))):
-                late.update(group)
-            else:
-                stage.append(group)
-        if not stage:
-            return None
-        parts = scc.cut(stage, reads)
-        ffs = {q: pending.pop(q) for part in parts for q in part}
-        after, left = _place(unknown.values(), pending)
-        unknown = {lut.out: lut for lut in left}
-        for part in parts:
-            plans.append(([ffs[q] for q in part], [cones[q] for q in part], after if part is parts[-1] else []))
-    tables = _fold([layout for _, cones, _ in plans for _, layout in cones])
-    stages = []
-    for ffs, cones, after in plans:
-        ff = _Level.of([pin.out for pin in ffs], [support for support, _ in cones], tables[: len(ffs)])
-        stages.append(_Stage.of((), ff, tuple(map(_lut_level, after))))
-        tables = tables[len(ffs) :]
-    return tuple(stages)
-
-
-def _fold(layouts: Sequence[_Layout]) -> np.ndarray:
-    """The next-state table of each layout from :func:`_cone`, as 256
-    entries: entry ``p`` holds the next state where support net ``b`` is
-    bit ``b`` of ``p``.
-
-    Flip-flops with the same layout have the same table, so each distinct
-    layout is evaluated once, with the table lookup :func:`simulate` uses.
-    Row ``p`` of one pattern array holds every slot's value on pattern
-    ``p``: the constants and support bits in the first columns, shared by
-    all layouts, then a block per layout of its cone LUTs and next state.
-    :meth:`_Level.fill` evaluates the blocks one level at a time, each
-    next-state table a level above its cone.
-    """
-    blocks: dict[_Layout, int] = {}  # layout -> its next-state column
-    picks = []  # the next-state column of each layout
-    steps: dict[int, list] = {}  # level -> (column, columns read, table bits) of its cells
-    width = _CONE_SLOT
-    for layout in layouts:
-        column = blocks.get(layout)
-        if column is not None:
-            picks.append(column)
-            continue
-        cells, pin_reads, pin_bits = layout
-        cells += ((1 + max((level for level, _, _ in cells), default=-1), pin_reads, pin_bits),)
-        base = width - _CONE_SLOT  # cone slot s is column base + s
-        for column, (level, cell_reads, entries) in enumerate(cells, width):
-            cell_reads = tuple(s if s < _CONE_SLOT else base + s for s in cell_reads)
-            steps.setdefault(level, []).append((column, cell_reads, entries))
-        width += len(cells)
-        blocks[layout] = width - 1
-        picks.append(width - 1)
-    values = np.zeros((256, width), np.uint8)
-    values[:, 1] = 1
-    values[:, 2:_CONE_SLOT] = (np.arange(256)[:, None] >> np.arange(_FOLD_LIMIT)) & 1
-    for level in sorted(steps):
-        columns, reads, entries = zip(*steps[level])
-        _Level.of(columns, reads, _rows(entries)).fill(values)
-    return values[:, picks].T
-
-
-def _rows(bits: Sequence[int]) -> np.ndarray:
-    """The 64 entries of each replicated table ``bits``, one uint8 row each."""
-    return ((np.array(bits, np.uint64)[:, None] >> np.arange(64, dtype=np.uint64)) & 1).astype(np.uint8)
-
-
-def _lut_level(cells: Sequence[Lut]) -> _Level:
-    """The level of LUT ``cells``, each read through its ``TruthTable``."""
-    return _Level.of([c.out for c in cells], [c.inputs for c in cells], _rows([c.table.bits for c in cells]))
-
-
-@dataclass(frozen=True)
-class _Compiled:
-    n_nets: int
-    input_names: tuple[str, ...]
-    in_nets: np.ndarray
-    const_nets: np.ndarray
-    const_vals: np.ndarray
-    hoisted: tuple[_Level, ...]  # LUTs of no flip-flop, by level: evaluated before any cycle loop
-    stages: tuple[_Stage, ...]  # the flip-flops and the other LUTs, one cycle loop per stage
-    names: tuple[str, ...]
+    def _compile(self) -> _Compiled:
+        if self._compiled is None or self._compiled[0] != self._version:
+            self._compiled = (self._version, plan(self))
+        return self._compiled[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1063,67 +680,5 @@ def _parse_csv_lines(path, data: bytes) -> tuple[tuple[str, ...], np.ndarray]:
     return names, values
 
 
-# ---------------------------------------------------------------------------
-# Simulation
-# ---------------------------------------------------------------------------
-
-
-def simulate(netlist: Netlist, stimulus: Stimulus, n_cycles: int) -> Trace:
-    """Run the netlist for ``n_cycles`` rising edges.
-
-    Every cell is a table lookup: gather its input nets, weight them
-    into an address and read its table.  Input and constant columns are
-    written for all cycles up front, and so are the LUTs whose fan-in
-    cone holds no flip-flop, one logic level at a time over the whole
-    run.  The flip-flops then run in stages, one cycle loop per stage.
-    A folded stage's flip-flops were each compiled into one table over
-    their support, at most 8 nets, so a cycle is one lookup for all of
-    them.  When they do not fold, there is one stage, and each cycle
-    evaluates the LUTs that read flip-flops level by level, then every
-    flip-flop's table over (sr, ce, d, q): ``sr`` beats ``ce``, which
-    beats hold.  The loop keys each cycle by its state bytes and the
-    packed bits of the stage's ``reads``; a key seen before in this call
-    gives the next state from a dict, and only a new key does the
-    lookups.  After the loop the state columns are written for every
-    cycle, and the stage's LUT levels, then its ``after`` levels, are
-    evaluated over the whole run; the next stage reads them as inputs.
-    Deterministic; all flip-flops hold 0 before the first edge, which is
-    why generated designs drive RESET through cycle 0.
-    """
-    if n_cycles < 1:
-        raise NetlistError("n_cycles must be at least 1")
-    if stimulus.length < n_cycles:
-        raise NetlistError(
-            f"stimulus length {stimulus.length} is shorter than {n_cycles} cycles"
-        )
-    comp = netlist._compile()
-    missing = [n for n in comp.input_names if n not in stimulus.waves]
-    if missing:
-        raise NetlistError(f"stimulus missing input ports: {missing}")
-    values = np.zeros((n_cycles, comp.n_nets), np.uint8)
-    for net, name in zip(comp.in_nets, comp.input_names):
-        values[:, net] = stimulus.waves[name][:n_cycles]
-    values[:, comp.const_nets] = comp.const_vals
-    for lv in comp.hoisted:
-        lv.fill(values)
-    for stage in comp.stages:
-        ff = stage.ff
-        packed = np.ascontiguousarray(np.packbits(values[:, stage.reads], axis=1))
-        codes = packed.view(f"V{packed.shape[1]}").ravel().tolist() if packed.size else [b""] * n_cycles
-        memo: dict[tuple[bytes, bytes], bytes] = {}
-        state, states = bytes(len(ff.out)), []
-        for t, code in enumerate(codes):
-            states.append(state)
-            nxt = memo.get((state, code))
-            if nxt is None:
-                row = values[t]
-                row[ff.out] = np.frombuffer(state, np.uint8)
-                for lv in stage.levels:
-                    row[lv.out] = lv.tables[lv.base + row[lv.ins] @ lv.weights]
-                nxt = memo[state, code] = ff.tables[ff.base + row[ff.ins] @ ff.weights].tobytes()
-            state = nxt
-        values[:, ff.out] = np.frombuffer(b"".join(states), np.uint8).reshape(n_cycles, -1)
-        for lv in (*stage.levels, *stage.after):
-            lv.fill(values)
-    values.setflags(write=False)
-    return Trace(values=values, names=comp.names)
+# the kernel reads the model above, so it is imported once that is defined
+from .kernel import _Compiled, plan, simulate  # noqa: E402

@@ -3,9 +3,9 @@
 This walks the cell list directly and settles each cycle's combinational
 values by repeated sweeps until a fixpoint, instead of compiling a
 topological program.  It is deliberately slow and structurally different
-from :func:`fmlab.netcore.simulate` so the two act as independent routes
+from :func:`fmlab.kernel.simulate` so the two act as independent routes
 to the same semantics, including the rejection of a loop of LUTs with
-no flip-flop on it (a reachability search here, levelization there).
+no flip-flop on it (a reachability search here, a Kahn order there).
 
 ``ff_update`` can be overridden to experiment with alternative flip-flop
 rules (e.g. to demonstrate that the verification battery catches a wrong

@@ -420,8 +420,8 @@ def oracle_threshold_accuracy(sums: np.ndarray, secret: str) -> tuple[float, flo
     """
     sums = np.asarray(sums, dtype=np.float64)
     bits = np.array([1 if ch == "1" else 0 for ch in secret])
-    if len(sums) != len(bits):
-        raise AnalysisError("sums and secret length differ")
+    if not len(sums) or len(sums) != len(bits):
+        raise AnalysisError(f"got {len(sums)} sums for {len(bits)} secret bits; need one per bit, at least one")
     uniq = np.unique(sums)
     candidates = [uniq[0] - 1.0]
     candidates += [(a + b) / 2.0 for a, b in zip(uniq[:-1], uniq[1:])]

@@ -1,5 +1,7 @@
 """Netlist model, truth tables, simulator semantics, serialization."""
 
+import ast
+import inspect
 import tracemalloc
 from functools import partial
 from unittest import mock
@@ -10,7 +12,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from fmlab import fmlogic, scc
+from fmlab import fmlogic, kernel, reference
 from fmlab.netcore import (
     CombinationalCycleError,
     FfKind,
@@ -93,6 +95,28 @@ def test_add_input_duplicate():
 def test_add_input_distinct_ids():
     nl = Netlist()
     assert nl.add_input("A") != nl.add_input("B")
+
+
+@pytest.mark.parametrize("name", ["my port", "tab\tname", "line\n", "\u00a0lead", "a,b", ""])
+@pytest.mark.parametrize("role", ["input", "output"])
+def test_port_names_the_text_form_or_csv_header_cannot_carry_are_rejected(role, name):
+    # the text form splits its fields on whitespace and a trace CSV header
+    # splits on commas, so neither could read such a name back
+    nl = Netlist()
+    net = nl.add_input("A")
+    with pytest.raises(NetlistError, match=f"^{role} name"):
+        nl.add_input(name) if role == "input" else nl.mark_output(name, net)
+
+
+def test_unusual_port_names_survive_the_text_form_and_csv(tmp_path):
+    nl = Netlist()
+    a = nl.add_input("#a-\u00e9")
+    nl.mark_output("y;\"q\"", nl.add_lut((a,), tt_not()))
+    back = Netlist.from_text(nl.to_text())
+    assert (back.inputs, back.outputs) == (nl.inputs, nl.outputs)
+    trace = simulate(nl, Stimulus.standard(3, nl), 3)
+    trace.to_csv(tmp_path / "t.csv")
+    assert Trace.from_csv(tmp_path / "t.csv").names == trace.names
 
 
 def test_add_lut_xor_behavior():
@@ -282,7 +306,7 @@ def test_topo_chain_order():
     a = nl.add_input("A")
     l1 = nl.add_lut((a,), tt_not())
     l2 = nl.add_lut((l1,), tt_not())
-    assert nl._levels() == [[nl._lut_by_out[l1]], [nl._lut_by_out[l2]]]
+    assert kernel._topo_order(nl) == [nl.lut(l1), nl.lut(l2)]
 
 
 def test_topo_self_loop_reports_cycle_net():
@@ -291,7 +315,7 @@ def test_topo_self_loop_reports_cycle_net():
     buf = nl.add_lut((a,), tt_buf())
     nl.set_lut_input(buf, 0, buf)  # close a LUT-only loop
     with pytest.raises(CombinationalCycleError) as err:
-        nl._levels()
+        kernel._topo_order(nl)
     assert err.value.net == buf
 
 
@@ -310,7 +334,7 @@ def test_lut_self_loop_rejected_by_both_routes(table, route):
 def test_topo_register_ring_is_fine():
     nl = Netlist()
     fmlogic.build_fm_csr(nl, 8)
-    nl._levels()  # no error: the loop goes through flip-flops
+    kernel._topo_order(nl)  # no error: the loop goes through flip-flops
 
 
 # ---------------------------------------------------------------------------
@@ -867,6 +891,24 @@ def test_trace_csv_reader_matches_line_reader_on_mutations(tmp_path_factory, tex
 # ---------------------------------------------------------------------------
 
 
+def test_reference_interpreter_imports_only_the_model():
+    """The reference stays an independent route: every fmlab name it
+    imports is defined in netcore, and it imports nothing from the kernel
+    it cross-checks (fmlab's package import loads every module, so
+    ``sys.modules`` cannot show this)."""
+    tree = ast.parse(inspect.getsource(reference))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.startswith("fmlab")]
+        elif isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("fmlab")):
+            assert node.module in ("netcore", "fmlab.netcore"), node.module
+            names += [a.asname or a.name for a in node.names]
+    assert names
+    for name in names:
+        assert getattr(reference, name).__module__ == "fmlab.netcore", name
+
+
 def tables(k: int):
     return st.integers(0, (1 << (1 << k)) - 1).map(partial(TruthTable.from_bits, k))
 
@@ -1007,13 +1049,13 @@ def test_no_stage_reads_a_flip_flop_of_its_own_or_a_later_stage(case):
     largest strongly connected component."""
     nl, _, _, looped = case
     assume(not looped)
-    real, parts = scc.cut, []
+    real, parts = kernel.cut, []
 
     def cut(sccs, reads):
         parts.append(real(sccs, reads))
         return parts[-1]
 
-    with mock.patch.object(scc, "cut", cut):
+    with mock.patch.object(kernel, "cut", cut):
         stages = nl._compile().stages
     # --hypothesis-show-statistics prints how often stages are cut
     if any(s.levels for s in stages):

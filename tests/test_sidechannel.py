@@ -435,6 +435,11 @@ def test_oracle_threshold_perfect_separation():
     assert 17 < thr < 31
 
 
+def test_oracle_threshold_rejects_empty_sums():
+    with pytest.raises(sc.AnalysisError, match="got 0 sums for 0 secret bits"):
+        sc.oracle_threshold_accuracy(np.zeros(0), "")
+
+
 # ---------------------------------------------------------------------------
 # jammer
 # ---------------------------------------------------------------------------
