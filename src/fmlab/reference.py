@@ -1,11 +1,16 @@
-"""Independent reference interpreter for cross-checking the fast simulator.
+"""Independent oracles that ``fmlab verify`` and the test suite share.
 
-This walks the cell list directly and settles each cycle's combinational
-values by repeated sweeps until a fixpoint, instead of compiling a
-topological program.  It is deliberately slow and structurally different
-from :func:`fmlab.kernel.simulate` so the two act as independent routes
-to the same semantics, including the rejection of a loop of LUTs with
-no flip-flop on it (a reachability search here, a Kahn order there).
+:func:`reference_simulate` walks the cell list directly and settles each
+cycle's combinational values by repeated sweeps until a fixpoint, instead
+of compiling a topological program.  It is deliberately slow and
+structurally different from :func:`fmlab.kernel.simulate` so the two act
+as independent routes to the same semantics, including the rejection of
+a loop of LUTs with no flip-flop on it (the reachability search of
+:func:`lut_loop_nets` here, a Kahn order there).
+
+:func:`scan_reference` is the brute-force counterpart of the activity
+scans: it compares each net's waveform, and every pair of them, as
+tuples, where ``sidechannel`` packs bits and groups keys.
 
 ``ff_update`` can be overridden to experiment with alternative flip-flop
 rules (e.g. to demonstrate that the verification battery catches a wrong
@@ -14,6 +19,7 @@ set/reset priority).
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -39,19 +45,23 @@ def default_ff_update(kind: FfKind, current: int, d: int, ce: int, sr: int) -> i
     return current
 
 
-def _check_lut_loops(netlist: Netlist) -> None:
-    """Raise :class:`CombinationalCycleError` naming a LUT whose output
-    reaches one of its own inputs through LUTs alone."""
+def lut_loop_nets(netlist: Netlist) -> list[int]:
+    """Every LUT output that reaches one of its own inputs through LUTs
+    alone, in cell order."""
     lut_of = {c.out: c for c in netlist.cells if isinstance(c, Lut)}
-    for out, lut in lut_of.items():
-        seen, todo = set(), list(lut.inputs)
+
+    def on_loop(out: int) -> bool:
+        seen, todo = set(), list(lut_of[out].inputs)
         while todo:
             net = todo.pop()
             if net == out:
-                raise CombinationalCycleError(out, netlist.name_of(out))
+                return True
             if net in lut_of and net not in seen:
                 seen.add(net)
                 todo.extend(lut_of[net].inputs)
+        return False
+
+    return [out for out in lut_of if on_loop(out)]
 
 
 def reference_simulate(
@@ -71,7 +81,9 @@ def reference_simulate(
     for ff in ffs:
         if ff.d is None:
             raise NetlistError(f"FF q={ff.q} has an unwired d pin")
-    _check_lut_loops(netlist)
+    loops = lut_loop_nets(netlist)
+    if loops:
+        raise CombinationalCycleError(loops[0], netlist.name_of(loops[0]))
     missing = [n for n in netlist.inputs if n not in stimulus.waves]
     if missing:
         raise NetlistError(f"stimulus missing input ports: {missing}")
@@ -125,3 +137,20 @@ def settlement_passes(netlist: Netlist, trace: Trace, cycle: int) -> bool:
         if cell.table.value(idx) != row[cell.out]:
             return False
     return True
+
+
+def scan_reference(trace: Trace, window: tuple[int, int]) -> tuple[list, dict, list, list]:
+    """(constant nets, duty cycles, equal pairs, complement pairs) over
+    the window, from each net's waveform and every pair of them, in the
+    order ``uci_scan`` and ``pair_scan`` report them.  RESET and the
+    constant tie-offs are not scanned."""
+    start, stop = window
+    nets = [n for n in range(trace.n_nets) if trace.names[n] not in ("RESET", "CONST0", "CONST1")]
+    waves = {n: tuple(trace.values[start:stop, n].tolist()) for n in nets}
+    flipped = {n: tuple(1 - v for v in wave) for n, wave in waves.items()}
+    constant = [(n, wave[0]) for n, wave in waves.items() if len(set(wave)) == 1]
+    duty = {n: sum(wave) / len(wave) for n, wave in waves.items()}
+    pairs = list(combinations(nets, 2))
+    equal = [(a, b) for a, b in pairs if waves[a] == waves[b]]
+    complement = [(a, b) for a, b in pairs if waves[a] == flipped[b]]
+    return constant, duty, equal, complement

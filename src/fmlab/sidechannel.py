@@ -402,6 +402,8 @@ def attacker_demodulate(
 
 def period_sums(pt: PowerTrace, L: int, start_cycle: int, n_bits: int) -> np.ndarray:
     """The per-period dynamic sums the demodulator thresholds."""
+    if L < 1:
+        raise AnalysisError(f"period L={L} must be at least 1")
     end = start_cycle + n_bits * L
     if start_cycle < 0 or end > len(pt):
         raise AnalysisError(
@@ -418,6 +420,8 @@ def oracle_threshold_accuracy(sums: np.ndarray, secret: str) -> tuple[float, flo
     threshold demodulator, used to quantify how far jamming degrades the
     channel.
     """
+    if set(secret) - {"0", "1"}:
+        raise AnalysisError(f"secret {secret!r} must be a string of 0/1")
     sums = np.asarray(sums, dtype=np.float64)
     bits = np.array([1 if ch == "1" else 0 for ch in secret])
     if not len(sums) or len(sums) != len(bits):

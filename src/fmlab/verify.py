@@ -36,7 +36,7 @@ import numpy as np
 
 from . import cli, fmlogic, netcore, sidechannel, trojankit
 from .netcore import FfKind, Netlist, Stimulus, TruthTable, simulate, tt_and, tt_or, tt_xor
-from .reference import default_ff_update, reference_simulate, settlement_passes
+from .reference import default_ff_update, reference_simulate, scan_reference, settlement_passes
 from .trojankit import Aligned, PayloadMode
 
 CheckResult = tuple[bool, str]
@@ -588,16 +588,13 @@ def check_uci_completeness() -> CheckResult:
     waves = {f"P{j}": rng.integers(0, 2, n).astype(np.uint8) for j in range(4)}
     trace = simulate(nl, Stimulus.standard(n, nl, **waves), n)
     report = sidechannel.uci_scan(trace, (2, n))
+    constant, duty, _, _ = scan_reference(trace, (2, n))
+    brute_constant = {net for net, _ in constant}
     flagged = set(report.suspicious)
-    for net in range(trace.n_nets):
-        if trace.names[net] in sidechannel.DEFAULT_EXCLUDED_NAMES:
-            continue
-        w = trace.wave(net)[2:n]
-        brute_constant = bool((w == w[0]).all())
-        if brute_constant != (net in flagged):
-            return False, f"net {net}: brute-force={brute_constant}, scan={net in flagged}"
-        duty = report.duty_cycles[net]
-        if duty != float(w.sum()) / len(w):
+    for net, want in duty.items():
+        if (net in brute_constant) != (net in flagged):
+            return False, f"net {net}: brute-force={net in brute_constant}, scan={net in flagged}"
+        if report.duty_cycles.get(net) != want:
             return False, f"net {net}: duty mismatch"
     return True, "flagged iff windowed duty in {0, 1}; duty cycles exact (brute-forced)"
 
@@ -624,21 +621,12 @@ def check_pair_soundness() -> CheckResult:
         n,
     )
     report = sidechannel.pair_scan(trace, (2, n))
-    eq = set(report.equal_pairs)
-    comp = set(report.complement_pairs)
-    scan_nets = [
-        x for x in range(trace.n_nets) if trace.names[x] not in sidechannel.DEFAULT_EXCLUDED_NAMES
-    ]
-    for i, x in enumerate(scan_nets):
-        for y in scan_nets[i + 1 :]:
-            wx = trace.wave(x)[2:n]
-            wy = trace.wave(y)[2:n]
-            want_eq = bool((wx == wy).all())
-            want_comp = bool((wx != wy).all())
-            if want_eq != ((x, y) in eq):
-                return False, f"equal pair ({x},{y}): brute={want_eq}, scan={(x, y) in eq}"
-            if want_comp != ((x, y) in comp):
-                return False, f"complement pair ({x},{y}): brute={want_comp}, scan={(x, y) in comp}"
+    _, _, eq, comp = scan_reference(trace, (2, n))
+    for kind, want, got in (("equal", eq, report.equal_pairs), ("complement", comp, report.complement_pairs)):
+        wrong = set(want) ^ set(got)
+        if wrong:
+            x, y = min(wrong)
+            return False, f"{kind} pair ({x},{y}): brute={(x, y) in want}, scan={(x, y) in got}"
     if (a, buf) not in eq or (a, inv) not in comp:
         return False, "known buffer/inverter pairs missing"
     return True, "pair relations match the brute-force scan exactly"

@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
@@ -423,6 +424,25 @@ def test_verify_balance_names_first_broken_cycle(monkeypatch):
     ok, detail = verify.check_concealment_balance()
     assert not ok
     assert detail.startswith("balance broken first at cycle 2: "), detail
+
+
+@pytest.mark.parametrize(
+    "check, scan, field, extra, detail",
+    [
+        ("check_uci_completeness", "uci_scan", "suspicious", 1, "net 1: brute-force=False, scan=True"),
+        ("check_pair_soundness", "pair_scan", "equal_pairs", (1, 2), "equal pair (1,2): brute=False, scan=True"),
+    ],
+)
+def test_verify_scan_checks_name_the_first_mismatch(monkeypatch, check, scan, field, extra, detail):
+    """A scan that reports one net or pair too many fails its check, which names it."""
+    real = getattr(verify.sidechannel, scan)
+
+    def wrong(trace, window):
+        report = real(trace, window)
+        return replace(report, **{field: (extra, *getattr(report, field))})
+
+    monkeypatch.setattr(verify.sidechannel, scan, wrong)
+    assert getattr(verify, check)() == (False, detail)
 
 
 def test_verify_catches_mutated_ff_priority():

@@ -68,15 +68,6 @@ def test_fm_csr_reset_pattern_l4():
     assert [trace.value(s, 1) for s in csr.stages] == [0, 0, 0, 1]
 
 
-def test_fm_csr_tap_period_unmodified():
-    nl = Netlist()
-    csr = build_fm_csr(nl, 8)
-    trace = simulate(nl, Stimulus.standard(3 * 8 + 1, nl), 3 * 8 + 1)
-    w = trace.wave(csr.marker_tap)[1 : 3 * 8 + 1]  # cycles 1..3L
-    rising = int(((w[1:] == 1) & (w[:-1] == 0)).sum()) + int(w[0] == 1)
-    assert rising == 3  # one edge per rotation over 3L cycles
-
-
 # ---------------------------------------------------------------------------
 # Standard-to-FM conversion
 # ---------------------------------------------------------------------------
@@ -318,19 +309,3 @@ def test_duty_cycle_empty_window():
     trace = simulate(nl, Stimulus.standard(20, nl), 20)
     with pytest.raises(FmError):
         duty_cycle(trace, rotor.data_tap, (5, 5))
-
-
-# ---------------------------------------------------------------------------
-# Family-level properties (carried by fmlab verify)
-# ---------------------------------------------------------------------------
-
-
-def test_single_marker_discipline_at_sync_instants(run_check):
-    """The gate and both converters hold one marker at each SYNC instant."""
-    ok, detail = run_check("fmlogic-single-marker")
-    assert ok, detail
-
-
-def test_full_state_periodic_under_constant_inputs(run_check):
-    ok, detail = run_check("fmlogic-state-periodicity")
-    assert ok, detail

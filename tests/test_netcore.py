@@ -3,12 +3,12 @@
 import ast
 import inspect
 import tracemalloc
-from functools import partial
+from functools import cache, partial
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -909,8 +909,20 @@ def test_reference_interpreter_imports_only_the_model():
         assert getattr(reference, name).__module__ == "fmlab.netcore", name
 
 
+KINDS = st.sampled_from(FfKind)
+
+
+# each strategy is built once per argument: hypothesis validates every
+# new strategy object on its first draw
+@cache
 def tables(k: int):
     return st.integers(0, (1 << (1 << k)) - 1).map(partial(TruthTable.from_bits, k))
+
+
+@cache
+def waves(n: int):
+    """A 0/1 waveform of ``n`` cycles, drawn as one ``n``-bit integer."""
+    return st.integers(0, (1 << n) - 1).map(lambda v: [(v >> t) & 1 for t in range(n)])
 
 
 @st.composite
@@ -928,7 +940,8 @@ def netlists_with_stimuli(draw):
     register whose next state reads up to 10 more nets, some of them new
     ports, through two LUTs: its support may pass the fold limit.  Half
     get one or two registers that load a cone wider than the fold limit
-    over another register, which then fold in a later stage.
+    over another register, which then fold in a later stage.  Each port's
+    stimulus is one drawn integer of ``n_cycles`` bits.
     """
     nl = Netlist()
     for i in range(draw(st.integers(1, 3))):
@@ -945,14 +958,14 @@ def netlists_with_stimuli(draw):
             nl.add_lut(draw(st.lists(net, min_size=k, max_size=k)), draw(tables(k)))
         else:
             d = draw(st.none() | net)
-            q = nl.add_ff(draw(st.sampled_from(FfKind)), d, draw(net), draw(net))
+            q = nl.add_ff(draw(KINDS), d, draw(net), draw(net))
             if d is None:
                 deferred.append(q)
     if draw(st.booleans()):
         for i in range(draw(st.integers(0, 6))):
             nl.add_input(f"W{i}")
         net = st.integers(0, nl.net_count - 1)
-        q = nl.add_ff(draw(st.sampled_from(FfKind)), None, draw(net), draw(net))
+        q = nl.add_ff(draw(KINDS), None, draw(net), draw(net))
         x = nl.add_lut([q, *draw(st.lists(net, min_size=5, max_size=5))], draw(tables(6)))
         k = draw(st.integers(1, 6))
         ins = [x, *draw(st.lists(net, min_size=k - 1, max_size=k - 1))]
@@ -962,14 +975,14 @@ def netlists_with_stimuli(draw):
         # ports, with up to 2 more nets: past the fold limit until a
         # stage after the new register's evaluates the cone
         net = st.integers(0, nl.net_count - 1)
-        src = nl.add_ff(draw(st.sampled_from(FfKind)), draw(net), draw(net), draw(net))
+        src = nl.add_ff(draw(KINDS), draw(net), draw(net), draw(net))
         ports = [nl.add_input(f"V{i}") for i in range(8)]
         more = draw(st.lists(st.integers(0, src), max_size=2))
         leaves = draw(st.permutations(ports + more))
         x = nl.add_lut([src, *leaves[:5]], draw(tables(6)))
         wide = nl.add_lut([x, *leaves[5:]], draw(tables(1 + len(leaves[5:]))))
         for _ in range(draw(st.integers(1, 2))):
-            nl.add_ff(draw(st.sampled_from(FfKind)), wide, draw(net), draw(net))
+            nl.add_ff(draw(KINDS), wide, draw(net), draw(net))
     for q in deferred:
         nl.set_ff_d(q, draw(st.integers(0, nl.net_count - 1)))
     luts = [c for c in nl.cells if isinstance(c, Lut)]
@@ -989,83 +1002,8 @@ def netlists_with_stimuli(draw):
             position = draw(st.integers(0, len(reader.inputs) - 1))
             nl.set_lut_input(reader.out, position, draw(st.sampled_from(sorted(cone))))
     n_cycles = draw(st.integers(1, 24))
-    bits = st.lists(st.integers(0, 1), min_size=n_cycles, max_size=n_cycles)
-    stim = Stimulus({name: draw(bits) for name in nl.inputs})
+    stim = Stimulus({name: draw(waves(n_cycles)) for name in nl.inputs})
     return nl, stim, n_cycles, looped
-
-
-def _on_lut_loop(nl: Netlist, net: int) -> bool:
-    """True if ``net`` is a LUT output that reaches itself through LUT inputs."""
-    lut_of = {c.out: c for c in nl.cells if isinstance(c, Lut)}
-    if net not in lut_of:
-        return False
-    seen, todo = set(), list(lut_of[net].inputs)
-    while todo:
-        n = todo.pop()
-        if n == net:
-            return True
-        if n in lut_of and n not in seen:
-            seen.add(n)
-            todo.extend(lut_of[n].inputs)
-    return False
-
-
-@settings(max_examples=300, deadline=None)
-@given(netlists_with_stimuli(), st.sampled_from(FfKind))
-def test_simulate_matches_reference_on_random_netlists(folded_table_mismatches, case, open_kind):
-    nl, stim, n_cycles, looped = case
-    text = nl.to_text()
-    back = Netlist.from_text(text)
-    assert back.to_text() == text
-    if looped:
-        for route in (simulate, reference_simulate):
-            with pytest.raises(CombinationalCycleError) as err:
-                route(nl, stim, n_cycles)
-            assert _on_lut_loop(nl, err.value.net)
-        return
-    # --hypothesis-show-statistics prints how often each kind occurs
-    comp = nl._compile()
-    event("unfolded" if any(s.levels for s in comp.stages) else f"{len(comp.stages)} folded stages")
-    assert folded_table_mismatches(nl) == []
-    trace = simulate(nl, stim, n_cycles)
-    assert np.array_equal(trace.values, reference_simulate(nl, stim, n_cycles).values)
-
-    again = simulate(back, stim, n_cycles)
-    assert again.names == trace.names
-    assert np.array_equal(again.values, trace.values)
-
-    # an unwired d pin is rejected by both routes
-    nl.add_ff(open_kind, None, 0, 0)
-    for route in (simulate, reference_simulate):
-        with pytest.raises(NetlistError, match="unwired"):
-            route(nl, stim, n_cycles)
-
-
-@settings(max_examples=150, deadline=None)
-@given(netlists_with_stimuli())
-def test_no_stage_reads_a_flip_flop_of_its_own_or_a_later_stage(case):
-    """Each stage's loop reads only flip-flops whose state columns earlier
-    stages have written, including the parts a stage is cut into at its
-    largest strongly connected component."""
-    nl, _, _, looped = case
-    assume(not looped)
-    real, parts = kernel.cut, []
-
-    def cut(sccs, reads):
-        parts.append(real(sccs, reads))
-        return parts[-1]
-
-    with mock.patch.object(kernel, "cut", cut):
-        stages = nl._compile().stages
-    # --hypothesis-show-statistics prints how often stages are cut
-    if any(s.levels for s in stages):
-        event("unfolded")
-    else:
-        event(f"stages cut: {sum(len(p) > 1 for p in parts)}")
-    written = set()
-    for stage in reversed(stages):
-        written.update(stage.ff.out.tolist())
-        assert written.isdisjoint(stage.reads.tolist())
 
 
 def _memo_hit_share(nl: Netlist, trace: Trace) -> float:
@@ -1076,22 +1014,72 @@ def _memo_hit_share(nl: Netlist, trace: Trace) -> float:
     return 1 - keys / (trace.cycles * len(stages))
 
 
-@settings(max_examples=150, deadline=None)
-@given(netlists_with_stimuli(), st.integers(1, 8), st.integers(64, 300), st.data())
-def test_simulate_matches_reference_on_periodic_stimuli(case, period, n_cycles, data):
-    """Every port repeats a random pattern of ``period`` cycles, so the
+@settings(max_examples=300, deadline=None)
+@given(netlists_with_stimuli(), st.data())
+def test_simulate_matches_reference_on_random_netlists(folded_table_mismatches, case, data):
+    """Every kernel property, on one drawn netlist.
+
+    The text form round-trips, and a LUT loop is rejected by both
+    routes.  Otherwise each stage's loop reads only flip-flops whose
+    state columns earlier stages have written, including the parts a
+    stage is cut into at its largest strongly connected component; each
+    folded table matches its cone; and both the drawn stimulus and a
+    periodic one simulate as the reference does.  In the periodic one
+    every port repeats a random pattern of ``period`` cycles, so the
     flip-flops settle into a short cycle and most cycles of each stage's
-    loop take their next state from the memo instead of the tables."""
-    nl, _, _, looped = case
-    assume(not looped)
-    pattern = st.lists(st.integers(0, 1), min_size=period, max_size=period)
-    stim = Stimulus({name: np.resize(data.draw(pattern), n_cycles) for name in nl.inputs})
+    loop take their next state from the memo instead of the tables.
+    Last, an unwired d pin is rejected by both routes.
+    """
+    nl, stim, n_cycles, looped = case
+    text = nl.to_text()
+    back = Netlist.from_text(text)
+    assert back.to_text() == text
+    if looped:
+        for route in (simulate, reference_simulate):
+            with pytest.raises(CombinationalCycleError) as err:
+                route(nl, stim, n_cycles)
+            assert err.value.net in reference.lut_loop_nets(nl)
+        return
+
+    real, parts = kernel.cut, []
+
+    def cut(sccs, reads):
+        parts.append(real(sccs, reads))
+        return parts[-1]
+
+    with mock.patch.object(kernel, "cut", cut):
+        stages = nl._compile().stages
+    # --hypothesis-show-statistics prints how often each kind occurs, and
+    # how often stages are cut
+    unfolded = any(s.levels for s in stages)
+    event("unfolded" if unfolded else f"{len(stages)} folded stages")
+    if not unfolded:
+        event(f"stages cut: {sum(len(p) > 1 for p in parts)}")
+    written = set()
+    for stage in reversed(stages):
+        written.update(stage.ff.out.tolist())
+        assert written.isdisjoint(stage.reads.tolist())
+    assert folded_table_mismatches(nl) == []
+
     trace = simulate(nl, stim, n_cycles)
-    stages = nl._compile().stages
+    assert np.array_equal(trace.values, reference_simulate(nl, stim, n_cycles).values)
+    again = simulate(back, stim, n_cycles)
+    assert again.names == trace.names
+    assert np.array_equal(again.values, trace.values)
+
+    period = data.draw(st.integers(1, 8), label="period")
+    cycles = data.draw(st.integers(64, 300), label="periodic cycles")
+    periodic = Stimulus({name: np.resize(data.draw(waves(period)), cycles) for name in nl.inputs})
+    trace = simulate(nl, periodic, cycles)
     if stages:
         share = _memo_hit_share(nl, trace)
         band = "< 50%" if share < 0.5 else "50-90%" if share < 0.9 else ">= 90%"
-        event(f"{'unfolded' if stages[0].levels else 'folded'}, memo hits {band}")
+        event(f"{'unfolded' if unfolded else 'folded'}, memo hits {band}")
     else:
         event("no flip-flops")
-    assert np.array_equal(trace.values, reference_simulate(nl, stim, n_cycles).values)
+    assert np.array_equal(trace.values, reference_simulate(nl, periodic, cycles).values)
+
+    nl.add_ff(data.draw(KINDS, label="open d kind"), None, 0, 0)
+    for route in (simulate, reference_simulate):
+        with pytest.raises(NetlistError, match="unwired"):
+            route(nl, stim, n_cycles)

@@ -1,7 +1,6 @@
 """Activity scans, power model, spectra, demodulation, jamming."""
 
 from importlib import resources
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -12,6 +11,7 @@ from fmlab import sidechannel as sc
 from fmlab.cli import ScenarioConfig, simulate_scenario
 from fmlab.fmlogic import build_sync
 from fmlab.netcore import Netlist, Stimulus, Trace, simulate, tt_buf, tt_or
+from fmlab.reference import scan_reference
 from fmlab.trojankit import (
     PayloadMode,
     add_opcode_bus,
@@ -122,27 +122,12 @@ def test_pair_scan_independent_signals_unrelated():
 
 
 # ---------------------------------------------------------------------------
-# Both scans against net-by-net and pair-by-pair references
+# Both scans against the net-by-net and pair-by-pair reference
 # ---------------------------------------------------------------------------
 
 
-def _scan_references(trace, window):
-    """(constant nets, duty cycles, equal pairs, complement pairs) over
-    the window, from each net's waveform and every pair of them."""
-    start, stop = window
-    nets = [n for n in range(trace.n_nets) if trace.names[n] not in ("RESET", "CONST0", "CONST1")]
-    waves = {n: tuple(trace.values[start:stop, n].tolist()) for n in nets}
-    flipped = {n: tuple(1 - v for v in wave) for n, wave in waves.items()}
-    constant = [(n, wave[0]) for n, wave in waves.items() if len(set(wave)) == 1]
-    duty = {n: sum(wave) / len(wave) for n, wave in waves.items()}
-    pairs = list(combinations(nets, 2))
-    equal = [(a, b) for a, b in pairs if waves[a] == waves[b]]
-    complement = [(a, b) for a, b in pairs if waves[a] == flipped[b]]
-    return constant, duty, equal, complement
-
-
 def _check_scans(trace, window) -> sc.PairReport:
-    constant, duty, equal, complement = _scan_references(trace, window)
+    constant, duty, equal, complement = scan_reference(trace, window)
     uci = sc.uci_scan(trace, window)
     assert uci.constant_nets == tuple(constant)
     assert uci.suspicious == tuple(n for n, _ in constant)
@@ -215,11 +200,6 @@ def test_power_concealed_quad_constant():
     pt = sc.power_trace(trace, design.quad.stage_nets())
     assert set(pt.dynamic[3:].tolist()) == {12}  # 6 rises + 6 falls
     assert set(pt.static[1:].tolist()) == {16}
-
-
-def test_power_mode1_period_sums(run_check):
-    ok, detail = run_check("trojankit-mode-separation")
-    assert ok, detail
 
 
 def test_power_no_activity_zero_dynamic():
@@ -398,11 +378,6 @@ def test_detect_peaks_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_demodulate_mode1_recovers_secret(run_check):
-    ok, detail = run_check("sidechannel-demodulation")
-    assert ok, detail
-
-
 def test_demodulate_mode2_doubled_margin():
     secret = "100110"
     trace, design = aligned_payload_run(secret, PayloadMode.MODE2)
@@ -428,6 +403,14 @@ def test_demodulate_insufficient_trace():
         sc.attacker_demodulate(pt, 8, 10, 4, threshold=1)
 
 
+def test_period_sums_rejects_a_non_positive_period():
+    pt = sc.PowerTrace(dynamic=np.zeros(20), static=np.zeros(20), scope=(0,))
+    with pytest.raises(sc.AnalysisError, match="period L=0 must be at least 1"):
+        sc.attacker_demodulate(pt, 0, 3, 4, threshold=1.0)
+    with pytest.raises(sc.AnalysisError, match="period L=-2 must be at least 1"):
+        sc.period_sums(pt, -2, 10, 2)
+
+
 def test_oracle_threshold_perfect_separation():
     sums = np.array([16, 32, 17, 31.0])
     acc, thr = sc.oracle_threshold_accuracy(sums, "0101")
@@ -438,6 +421,12 @@ def test_oracle_threshold_perfect_separation():
 def test_oracle_threshold_rejects_empty_sums():
     with pytest.raises(sc.AnalysisError, match="got 0 sums for 0 secret bits"):
         sc.oracle_threshold_accuracy(np.zeros(0), "")
+
+
+@pytest.mark.parametrize("secret", ["01x1", "0121"])
+def test_oracle_threshold_rejects_a_non_binary_secret(secret):
+    with pytest.raises(sc.AnalysisError, match=f"secret '{secret}' must be a string of 0/1"):
+        sc.oracle_threshold_accuracy(np.array([16, 32, 17, 31.0]), secret)
 
 
 # ---------------------------------------------------------------------------

@@ -171,22 +171,6 @@ def test_unlocked_trigger_reverts_after_one_rotation():
 # ---------------------------------------------------------------------------
 
 
-def test_aligned_policy_is_the_single_activating_phase_class():
-    activating = []
-    for phase in range(L):
-        tb = trigger_design()
-        program = [SPEC.filler()] * 40
-        start = (L + 1) + phase - 3  # delta lands at L+1+phase
-        for j, op in enumerate(SPEC.opcodes):
-            program[start - 1 + j] = op
-        stim = program_stimulus(program, SPEC, total_cycles=60)
-        trace = simulate(tb.netlist, stim, 60)
-        last = max(sync_instants(L, 60, start=L + 1))
-        activating.append(fm_decode(trace, tb.trigger, last).value)
-    assert activating == [1, 0, 0, 0, 0, 0, 0, 0]
-    assert sum(activating) == 1
-
-
 @pytest.mark.parametrize("total_cycles", [48, None])
 def test_random_retry_placement_and_alignment_classes(total_cycles):
     tb = trigger_design()
