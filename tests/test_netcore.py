@@ -547,41 +547,25 @@ def _largest_scc_design():
 # with no input part (free-running), or the largest strongly connected
 # component of a stage run before the ring it reads (largest-scc-splits:
 # a stage cut into the ring, the counter and the toggle).
-@pytest.mark.parametrize(
-    "build, shape",
-    [
-        (_lut_only_design, (2, ())),
-        (_ff_only_design, (0, ((0, 0, 4),))),
-        (_mixed_level_design, (2, ((0, 2, 5),))),
-        (partial(_wide_cone_design, 0), (0, ((0, 2, 8),))),
-        (partial(_wide_cone_design, 1), (0, ((2, 0, 4),))),
-        (_loop_pins_design, (0, ((0, 1, 5),))),
-        (_shared_loop_lut_design, (0, ((0, 3, 5),))),
-        (_constant_inputs_design, (0, ((0, 1, 3),))),
-        (_free_running_design, (0, ((0, 1, 2),))),
-        (_two_stage_design, (0, ((0, 2, 4), (0, 1, 4)))),
-        (_wide_feedback_design, (0, ((3, 0, 4),))),
-        (partial(_stage_chain_design, 3), (0, ((0, 2, 4), (0, 2, 4), (0, 0, 4)))),
-        (partial(_stage_chain_design, 4), (0, ((2, 0, 4),))),
-        (_largest_scc_design, (0, ((0, 0, 3), (0, 0, 4), (0, 1, 3)))),
-    ],
-    ids=[
-        "no-flip-flops",
-        "no-luts",
-        "mixed-level",
-        "support-8-folds",
-        "support-9-does-not",
-        "loop-pins",
-        "shared-loop-lut",
-        "constant-inputs",
-        "free-running",
-        "two-stage",
-        "wide-feedback-does-not",
-        "three-stage-chain",
-        "four-stage-chain-does-not",
-        "largest-scc-splits",
-    ],
-)
+EDGE_CASES = {
+    "no-flip-flops": (_lut_only_design, (2, ())),
+    "no-luts": (_ff_only_design, (0, ((0, 0, 4),))),
+    "mixed-level": (_mixed_level_design, (2, ((0, 2, 5),))),
+    "support-8-folds": (partial(_wide_cone_design, 0), (0, ((0, 2, 8),))),
+    "support-9-does-not": (partial(_wide_cone_design, 1), (0, ((2, 0, 4),))),
+    "loop-pins": (_loop_pins_design, (0, ((0, 1, 5),))),
+    "shared-loop-lut": (_shared_loop_lut_design, (0, ((0, 3, 5),))),
+    "constant-inputs": (_constant_inputs_design, (0, ((0, 1, 3),))),
+    "free-running": (_free_running_design, (0, ((0, 1, 2),))),
+    "two-stage": (_two_stage_design, (0, ((0, 2, 4), (0, 1, 4)))),
+    "wide-feedback-does-not": (_wide_feedback_design, (0, ((3, 0, 4),))),
+    "three-stage-chain": (partial(_stage_chain_design, 3), (0, ((0, 2, 4), (0, 2, 4), (0, 0, 4)))),
+    "four-stage-chain-does-not": (partial(_stage_chain_design, 4), (0, ((2, 0, 4),))),
+    "largest-scc-splits": (_largest_scc_design, (0, ((0, 0, 3), (0, 0, 4), (0, 1, 3)))),
+}
+
+
+@pytest.mark.parametrize("build, shape", EDGE_CASES.values(), ids=EDGE_CASES)
 def test_simulate_matches_reference_on_kernel_edge_cases(build, shape):
     nl = build()
     comp = nl._compile()
@@ -1006,6 +990,25 @@ def netlists_with_stimuli(draw):
     return nl, stim, n_cycles, looped
 
 
+def _stages_in_order(nl: Netlist) -> tuple[tuple, int]:
+    """The stages of ``nl``'s first compile, and how many plans
+    :func:`kernel.cut` cut, after checking that each stage's loop reads
+    only flip-flops whose state columns earlier stages have written."""
+    real, parts = kernel.cut, []
+
+    def cut(sccs, reads):
+        parts.append(real(sccs, reads))
+        return parts[-1]
+
+    with mock.patch.object(kernel, "cut", cut):
+        stages = nl._compile().stages
+    written = set()
+    for stage in reversed(stages):
+        written.update(stage.ff.out.tolist())
+        assert written.isdisjoint(stage.reads.tolist())
+    return stages, sum(len(p) > 1 for p in parts)
+
+
 def _memo_hit_share(nl: Netlist, trace: Trace) -> float:
     """The share of cycles whose (state, external inputs) key an earlier
     cycle of the same stage's loop already had, over all stages."""
@@ -1041,24 +1044,13 @@ def test_simulate_matches_reference_on_random_netlists(folded_table_mismatches, 
             assert err.value.net in reference.lut_loop_nets(nl)
         return
 
-    real, parts = kernel.cut, []
-
-    def cut(sccs, reads):
-        parts.append(real(sccs, reads))
-        return parts[-1]
-
-    with mock.patch.object(kernel, "cut", cut):
-        stages = nl._compile().stages
+    stages, cuts = _stages_in_order(nl)
     # --hypothesis-show-statistics prints how often each kind occurs, and
     # how often stages are cut
     unfolded = any(s.levels for s in stages)
     event("unfolded" if unfolded else f"{len(stages)} folded stages")
     if not unfolded:
-        event(f"stages cut: {sum(len(p) > 1 for p in parts)}")
-    written = set()
-    for stage in reversed(stages):
-        written.update(stage.ff.out.tolist())
-        assert written.isdisjoint(stage.reads.tolist())
+        event(f"stages cut: {cuts}")
     assert folded_table_mismatches(nl) == []
 
     trace = simulate(nl, stim, n_cycles)
@@ -1083,3 +1075,29 @@ def test_simulate_matches_reference_on_random_netlists(folded_table_mismatches, 
     for route in (simulate, reference_simulate):
         with pytest.raises(NetlistError, match="unwired"):
             route(nl, stim, n_cycles)
+
+
+def test_no_stage_reads_a_flip_flop_of_its_own_or_a_later_stage():
+    """The stage order of the kernel property, on each kernel edge case
+    and the trigger design: the largest-scc-splits case is cut, and no
+    part of it reads a later one."""
+    cuts = {name: _stages_in_order(build())[1] for name, (build, _) in EDGE_CASES.items()}
+    assert cuts["largest-scc-splits"] == 1
+    _stages_in_order(trigger_design().netlist)
+
+
+def test_simulate_matches_reference_on_periodic_stimuli():
+    """The periodic stimuli of the kernel property, on each kernel edge
+    case: every port repeats a random pattern of 1, 3 or 8 cycles, so the
+    flip-flops settle into a short cycle and, on every design with
+    flip-flops, most cycles of each stage's loop take their next state
+    from the memo instead of the tables."""
+    rng = np.random.default_rng(11)
+    for name, (build, _) in EDGE_CASES.items():
+        nl = build()
+        for period in (1, 3, 8):
+            stim = Stimulus({n: np.resize(rng.integers(0, 2, period), 300) for n in nl.inputs})
+            trace = simulate(nl, stim, 300)
+            assert np.array_equal(trace.values, reference_simulate(nl, stim, 300).values), (name, period)
+            if nl._compile().stages:
+                assert _memo_hit_share(nl, trace) >= 0.5, (name, period)
