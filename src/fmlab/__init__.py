@@ -31,12 +31,10 @@ from .netcore import (
 )
 from .reference import reference_simulate
 from .fmlogic import (
-    CsrShape,
     FmBit,
     FmError,
     FmExpr,
     FmSignal,
-    FmSync,
     MalformedFmError,
     build_const_fm,
     build_fm_csr,

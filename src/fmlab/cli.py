@@ -203,7 +203,7 @@ class Design:
     fields None."""
 
     netlist: Netlist
-    sync: fmlogic.FmSync
+    sync: fmlogic.FmSignal
     lines: tuple
     trigger: fmlogic.FmSignal
     quad: trojankit.ConcealedQuad | None = None

@@ -47,8 +47,6 @@ from .netcore import (
 )
 
 __all__ = [
-    "CsrShape",
-    "FmSync",
     "FmSignal",
     "FmBit",
     "FmExpr",
@@ -86,16 +84,28 @@ class MalformedFmError(FmError):
 
 def sync_instants(L: int, n_cycles: int, start: int = 1) -> range:
     """Cycles at which SYNC is high: start, start+L, ... below n_cycles."""
+    _check_length(L)
     first = start + (-(start - 1)) % L
     return range(first, n_cycles, L)
 
 
 @dataclass(frozen=True)
-class CsrShape:
-    """An L-stage register ring; ``stages[i]`` is the stage i+1 output net."""
+class FmSignal:
+    """Handle onto one FM register (SYNC included): an L-stage ring.
+
+    ``stages[i]`` is the stage i+1 output net; the data tap is stage
+    L/2 (the SYNC tap, on the SYNC ring) and the marker tap stage L.
+    ``combiner_out`` is the LUT feeding the insert stage L/2 + 1 (None
+    for SYNC and constant rotors); what it reads is the netlist's
+    wiring, at inputs ``COMBINER_DATA_POS`` onward.
+    """
 
     stages: tuple[NetId, ...]
-    L: int
+    combiner_out: NetId | None = None
+
+    @property
+    def L(self) -> int:
+        return len(self.stages)
 
     @property
     def data_tap(self) -> NetId:
@@ -103,50 +113,7 @@ class CsrShape:
 
     @property
     def marker_tap(self) -> NetId:
-        return self.stages[self.L - 1]
-
-
-@dataclass(frozen=True)
-class FmSync:
-    """The alignment generator: a CSR with its set stage at L/2, whose
-    stage L/2 output is the SYNC tap."""
-
-    csr: CsrShape
-
-    @property
-    def tap(self) -> NetId:
-        return self.csr.data_tap
-
-    @property
-    def L(self) -> int:
-        return self.csr.L
-
-
-@dataclass(frozen=True)
-class FmSignal:
-    """Handle onto one FM-encoded bit.
-
-    The data tap (stage L/2 output) and L are the ring's;
-    ``combiner_out`` is the LUT feeding the insert stage L/2 + 1 (None
-    for raw rotors); ``data_inputs`` are the nets occupying the
-    combiner's data slots.
-    """
-
-    csr: CsrShape
-    combiner_out: NetId | None
-    data_inputs: tuple[NetId, ...]
-
-    @property
-    def data_tap(self) -> NetId:
-        return self.csr.data_tap
-
-    @property
-    def L(self) -> int:
-        return self.csr.L
-
-    @property
-    def stages(self) -> tuple[NetId, ...]:
-        return self.csr.stages
+        return self.stages[-1]
 
 
 @dataclass(frozen=True)
@@ -194,30 +161,23 @@ def build_ring(
     return qs
 
 
-def build_sync(netlist: Netlist, L: int = 8) -> FmSync:
+def build_sync(netlist: Netlist, L: int = 8) -> FmSignal:
     """The SYNC generator: marker planted at stage L/2, tapped there.
 
     After reset the single 1 sits at stage L/2, so the tap is high at
     cycle 1 and every L cycles after.
     """
-    _check_length(L)
-    qs = build_ring(netlist, L, [L // 2])
-    return FmSync(csr=CsrShape(stages=tuple(qs), L=L))
+    return FmSignal(tuple(build_ring(netlist, L, [L // 2])))
 
 
-def build_fm_csr(netlist: Netlist, L: int = 8) -> CsrShape:
+def build_fm_csr(netlist: Netlist, L: int = 8) -> FmSignal:
     """A free-running FM register holding value 0 (marker only)."""
-    _check_length(L)
-    qs = build_ring(netlist, L, [L])
-    return CsrShape(stages=tuple(qs), L=L)
+    return build_const_fm(netlist, L, 0)
 
 
-def build_const_fm(netlist: Netlist, L: int, value: int) -> CsrShape:
+def build_const_fm(netlist: Netlist, L: int, value: int) -> FmSignal:
     """A rotor permanently encoding ``value`` (marker, plus data for 1)."""
-    _check_length(L)
-    marks = [L, L // 2] if value else [L]
-    qs = build_ring(netlist, L, marks)
-    return CsrShape(stages=tuple(qs), L=L)
+    return FmSignal(tuple(build_ring(netlist, L, [L, L // 2] if value else [L])))
 
 
 def make_combiner_table(
@@ -241,14 +201,14 @@ def make_combiner_table(
 
 def build_fm_register(
     netlist: Netlist,
-    sync: FmSync,
+    sync: FmSignal,
     table: TruthTable,
-    data_inputs: Sequence[NetId],
+    data: Sequence[NetId],
     set_stages: Sequence[int] | None = None,
     ce: NetId | None = None,
 ) -> FmSignal:
     """An FM register: an L-stage ring whose insert stage L/2 + 1 is
-    driven by one LUT over (SYNC, own stage L/2 tap, *data_inputs).
+    driven by one LUT over (SYNC, own stage L/2 tap, *data).
 
     ``set_stages`` defaults to the marker ring ([L]); ``ce`` to tied
     high.
@@ -256,16 +216,12 @@ def build_fm_register(
     L = sync.L
     set_stages = [L] if set_stages is None else list(set_stages)
     qs = build_ring(netlist, L, set_stages, insert_stage=L // 2 + 1, ce=ce)
-    comb = netlist.add_lut((sync.tap, qs[L // 2 - 1], *data_inputs), table)
+    comb = netlist.add_lut((sync.data_tap, qs[L // 2 - 1], *data), table)
     netlist.set_ff_d(qs[L // 2], comb)
-    return FmSignal(
-        csr=CsrShape(stages=tuple(qs), L=L),
-        combiner_out=comb,
-        data_inputs=tuple(data_inputs),
-    )
+    return FmSignal(tuple(qs), comb)
 
 
-def build_std_to_fm(netlist: Netlist, a: NetId, sync: FmSync) -> FmSignal:
+def build_std_to_fm(netlist: Netlist, a: NetId, sync: FmSignal) -> FmSignal:
     """Converter from standard logic to FM.
 
     The insert LUT samples ``a`` at each SYNC instant; the sampled bit
@@ -280,7 +236,7 @@ def build_fm_gate(
     netlist: Netlist,
     fn: TruthTable,
     inputs: Sequence[FmSignal],
-    sync: FmSync,
+    sync: FmSignal,
 ) -> FmSignal:
     """An FM gate computing ``fn`` over up to four FM inputs.
 
@@ -320,7 +276,7 @@ class FmExpr:
         return child + 1
 
 
-def compose_fm(netlist: Netlist, expr: FmExpr, sync: FmSync) -> FmSignal:
+def compose_fm(netlist: Netlist, expr: FmExpr, sync: FmSignal) -> FmSignal:
     """Build one FM gate per internal node of ``expr``.
 
     Guarantees activity at every gate output because each node's
@@ -336,7 +292,7 @@ def compose_fm(netlist: Netlist, expr: FmExpr, sync: FmSync) -> FmSignal:
     return build_fm_gate(netlist, expr.table, operands, sync)
 
 
-def build_locking_and(netlist: Netlist, a: FmSignal, b: FmSignal, sync: FmSync) -> FmSignal:
+def build_locking_and(netlist: Netlist, a: FmSignal, b: FmSignal, sync: FmSignal) -> FmSignal:
     """AND gate that latches FM value 1 permanently once both inputs are 1.
 
     The insert LUT ORs the conjunction with the register's own data tap
@@ -351,7 +307,7 @@ def build_locking_and(netlist: Netlist, a: FmSignal, b: FmSignal, sync: FmSync) 
     return build_fm_register(netlist, sync, table, (a.data_tap, b.data_tap))
 
 
-def fm_decode(trace: Trace, fm: "FmSignal | CsrShape", sync_cycle: int) -> FmBit:
+def fm_decode(trace: Trace, fm: FmSignal, sync_cycle: int) -> FmBit:
     """Read the FM value at a SYNC instant and validate the encoding.
 
     The amplitude view (data tap sample) must agree with the frequency

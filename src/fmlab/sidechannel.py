@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .netcore import CONST_NAMES, NetId, Netlist, RESET_NAME, Trace
-from .fmlogic import FmSignal, FmSync, build_std_to_fm
+from .fmlogic import FmSignal, build_std_to_fm
 
 __all__ = [
     "UciReport",
@@ -394,8 +394,6 @@ def attacker_demodulate(
     Period i covers cycles [start_cycle + i*L, start_cycle + (i+1)*L);
     a period sums to more than ``threshold`` iff its bit is read as 1.
     """
-    if n_bits < 1:
-        raise AnalysisError("n_bits must be positive")
     sums = period_sums(pt, L, start_cycle, n_bits)
     return "".join("1" if s > threshold else "0" for s in sums)
 
@@ -404,6 +402,8 @@ def period_sums(pt: PowerTrace, L: int, start_cycle: int, n_bits: int) -> np.nda
     """The per-period dynamic sums the demodulator thresholds."""
     if L < 1:
         raise AnalysisError(f"period L={L} must be at least 1")
+    if n_bits < 1:
+        raise AnalysisError("n_bits must be positive")
     end = start_cycle + n_bits * L
     if start_cycle < 0 or end > len(pt):
         raise AnalysisError(
@@ -456,19 +456,16 @@ class JammerPlan:
     ports: tuple[str, ...]
     signals: tuple[FmSignal, ...]
     seed: int
-    L: int
+
+    @property
+    def L(self) -> int:
+        return self.signals[0].L
 
     def stage_nets(self) -> tuple[NetId, ...]:
-        nets: list[NetId] = []
-        for sig in self.signals:
-            nets.extend(sig.csr.stages)
-        return tuple(nets)
+        return tuple(net for sig in self.signals for net in sig.stages)
 
     def all_nets(self) -> tuple[NetId, ...]:
-        nets = list(self.stage_nets())
-        for sig in self.signals:
-            nets.append(sig.combiner_out)
-        return tuple(nets)
+        return self.stage_nets() + tuple(sig.combiner_out for sig in self.signals)
 
     def stimulus_waves(self, n_cycles: int) -> dict[str, np.ndarray]:
         """Per-period random bit per register, held across each period.
@@ -490,7 +487,7 @@ class JammerPlan:
         return waves
 
 
-def build_jammer(netlist: Netlist, sync: FmSync, k_pairs: int, seed: int) -> JammerPlan:
+def build_jammer(netlist: Netlist, sync: FmSignal, k_pairs: int, seed: int) -> JammerPlan:
     """Add ``k_pairs`` pairs of independently modulated FM registers.
 
     Each register re-draws its value every SYNC period from the seeded
@@ -510,9 +507,4 @@ def build_jammer(netlist: Netlist, sync: FmSync, k_pairs: int, seed: int) -> Jam
         net = netlist.add_input(name)
         ports.append(name)
         signals.append(build_std_to_fm(netlist, net, sync))
-    return JammerPlan(
-        ports=tuple(ports),
-        signals=tuple(signals),
-        seed=seed,
-        L=sync.L,
-    )
+    return JammerPlan(ports=tuple(ports), signals=tuple(signals), seed=seed)

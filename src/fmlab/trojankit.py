@@ -34,7 +34,7 @@ has decoded 1; before that the carrier idles at FM 0, concealed.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 from typing import Sequence
@@ -56,9 +56,7 @@ from .netcore import (
 from .fmlogic import (
     COMBINER_DATA_POS,
     COMBINER_FB_POS,
-    CsrShape,
     FmSignal,
-    FmSync,
     build_fm_register,
     make_combiner_table,
 )
@@ -215,7 +213,7 @@ def build_trigger(
     b: NetId,
     c: NetId,
     d: NetId,
-    sync: FmSync,
+    sync: FmSignal,
 ) -> FmSignal:
     """Capture the A.B.C.D conjunction into the FM domain.
 
@@ -229,7 +227,7 @@ def build_trigger(
     return build_fm_register(netlist, sync, table, (a, b, c, d))
 
 
-def decode_level(netlist: Netlist, fm: FmSignal, sync: FmSync) -> NetId:
+def decode_level(netlist: Netlist, fm: FmSignal, sync: FmSignal) -> NetId:
     """FM-to-standard decoder: a register sampling the data tap at SYNC.
 
     The output holds the decoded value steadily between SYNC instants.
@@ -237,7 +235,7 @@ def decode_level(netlist: Netlist, fm: FmSignal, sync: FmSync) -> NetId:
     payload wiring hanging off it is inherently visible to activity
     scans; the FM trigger itself is not.
     """
-    return netlist.add_ff(FfKind.RESET, fm.data_tap, sync.tap, netlist.reset())
+    return netlist.add_ff(FfKind.RESET, fm.data_tap, sync.data_tap, netlist.reset())
 
 
 # ---------------------------------------------------------------------------
@@ -395,34 +393,33 @@ class ConcealedQuad:
 
     a: FmSignal
     b: FmSignal
-    c: CsrShape
-    d: CsrShape
+    c: FmSignal
+    d: FmSignal
     netlist: Netlist
     trigger: FmSignal | None = None
     active: NetId | None = None
     _enable_b: NetId | None = None
     _enable_cd: NetId | None = None
-    _combiners: tuple[NetId, NetId, NetId, NetId] = field(default=())  # a, b, c, d
 
     @property
     def armed(self) -> bool:
         return self.active is not None
 
     def stage_nets(self) -> tuple[NetId, ...]:
-        return self.a.csr.stages + self.b.csr.stages + self.c.stages + self.d.stages
+        return self.a.stages + self.b.stages + self.c.stages + self.d.stages
 
     def retarget_data(self, net: NetId) -> None:
         """Repoint every combiner's single data slot at a new driver."""
-        if len(self.a.data_inputs) != 1:
+        if len(self.netlist.lut(self.a.combiner_out).inputs[COMBINER_DATA_POS:]) != 1:
             raise PayloadError("retarget requires a single-data-input carrier")
-        for comb in self._combiners:
-            self.netlist.set_lut_input(comb, COMBINER_DATA_POS, net)
+        for reg in (self.a, self.b, self.c, self.d):
+            self.netlist.set_lut_input(reg.combiner_out, COMBINER_DATA_POS, net)
 
 
 def build_concealed(
     netlist: Netlist,
     fm: FmSignal,
-    sync: FmSync,
+    sync: FmSignal,
     trigger: FmSignal | None = None,
 ) -> ConcealedQuad:
     """Replicate ``fm`` into a concealment quad.
@@ -438,13 +435,14 @@ def build_concealed(
         raise PayloadError("carrier must have a combining LUT (converter or gate)")
     if fm.L != sync.L:
         raise PayloadError(f"mixed CSR lengths: carrier L={fm.L}, sync L={sync.L}")
-    k = len(fm.data_inputs)
+    a_lut = netlist.lut(fm.combiner_out)
+    data = a_lut.inputs[COMBINER_DATA_POS:]
     armed = trigger is not None
-    if armed and k > 3:
+    if armed and len(data) > 3:
         raise PayloadError("armed quads support at most 3 data inputs (one pin gates the payload)")
 
     L = fm.L
-    a_table = netlist.lut(fm.combiner_out).table
+    a_table = a_lut.table
     active = decode_level(netlist, trigger, sync) if armed else None
 
     enable_b = enable_cd = None
@@ -456,24 +454,23 @@ def build_concealed(
     dual = _dual_table(a_table)
     if armed:
         b = build_fm_register(
-            netlist, sync, _armed_b_table(a_table, mirror=False), (*fm.data_inputs, active), ce=enable_b
+            netlist, sync, _armed_b_table(a_table, mirror=False), (*data, active), ce=enable_b
         )
     else:
-        b = build_fm_register(netlist, sync, dual, fm.data_inputs)
-    c = build_fm_register(netlist, sync, dual, fm.data_inputs, flipped, ce=enable_cd)
-    d = build_fm_register(netlist, sync, a_table, fm.data_inputs, flipped, ce=enable_cd)
+        b = build_fm_register(netlist, sync, dual, data)
+    c = build_fm_register(netlist, sync, dual, data, flipped, ce=enable_cd)
+    d = build_fm_register(netlist, sync, a_table, data, flipped, ce=enable_cd)
 
     return ConcealedQuad(
         a=fm,
         b=b,
-        c=c.csr,
-        d=d.csr,
+        c=c,
+        d=d,
         netlist=netlist,
         trigger=trigger,
         active=active,
         _enable_b=enable_b,
         _enable_cd=enable_cd,
-        _combiners=(fm.combiner_out, b.combiner_out, c.combiner_out, d.combiner_out),
     )
 
 
@@ -494,9 +491,9 @@ def set_payload_mode(quad: ConcealedQuad, mode: PayloadMode) -> None:
         drop = tt_not()
         nl.set_lut_table(quad._enable_b, drop if mode is PayloadMode.MODE1 else hold)
         nl.set_lut_table(quad._enable_cd, hold if mode is PayloadMode.CONCEALED else drop)
-        a_table = nl.lut(quad._combiners[0]).table
+        a_table = nl.lut(quad.a.combiner_out).table
         nl.set_lut_table(
-            quad._combiners[1],
+            quad.b.combiner_out,
             _armed_b_table(a_table, mirror=(mode is PayloadMode.MODE2)),
         )
 
@@ -523,7 +520,7 @@ def build_payload_transmitter(
     secret: str,
     trigger: FmSignal,
     carrier: ConcealedQuad,
-    sync: FmSync,
+    sync: FmSignal,
 ) -> NetId:
     """Drive the carrier with one secret bit per SYNC period after activation.
 
@@ -542,7 +539,7 @@ def build_payload_transmitter(
     active = carrier.active
     reset = netlist.reset()
 
-    advance = netlist.add_lut((sync.tap, active), tt_and(2))
+    advance = netlist.add_lut((sync.data_tap, active), tt_and(2))
     n = len(secret)
     ring = [
         netlist.add_ff(FfKind.SET if i == 0 else FfKind.RESET, None, advance, reset)

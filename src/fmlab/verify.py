@@ -336,7 +336,7 @@ def check_no_constant_nets() -> CheckResult:
     n = 160
     ops = trojankit.scrub_sequences(trojankit.random_program(n - 1, 16, 11), SPEC)
     trace = simulate(tb.netlist, trojankit.program_stimulus(ops, SPEC, total_cycles=n), n)
-    core = {*tb.trigger.stages, tb.trigger.combiner_out, *tb.sync.csr.stages}
+    core = {*tb.trigger.stages, tb.trigger.combiner_out, *tb.sync.stages}
     scans += [("trigger", trace, 8 * L, None), ("trigger FM core", trace, L, core)]
 
     for name, trace, span, nets in scans:
@@ -496,7 +496,7 @@ def check_trigger_rarity() -> CheckResult:
         # reset, which clears every delay-chain flip-flop
         trace = simulate(nl, trojankit.program_stimulus(ops[1:].tolist(), SPEC), chunk)
         conj = (
-            trace.wave(a) & trace.wave(b) & trace.wave(c) & trace.wave(d) & trace.wave(sync.tap)
+            trace.wave(a) & trace.wave(b) & trace.wave(c) & trace.wave(d) & trace.wave(sync.data_tap)
         )
         total += int(conj.sum())
     if total > 3:

@@ -419,7 +419,7 @@ def test_verify_only_runs_the_named_checks(monkeypatch, capsys):
 
 def test_verify_balance_names_first_broken_cycle(monkeypatch):
     nl, quad = verify.data_quad()
-    one_register = SimpleNamespace(stage_nets=lambda: list(quad.a.csr.stages))
+    one_register = SimpleNamespace(stage_nets=lambda: list(quad.a.stages))
     monkeypatch.setattr(verify, "data_quad", lambda: (nl, one_register))
     ok, detail = verify.check_concealment_balance()
     assert not ok

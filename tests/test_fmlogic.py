@@ -37,21 +37,23 @@ def test_sync_reset_pattern_and_tap():
     nl = Netlist()
     sync = build_sync(nl, 8)
     trace = simulate(nl, Stimulus.standard(20, nl), 20)
-    assert [trace.value(s, 1) for s in sync.csr.stages] == [0, 0, 0, 1, 0, 0, 0, 0]
-    assert [t for t in range(20) if trace.value(sync.tap, t)] == [1, 9, 17]
+    assert [trace.value(s, 1) for s in sync.stages] == [0, 0, 0, 1, 0, 0, 0, 0]
+    assert [t for t in range(20) if trace.value(sync.data_tap, t)] == [1, 9, 17]
 
 
 def test_sync_shortest_length():
     nl = Netlist()
     sync = build_sync(nl, 4)
     trace = simulate(nl, Stimulus.standard(14, nl), 14)
-    assert [t for t in range(14) if trace.value(sync.tap, t)] == [1, 5, 9, 13]
+    assert [t for t in range(14) if trace.value(sync.data_tap, t)] == [1, 5, 9, 13]
 
 
 @pytest.mark.parametrize("bad", [3, 2, 7, 0])
 def test_sync_rejects_bad_lengths(bad):
-    with pytest.raises(FmError):
+    with pytest.raises(FmError) as built:
         build_sync(Netlist(), bad)
+    with pytest.raises(FmError, match=f"^{built.value}$"):
+        sync_instants(bad, 10)
 
 
 def test_fm_csr_reset_pattern():
@@ -285,10 +287,10 @@ def test_decode_const_rotors():
 def test_decode_rejects_corrupted_ring():
     nl = Netlist()
     qs = build_ring(nl, L, [4, 5])  # two adjacent circulating ones
-    shape = fmlogic.CsrShape(stages=tuple(qs), L=L)
+    ring = fmlogic.FmSignal(tuple(qs))
     trace = simulate(nl, Stimulus.standard(40, nl), 40)
     with pytest.raises(MalformedFmError):
-        fm_decode(trace, shape, 9)
+        fm_decode(trace, ring, 9)
 
 
 def test_decode_validates_cycle():

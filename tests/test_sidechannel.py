@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fmlab import sidechannel as sc
 from fmlab.cli import ScenarioConfig, simulate_scenario
-from fmlab.fmlogic import build_sync
+from fmlab.fmlogic import COMBINER_DATA_POS, build_sync
 from fmlab.netcore import Netlist, Stimulus, Trace, simulate, tt_buf, tt_or
 from fmlab.reference import scan_reference
 from fmlab.trojankit import (
@@ -107,9 +107,9 @@ def test_pair_scan_finds_quad_complements():
     )
     report = sc.pair_scan(trace, (1, 120))
     comp = set(report.complement_pairs)
-    for sa, scomp in zip(quad.a.csr.stages, quad.c.stages):
+    for sa, scomp in zip(quad.a.stages, quad.c.stages):
         assert tuple(sorted((sa, scomp))) in comp
-    for sb, sd in zip(quad.b.csr.stages, quad.d.stages):
+    for sb, sd in zip(quad.b.stages, quad.d.stages):
         assert tuple(sorted((sb, sd))) in comp
 
 
@@ -411,6 +411,13 @@ def test_period_sums_rejects_a_non_positive_period():
         sc.period_sums(pt, -2, 10, 2)
 
 
+@pytest.mark.parametrize("start, n_bits", [(0, 0), (4, -1)])
+def test_period_sums_rejects_a_non_positive_bit_count(start, n_bits):
+    pt = sc.PowerTrace(dynamic=np.zeros(20), static=np.zeros(20), scope=(0,))
+    with pytest.raises(sc.AnalysisError, match="n_bits must be positive"):
+        sc.period_sums(pt, 8, start, n_bits)
+
+
 def test_oracle_threshold_perfect_separation():
     sums = np.array([16, 32, 17, 31.0])
     acc, thr = sc.oracle_threshold_accuracy(sums, "0101")
@@ -447,6 +454,13 @@ def test_jammer_allocates_past_existing_ports():
     nl.add_input("JAM1")
     jam = sc.build_jammer(nl, sync, 1, seed=1)
     assert jam.ports == ("JAM2", "JAM3")
+    assert jam.L == sync.L
+    # each register samples its own port; the scope lists stages, then combiners
+    for port, reg in zip(jam.ports, jam.signals, strict=True):
+        assert nl.lut(reg.combiner_out).inputs[COMBINER_DATA_POS:] == (nl.inputs[port],)
+    first, second = jam.signals
+    assert jam.stage_nets() == first.stages + second.stages
+    assert jam.all_nets() == jam.stage_nets() + (first.combiner_out, second.combiner_out)
 
 
 def test_jammer_alone_shows_both_frequencies():

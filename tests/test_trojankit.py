@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fmlab import fmlogic, sidechannel
 from fmlab.cli import ScenarioConfig, construct_design
-from fmlab.fmlogic import COMBINER_FB_POS, build_std_to_fm, build_sync, fm_decode, sync_instants
+from fmlab.fmlogic import COMBINER_DATA_POS, COMBINER_FB_POS, build_std_to_fm, build_sync, fm_decode, sync_instants
 from fmlab.netcore import FlipFlop, Lut, Netlist, Stimulus, TruthTable, simulate
 from fmlab.reference import reference_simulate
 from fmlab.trojankit import (
@@ -229,12 +229,13 @@ def test_quad_duality_and_stage_complements():
         da = fm_decode(trace, quad.a, t).value
         db = fm_decode(trace, quad.b, t).value
         assert db == 1 - da
-    a = trace.values[1:, list(quad.a.csr.stages)]
+    a = trace.values[1:, list(quad.a.stages)]
     c = trace.values[1:, list(quad.c.stages)]
-    b = trace.values[1:, list(quad.b.csr.stages)]
+    b = trace.values[1:, list(quad.b.stages)]
     d = trace.values[1:, list(quad.d.stages)]
     assert ((a ^ c) == 1).all()
     assert ((b ^ d) == 1).all()
+    assert quad.stage_nets() == quad.a.stages + quad.b.stages + quad.c.stages + quad.d.stages
 
 
 def test_quad_transition_balance_always_six():
@@ -242,7 +243,7 @@ def test_quad_transition_balance_always_six():
     trace, quad = _quad_under_toggle()
     assert sidechannel.quad_balance(sidechannel.power_trace(trace, quad.stage_nets()), 2, 400)[3] is None
     # one register of the quad instead of all four breaks it at once
-    assert sidechannel.quad_balance(sidechannel.power_trace(trace, quad.a.csr.stages), 5, 400)[3] == 5
+    assert sidechannel.quad_balance(sidechannel.power_trace(trace, quad.a.stages), 5, 400)[3] == 5
 
 
 def test_quad_static_count_is_two_l():
@@ -269,9 +270,8 @@ def test_quad_requires_combining_lut():
     nl = Netlist()
     sync = build_sync(nl, L)
     rotor = fmlogic.build_fm_csr(nl, L)
-    sig = fmlogic.FmSignal(csr=rotor, combiner_out=None, data_inputs=())
     with pytest.raises(PayloadError, match="combining"):
-        build_concealed(nl, sig, sync)
+        build_concealed(nl, rotor, sync)
 
 
 # ---------------------------------------------------------------------------
@@ -299,15 +299,15 @@ def test_concealed_mode_sums_constant_regardless_of_bit():
 def test_frozen_replicas_stop_toggling_in_mode1():
     trace, design = aligned_payload_run("1" * 8, PayloadMode.MODE1)
     quad = design.quad
-    frozen = list(quad.b.csr.stages) + list(quad.c.stages) + list(quad.d.stages)
+    frozen = list(quad.b.stages) + list(quad.c.stages) + list(quad.d.stages)
     sub = trace.values[FIRST_BIT_START:, frozen]
     assert (sub == sub[0]).all()
 
 
 def test_mode2_b_mirrors_a_after_activation():
     trace, design = aligned_payload_run("10110100", PayloadMode.MODE2)
-    a = trace.values[FIRST_BIT_START:, list(design.quad.a.csr.stages)]
-    b = trace.values[FIRST_BIT_START:, list(design.quad.b.csr.stages)]
+    a = trace.values[FIRST_BIT_START:, list(design.quad.a.stages)]
+    b = trace.values[FIRST_BIT_START:, list(design.quad.b.stages)]
     assert np.array_equal(a, b)
 
 
@@ -367,6 +367,17 @@ def test_transmitter_rejects_bad_secret():
         build_payload_transmitter(d.netlist, "", d.trigger, d.quad, d.sync)
 
 
+def test_replicas_of_a_retargeted_carrier_read_the_transmitter():
+    design = construct_design(ScenarioConfig(payload_mode="mode1", secret="1011"))
+    nl = design.netlist
+    tx = nl.lut(design.quad.a.combiner_out).inputs[COMBINER_DATA_POS]
+    assert nl.lut(tx).inputs[1] == design.quad.active  # the transmitter's output gate
+    assert tx != nl.const(0)
+    again = build_concealed(nl, design.quad.a, design.sync)
+    for reg in (again.b, again.c, again.d):
+        assert nl.lut(reg.combiner_out).inputs[COMBINER_DATA_POS:] == (tx,)
+
+
 def _trigger_and_carrier():
     nl = Netlist()
     sync = build_sync(nl, L)
@@ -390,7 +401,9 @@ def test_transmitter_selection_tables_or_the_secret_lines(secret):
     nl, sync, trig, carrier = _trigger_and_carrier()
     quad = build_concealed(nl, carrier, sync, trigger=trig)
     first = len(nl.cells)
-    build_payload_transmitter(nl, secret, trig, quad, sync)
+    tx = build_payload_transmitter(nl, secret, trig, quad, sync)
+    for reg in (quad.a, quad.b, quad.c, quad.d):
+        assert nl.lut(reg.combiner_out).inputs[COMBINER_DATA_POS] == tx
     cells = nl.cells[first:]
     # each ring line carries its secret bit, each selection LUT output '1'
     bit = {ff.q: s for ff, s in zip((c for c in cells if isinstance(c, FlipFlop)), secret, strict=True)}
