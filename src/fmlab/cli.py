@@ -425,12 +425,15 @@ def analyze_trace(
 
     Power and spectrum cover every net but RESET and the tie-offs;
     spectral peaks are the bins within half the largest non-DC
-    magnitude, as in the default scenario config.
+    magnitude, as in the default scenario config.  The window must span
+    at least the 2 cycles of the shortest spectrum.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stop = trace.cycles if window_stop is None else window_stop
     window = (window_start, stop)
+    if stop - window_start < 2:
+        raise sidechannel.AnalysisError(f"analysis window {window} is shorter than 2 cycles")
     uci = sidechannel.uci_scan(trace, window)
     pairs = sidechannel.pair_scan(trace, window)
     pt = sidechannel.power_trace(trace, sidechannel.scan_nets(trace))

@@ -600,7 +600,8 @@ class Trace:
         The file is UTF-8 text: a header of net names (empty for a trace
         with no nets, whose rows are then empty lines), then one row per
         cycle.  A file in exactly the form :meth:`to_csv` writes is checked
-        and converted as one byte buffer.  Any other goes through
+        and converted in one pass over its bytes, by
+        :func:`_parse_csv_buffer`.  Any other goes through
         :func:`_parse_csv_lines`, which also accepts CRLF, blank lines, a
         missing final newline and any cell numpy reads as 0 or 1, and
         raises :class:`NetlistError` naming the first line it cannot read.
@@ -612,14 +613,16 @@ class Trace:
         return cls(values=values, names=names)
 
 
-def _all_bytes(a: np.ndarray, char: str) -> bool:
-    return a.size == 0 or a.min() == a.max() == ord(char)
-
-
 def _parse_csv_buffer(data: bytes) -> tuple[tuple[str, ...], np.ndarray] | None:
     """Names and values of trace CSV ``data`` laid out exactly as
     :meth:`Trace.to_csv` writes it (the header may end in CRLF), or None
-    for any other layout."""
+    for any other layout.
+
+    Each cell and the separator after it are read as one little-endian
+    uint16, digit | separator << 8, and XORed with the same pair of an
+    all-zero row: the body is in that layout iff every result is 0 or 1,
+    and the results are the cells' values.
+    """
     end = data.find(b"\n")
     end = len(data) if end < 0 else end
     header = data[:end].removesuffix(b"\r")
@@ -630,17 +633,26 @@ def _parse_csv_buffer(data: bytes) -> tuple[tuple[str, ...], np.ndarray] | None:
     except UnicodeDecodeError:
         return None
     n = len(names)
-    width = max(2 * n, 1)
-    body = np.frombuffer(data, np.uint8)[end + 1 :]
-    if body.size % width:
+    body = memoryview(data)[end + 1 :]
+    if not n:  # a trace with no nets: one empty line per cycle
+        rows = data.count(b"\n", end + 1)
+        return (names, np.zeros((rows, 0), np.uint8)) if rows == len(body) else None
+    if len(body) % (2 * n):
         return None
-    rows = body.reshape(-1, width)
-    if not (_all_bytes(rows[:, 1 : 2 * n - 1 : 2], ",") and _all_bytes(rows[:, -1], "\n")):
-        return None
-    # a cell byte below "0" wraps past 1 as well
-    values = rows[:, : 2 * n : 2] - np.uint8(ord("0"))
-    if values.size and values.max() > 1:
-        return None
+    cells = np.frombuffer(body, "<u2").reshape(-1, n)
+    template = np.full(n, ord("0") | ord(",") << 8, "<u2")
+    template[-1] = ord("0") | ord("\n") << 8
+    values = np.empty(cells.shape, np.uint8)
+    # blocks of about 64 KiB of text, as to_csv writes, so no buffer grows with the trace
+    step = max(1, (32 << 10) // n)
+    xor = np.empty((min(step, len(cells)), n), "<u2")
+    for start in range(0, len(cells), step):
+        block = cells[start : start + step]
+        out = xor[: len(block)]
+        np.bitwise_xor(block, template, out=out)
+        if out.max() > 1:
+            return None
+        values[start : start + step] = out
     return names, values
 
 

@@ -11,6 +11,9 @@ a loop of LUTs with no flip-flop on it (the reachability search of
 :func:`scan_reference` is the brute-force counterpart of the activity
 scans: it compares each net's waveform, and every pair of them, as
 tuples, where ``sidechannel`` packs bits and groups keys.
+:func:`power_reference` counts the power model's ones and changes net
+by net and cycle by cycle, where ``power_trace`` packs each cycle's
+nets into words and counts their bits.
 
 ``ff_update`` can be overridden to experiment with alternative flip-flop
 rules (e.g. to demonstrate that the verification battery catches a wrong
@@ -154,3 +157,18 @@ def scan_reference(trace: Trace, window: tuple[int, int]) -> tuple[list, dict, l
     equal = [(a, b) for a, b in pairs if waves[a] == waves[b]]
     complement = [(a, b) for a, b in pairs if waves[a] == flipped[b]]
     return constant, duty, equal, complement
+
+
+def power_reference(trace: Trace, scope) -> tuple[list[int], list[int]]:
+    """(dynamic, static) of the power model over the scope, from each
+    scoped net's waveform: on each cycle, the nets that changed since the
+    previous cycle (none on cycle 0) and the nets at 1."""
+    dynamic = [0] * trace.cycles
+    static = [0] * trace.cycles
+    for net in scope:
+        wave = trace.values[:, net].tolist()
+        for t, v in enumerate(wave):
+            static[t] += v
+        for t in range(1, len(wave)):
+            dynamic[t] += wave[t] != wave[t - 1]
+    return dynamic, static

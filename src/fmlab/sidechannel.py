@@ -146,10 +146,8 @@ def pair_scan(trace: Trace, window: tuple[int, int]) -> PairReport:
     """
     start, stop = _check_window(trace, window)
     nets = scan_nets(trace)
-    # one row of packed bytes per net; the gather lays each net's cycles out
-    # contiguously, so the transpose is C-contiguous and nothing is copied
-    packed = np.ascontiguousarray(np.packbits(trace.values[start:stop, nets], axis=0).T)
-    # flip every cycle's bit but not the last byte's padding, which packbits leaves 0
+    packed = np.ascontiguousarray(_pack_cycles(trace.values[start:stop])[:, nets].T)
+    # flip every cycle's bit but not the last byte's padding, which stays 0
     flipped = packed ^ np.packbits(np.ones(stop - start, np.uint8))
     key_type = f"V{packed.shape[1]}"
     keys = packed.view(key_type).ravel().tolist()
@@ -177,6 +175,26 @@ def pair_scan(trace: Trace, window: tuple[int, int]) -> PairReport:
         complement_pairs=tuple(complement),
         window=(start, stop),
     )
+
+
+# the k-th of a packed byte's 8 cycles is its bit 7 - k, as in np.packbits
+_CYCLE_BITS = np.array([128, 64, 32, 16, 8, 4, 2, 1], np.uint8)
+
+
+def _pack_cycles(window: np.ndarray) -> np.ndarray:
+    """Byte j of every net's waveform, ``np.packbits(window, axis=0)``:
+    row j holds cycles 8j..8j+7 of each net, the last row padded with 0.
+
+    Each row is a weighted sum of 8 contiguous rows of the window, so the
+    window is read in its own cycle-major order and never transposed.
+    """
+    span, n = window.shape
+    full = span - span % 8
+    packed = np.empty((-(-span // 8), n), np.uint8)
+    np.einsum("gkn,k->gn", window[:full].reshape(full // 8, 8, n), _CYCLE_BITS, out=packed[: full // 8])
+    if full < span:
+        np.einsum("kn,k->n", window[full:], _CYCLE_BITS[: span - full], out=packed[-1])
+    return packed
 
 
 # ---------------------------------------------------------------------------
@@ -215,25 +233,52 @@ class PowerTrace:
 
 
 def power_trace(trace: Trace, scope: Sequence[NetId]) -> PowerTrace:
-    """Transition-count power model over an explicit net subset."""
+    """Transition-count power model over an explicit net subset.
+
+    Each cycle's nets from the lowest scoped one to the highest are
+    packed into 64-bit words, net ``lo + b`` at bit b (little-endian),
+    and masked to the scope: a cycle's static count is the popcount of
+    its words, its dynamic count that of their XOR with the previous
+    cycle's words.
+    """
     scope = _check_scope(trace, scope)
-    sub = trace.values[:, scope]
+    lo, hi = min(scope), max(scope) + 1
+    bits = -(-(hi - lo) // 64) * 64
+    in_scope = np.zeros(bits, np.uint8)
+    in_scope[np.subtract(scope, lo)] = 1
+    mask = np.packbits(in_scope, bitorder="little").view(np.uint64)
+    # words[w, t] holds bits 64w..64w+63 of cycle t; the cycles are packed
+    # through one zero-padded buffer of about 64 KiB, so no temporary grows
+    # with the trace, and each block is one flat packbits
+    words = np.empty((len(mask), trace.cycles), np.uint64)
+    step = max(1, (64 << 10) // bits)
+    rows = np.zeros((min(step, trace.cycles), bits), np.uint8)
+    for start in range(0, trace.cycles, step):
+        block = trace.values[start : start + step, lo:hi]
+        buf = rows[: len(block)]
+        buf[:, : hi - lo] = block
+        packed = np.packbits(buf, axis=None, bitorder="little").view(np.uint64)
+        np.bitwise_and(packed.reshape(len(block), -1), mask, out=words[:, start : start + step].T)
+    static = np.bitwise_count(words).sum(axis=0, dtype=np.int64)
     dynamic = np.zeros(trace.cycles, np.int64)
-    static = sub.sum(axis=1, dtype=np.int64)
-    if trace.cycles > 1:
-        dynamic[1:] = (sub[1:] != sub[:-1]).sum(axis=1, dtype=np.int64)
+    dynamic[1:] = np.bitwise_count(words[:, 1:] ^ words[:, :-1]).sum(axis=0, dtype=np.int64)
     dynamic.setflags(write=False)
     static.setflags(write=False)
     return PowerTrace(dynamic=dynamic, static=static, scope=scope)
 
 
 def _check_scope(trace: Trace, scope: Sequence[NetId]) -> tuple[NetId, ...]:
+    """The scope as a tuple of net ids; a scope is a set of nets, so it
+    names each one once."""
     scope = tuple(int(n) for n in scope)
     if not scope:
         raise AnalysisError("power scope must be nonempty")
-    for net in scope:
-        if not 0 <= net < trace.n_nets:
-            raise AnalysisError(f"unknown net {net} in scope")
+    if min(scope) < 0 or max(scope) >= trace.n_nets:
+        net = next(n for n in scope if not 0 <= n < trace.n_nets)
+        raise AnalysisError(f"unknown net {net} in scope")
+    if len(set(scope)) < len(scope):
+        net = next(n for i, n in enumerate(scope) if n in scope[:i])
+        raise AnalysisError(f"net {net} appears twice in scope; a scope names each net once")
     return scope
 
 

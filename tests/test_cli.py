@@ -337,6 +337,16 @@ def test_cli_analyze_zero_spectrum_window_exit_two(tmp_path, capsys):
     assert "window_len must be a power of two >= 2, got 0" in capsys.readouterr().err
 
 
+def test_cli_analyze_one_cycle_window_names_the_window(tmp_path, capsys):
+    # a window too short for any spectrum is rejected before the scans run,
+    # as the window the user gave, not as the spectrum's window_len
+    path = tmp_path / "trace.csv"
+    path.write_text("RESET,A\n1,0\n0,1\n0,0\n")
+    code = main(["analyze", "--trace", str(path), "--out", str(tmp_path / "ana"), "--window-start", "2"])
+    assert code == 2
+    assert "analysis window (2, 3) is shorter than 2 cycles" in capsys.readouterr().err
+
+
 def test_cli_analyze_missing_trace_exit_two(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     assert main(["analyze", "--trace", str(missing), "--out", str(tmp_path / "ana")]) == 2

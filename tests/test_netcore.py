@@ -22,6 +22,7 @@ from fmlab.netcore import (
     Stimulus,
     Trace,
     TruthTable,
+    _parse_csv_buffer,
     simulate,
     tt_and,
     tt_buf,
@@ -734,6 +735,18 @@ def test_trace_csv_rejects_malformed_rows(tmp_path, rows):
         Trace.from_csv(path)
 
 
+def test_trace_csv_rejects_a_bad_cell_in_a_later_reader_block(tmp_path):
+    # the reader checks 64 KiB of text at a time: a 2 in its fourth block
+    # sends the file to the line reader, which names the line
+    values = np.random.default_rng(5).integers(0, 2, size=(20000, 5), dtype=np.uint8)
+    text = _loop_csv(Trace(values=values, names=tuple(f"n{i}" for i in range(5)))).split("\n")
+    text[19990] = "2" + text[19990][1:]
+    path = tmp_path / "trace.csv"
+    path.write_text("\n".join(text))
+    with pytest.raises(NetlistError, match="line 19991 is not 5 comma-separated"):
+        Trace.from_csv(path)
+
+
 @st.composite
 def traces(draw):
     """Any trace of 0-8 nets over 0-300 cycles, with names to_csv can write."""
@@ -854,10 +867,22 @@ def mutated_trace_csvs(draw):
 @example(text="n0,n1\n0,1\n1,0")  # no final newline
 @example(text="n0,n1\n0,1\n\n \n1,0\n")  # blank lines
 @example(text="n0,n1\n01,+1\n-0,1\n")  # cells numpy reads as 0/1
+@example(text="n0,n1\n,0\n1,0\n")  # a separator in a digit slot
+@example(text="n0,n1\n,,0\n1,0\n")  # the same, in a body of whole rows
+@example(text="n0,n1\n0,\n\n1,0\n")  # a newline in a digit slot
+@example(text="n0,n1\n0,1\n1,0\r")  # a final row ending in CR
+@example(text="n0,n1\n0,1\n1,0\n\n")  # a body of odd byte length
 @given(text=mutated_trace_csvs())
 def test_trace_csv_reader_matches_line_reader_on_mutations(tmp_path_factory, text):
-    path = tmp_path_factory.mktemp("csv") / "trace.csv"
-    path.write_bytes(text.encode())
+    tmp = tmp_path_factory.mktemp("csv")
+    path = tmp / "trace.csv"
+    data = text.encode()
+    path.write_bytes(data)
+    fast = _parse_csv_buffer(data)
+    if fast is not None:  # only what to_csv writes, bar a CRLF header, takes the word-level path
+        Trace(values=fast[1], names=fast[0]).to_csv(tmp / "written.csv")
+        header, _, body = data.partition(b"\n")
+        assert header.removesuffix(b"\r") + b"\n" + body == (tmp / "written.csv").read_bytes()
     try:
         expected = _line_csv_reader(path)
     except NetlistError as exc:

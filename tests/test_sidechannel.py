@@ -11,7 +11,7 @@ from fmlab import sidechannel as sc
 from fmlab.cli import ScenarioConfig, simulate_scenario
 from fmlab.fmlogic import COMBINER_DATA_POS, build_sync
 from fmlab.netcore import Netlist, Stimulus, Trace, simulate, tt_buf, tt_or
-from fmlab.reference import scan_reference
+from fmlab.reference import power_reference, scan_reference
 from fmlab.trojankit import (
     PayloadMode,
     add_opcode_bus,
@@ -221,6 +221,79 @@ def test_power_scope_validation():
         sc.power_trace(trace, (99,))
     with pytest.raises(sc.AnalysisError, match="nonempty"):
         sc.power_trace(trace, ())
+
+
+def test_power_scope_rejects_a_repeated_net():
+    # a scope is a set of nets: a mask cannot count net 0 twice, so (0, 0)
+    # is refused rather than read as the scope (0,)
+    trace = Trace(values=np.array([[0], [1], [0], [1]], np.uint8), names=("A",))
+    with pytest.raises(sc.AnalysisError, match="net 0 appears twice in scope"):
+        sc.power_trace(trace, (0, 0))
+
+
+def _check_power(trace, scope) -> None:
+    pt = sc.power_trace(trace, scope)
+    dynamic, static = power_reference(trace, scope)
+    assert pt.scope == tuple(scope)
+    for got, want in ((pt.dynamic, dynamic), (pt.static, static)):
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.tolist() == want
+
+
+@st.composite
+def power_cases(draw):
+    """A 0/1 trace of 0-150 nets and 1-200 cycles, and a scope of it.
+
+    Net counts cross the 64- and 128-net word edges, and half of them sit
+    next to one.  Columns are random, constant or toggling every cycle.
+    The scope is one net, the first and the last net with others between,
+    or a random subset in random order.
+    """
+    n = draw(st.one_of(st.integers(0, 150), st.sampled_from([63, 64, 65, 127, 128, 129])))
+    cycles = draw(st.integers(1, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(0, 2, (cycles, n), np.uint8)
+    kinds = rng.integers(0, 3, n)  # random, constant or toggling
+    constant, toggling = kinds == 1, kinds == 2
+    values[:, constant] = rng.integers(0, 2, np.count_nonzero(constant))
+    values[:, toggling] = (np.arange(cycles)[:, None] + rng.integers(0, 2, np.count_nonzero(toggling))) % 2
+    trace = Trace(values=values, names=tuple(f"n{j}" for j in range(n)))
+    if not n:
+        return trace, []
+    kind = draw(st.sampled_from(("single", "first and last", "subset")))
+    if kind == "single":
+        scope = [draw(st.integers(0, n - 1))]
+    elif kind == "first and last":
+        scope = sorted({0, n - 1} | set(rng.permutation(n)[: draw(st.integers(0, n))].tolist()))
+    else:
+        scope = rng.permutation(n)[: draw(st.integers(1, n))].tolist()
+    return trace, scope
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_cases())
+def test_power_trace_matches_net_reference(case):
+    """``power_trace``'s packed words count what each scoped net's
+    waveform shows, wherever the scope's span starts and ends."""
+    trace, scope = case
+    if not scope:
+        with pytest.raises(sc.AnalysisError, match="nonempty"):
+            sc.power_trace(trace, scope)
+        event("no nets")
+        return
+    _check_power(trace, scope)
+    span = max(scope) - min(scope) + 1
+    event("span within one 64-net word" if span <= 64 else "span crosses a 64-net word boundary")
+    ends = {0, trace.n_nets - 1} <= set(scope)
+    event("single net" if len(scope) == 1 else "first and last net" if ends else "other scope")
+
+
+@pytest.mark.parametrize("name", ["concealed_trigger", "payload_mode1", "payload_mode2", "jammed"])
+def test_power_trace_matches_net_reference_on_bundled_scenarios(name):
+    cfg = ScenarioConfig.load(resources.files("fmlab") / "scenarios" / f"{name}.ini")
+    design, _, trace = simulate_scenario(cfg)
+    for scope in (design.quad_scope(), design.attack_scope(), sc.scan_nets(trace)):
+        _check_power(trace, scope)
 
 
 @st.composite
