@@ -19,7 +19,7 @@ import configparser
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import fmlogic, netcore, sidechannel, trojankit
@@ -197,25 +197,26 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Design:
     """The standard testbed; the trigger half alone leaves the carrier
     fields None."""
 
     netlist: Netlist
     sync: fmlogic.FmSignal
-    lines: tuple
     trigger: fmlogic.FmSignal
     quad: trojankit.ConcealedQuad | None = None
     jammer: sidechannel.JammerPlan | None = None
 
-    def quad_scope(self) -> list[int]:
-        return list(self.quad.stage_nets())
+    @property
+    def lines(self) -> tuple:
+        """The event lines A..D, as the trigger's combiner reads them."""
+        return self.netlist.lut(self.trigger.combiner_out).inputs[fmlogic.COMBINER_DATA_POS :]
 
     def attack_scope(self) -> list[int]:
-        scope = self.quad_scope()
+        scope = list(self.quad.stage_nets())
         if self.jammer is not None:
-            scope += list(self.jammer.all_nets())
+            scope += self.jammer.all_nets()
         return scope
 
 
@@ -226,8 +227,7 @@ def construct_trigger(cfg: ScenarioConfig) -> Design:
     sync = fmlogic.build_sync(nl, cfg.L)
     bus = trojankit.add_opcode_bus(nl, cfg.opcode_width)
     lines = trojankit.build_event_sync(nl, bus, cfg.trigger_spec())
-    trigger = trojankit.build_trigger(nl, *lines, sync)
-    return Design(netlist=nl, sync=sync, lines=lines, trigger=trigger)
+    return Design(nl, sync, trojankit.build_trigger(nl, *lines, sync))
 
 
 def build_testbed(cfg: ScenarioConfig, secret: str | None) -> Design:
@@ -243,16 +243,15 @@ def build_testbed(cfg: ScenarioConfig, secret: str | None) -> Design:
     nl, sync, trigger = design.netlist, design.sync, design.trigger
     carrier = fmlogic.build_std_to_fm(nl, nl.const(0), sync)
     if secret is None:
-        design.quad = trojankit.build_concealed(nl, carrier, sync)
+        quad = trojankit.build_concealed(nl, carrier, sync)
     else:
-        design.quad = trojankit.build_concealed(nl, carrier, sync, trigger=trigger)
-        trojankit.set_payload_mode(design.quad, cfg.mode())
-        trojankit.build_payload_transmitter(nl, secret, trigger, design.quad, sync)
-    if cfg.jammer_pairs > 0:
-        design.jammer = sidechannel.build_jammer(nl, sync, cfg.jammer_pairs, cfg.jammer_seed)
+        quad = trojankit.build_concealed(nl, carrier, sync, trigger=trigger)
+        trojankit.set_payload_mode(quad, cfg.mode())
+        trojankit.build_payload_transmitter(nl, secret, trigger, quad, sync)
+    jammer = sidechannel.build_jammer(nl, sync, cfg.jammer_pairs, cfg.jammer_seed) if cfg.jammer_pairs > 0 else None
     nl.mark_output("TRIGGER_TAP", trigger.data_tap)
     nl.mark_output("CARRIER_TAP", carrier.data_tap)
-    return design
+    return replace(design, quad=quad, jammer=jammer)
 
 
 def construct_design(cfg: ScenarioConfig) -> Design:
@@ -313,7 +312,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> tuple[dict, bool]:
     uci = sidechannel.uci_scan(trace, window)
     pairs = sidechannel.pair_scan(trace, window)
 
-    quad_pt = sidechannel.power_trace(trace, design.quad_scope())
+    quad_pt = sidechannel.power_trace(trace, design.quad.stage_nets())
     attack_pt = sidechannel.power_trace(trace, design.attack_scope())
     stats_start = 2 * L + 1
     stats_stop = stats_start + ((n - stats_start) // L) * L
@@ -329,7 +328,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> tuple[dict, bool]:
         "cycles": n,
         "nets": trace.n_nets,
         "cells": len(design.netlist.cells),
-        "stimulus": {k: v for k, v in stim.meta.items()},
+        "stimulus": dict(stim.meta),
         "activation_cycle": activation,
         "uci": uci.to_json_dict(trace.names),
         "pairs": {

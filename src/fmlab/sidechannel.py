@@ -82,15 +82,12 @@ class UciReport:
     suspicious: tuple[NetId, ...]
     window: tuple[int, int]
 
-    def to_json_dict(self, names: Sequence[str] | None = None) -> dict:
-        def label(n: NetId):
-            return names[n] if names is not None else n
-
+    def to_json_dict(self, names: Sequence[str]) -> dict:
         return {
             "window": list(self.window),
             "suspicious_count": len(self.suspicious),
-            "constant_nets": [[label(n), v] for n, v in self.constant_nets],
-            "duty_cycles": {str(label(n)): d for n, d in sorted(self.duty_cycles.items())},
+            "constant_nets": [[names[n], v] for n, v in self.constant_nets],
+            "duty_cycles": {names[n]: d for n, d in sorted(self.duty_cycles.items())},
         }
 
 
@@ -123,16 +120,13 @@ class PairReport:
     complement_pairs: tuple[tuple[NetId, NetId], ...]
     window: tuple[int, int]
 
-    def to_json_dict(self, names: Sequence[str] | None = None) -> dict:
-        def label(n: NetId):
-            return names[n] if names is not None else n
-
+    def to_json_dict(self, names: Sequence[str]) -> dict:
         return {
             "window": list(self.window),
             "equal_count": len(self.equal_pairs),
             "complement_count": len(self.complement_pairs),
-            "equal_pairs": [[label(a), label(b)] for a, b in self.equal_pairs],
-            "complement_pairs": [[label(a), label(b)] for a, b in self.complement_pairs],
+            "equal_pairs": [[names[a], names[b]] for a, b in self.equal_pairs],
+            "complement_pairs": [[names[a], names[b]] for a, b in self.complement_pairs],
         }
 
 

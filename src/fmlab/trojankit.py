@@ -381,14 +381,14 @@ def _armed_b_table(a_table: TruthTable, mirror: bool) -> TruthTable:
     return TruthTable.from_bits(a_table.arity + 1, bits)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConcealedQuad:
     """Replication quad making quad-level power independent of the data.
 
     ``stage_nets`` covers the 4L register outputs the balance theorem is
     stated over.  Armed quads (built with a trigger) carry the gating
     circuitry for the payload modes; mode selection rewrites LUT tables
-    only, never topology.
+    only, never topology, so every arming net is read from the wiring.
     """
 
     a: FmSignal
@@ -396,10 +396,14 @@ class ConcealedQuad:
     c: FmSignal
     d: FmSignal
     netlist: Netlist
-    trigger: FmSignal | None = None
-    active: NetId | None = None
-    _enable_b: NetId | None = None
-    _enable_cd: NetId | None = None
+
+    @property
+    def active(self) -> NetId | None:
+        """The decoded trigger level: the input an armed b's combiner
+        reads after the carrier's data (None on an unarmed quad)."""
+        b_inputs = self.netlist.lut(self.b.combiner_out).inputs
+        armed = len(b_inputs) > len(self.netlist.lut(self.a.combiner_out).inputs)
+        return b_inputs[-1] if armed else None
 
     @property
     def armed(self) -> bool:
@@ -426,10 +430,10 @@ def build_concealed(
 
     b gets the dual LUT on a marker ring (complementary FM value); c and
     d get kind-flipped rings tracking a and b stage-for-stage.  With a
-    ``trigger`` the quad is armed: b, c and d receive clock-enable gates
-    and b's LUT a trailing activation input, so the payload modes can
-    engage at activation time.  Arming costs one LUT pin, capping the
-    carrier's data arity at 3.
+    ``trigger`` (on rings of SYNC's length) the quad is armed: b, c and
+    d receive clock-enable gates and b's LUT a trailing activation
+    input, so the payload modes can engage at activation time.  Arming
+    costs one LUT pin, capping the carrier's data arity at 3.
     """
     if fm.combiner_out is None:
         raise PayloadError("carrier must have a combining LUT (converter or gate)")
@@ -437,41 +441,25 @@ def build_concealed(
         raise PayloadError(f"mixed CSR lengths: carrier L={fm.L}, sync L={sync.L}")
     a_lut = netlist.lut(fm.combiner_out)
     data = a_lut.inputs[COMBINER_DATA_POS:]
-    armed = trigger is not None
-    if armed and len(data) > 3:
-        raise PayloadError("armed quads support at most 3 data inputs (one pin gates the payload)")
-
-    L = fm.L
     a_table = a_lut.table
-    active = decode_level(netlist, trigger, sync) if armed else None
-
-    enable_b = enable_cd = None
-    if armed:
+    dual = _dual_table(a_table)
+    enable_cd = None
+    if trigger is not None:
+        if len(data) > 3:
+            raise PayloadError("armed quads support at most 3 data inputs (one pin gates the payload)")
+        if trigger.L != sync.L:
+            raise PayloadError(f"mixed CSR lengths: trigger L={trigger.L}, sync L={sync.L}")
+        active = decode_level(netlist, trigger, sync)
         enable_b = netlist.add_lut((active,), tt_const(1, 1))
         enable_cd = netlist.add_lut((active,), tt_const(1, 1))
-
-    flipped = [s for s in range(1, L + 1) if s != L]  # complement rings reset to ~marker
-    dual = _dual_table(a_table)
-    if armed:
-        b = build_fm_register(
-            netlist, sync, _armed_b_table(a_table, mirror=False), (*data, active), ce=enable_b
-        )
+        b_table = _armed_b_table(a_table, mirror=False)
+        b = build_fm_register(netlist, sync, b_table, (*data, active), ce=enable_b)
     else:
         b = build_fm_register(netlist, sync, dual, data)
+    flipped = range(1, fm.L)  # complement rings reset to ~marker
     c = build_fm_register(netlist, sync, dual, data, flipped, ce=enable_cd)
     d = build_fm_register(netlist, sync, a_table, data, flipped, ce=enable_cd)
-
-    return ConcealedQuad(
-        a=fm,
-        b=b,
-        c=c,
-        d=d,
-        netlist=netlist,
-        trigger=trigger,
-        active=active,
-        _enable_b=enable_b,
-        _enable_cd=enable_cd,
-    )
+    return ConcealedQuad(a=fm, b=b, c=c, d=d, netlist=netlist)
 
 
 def set_payload_mode(quad: ConcealedQuad, mode: PayloadMode) -> None:
@@ -489,8 +477,9 @@ def set_payload_mode(quad: ConcealedQuad, mode: PayloadMode) -> None:
     if quad.armed:
         hold = tt_const(1, 1)
         drop = tt_not()
-        nl.set_lut_table(quad._enable_b, drop if mode is PayloadMode.MODE1 else hold)
-        nl.set_lut_table(quad._enable_cd, hold if mode is PayloadMode.CONCEALED else drop)
+        # every stage of a ring shares one enable; c and d share theirs
+        nl.set_lut_table(nl.ff(quad.b.stages[0]).ce, drop if mode is PayloadMode.MODE1 else hold)
+        nl.set_lut_table(nl.ff(quad.c.stages[0]).ce, hold if mode is PayloadMode.CONCEALED else drop)
         a_table = nl.lut(quad.a.combiner_out).table
         nl.set_lut_table(
             quad.b.combiner_out,
@@ -532,11 +521,13 @@ def build_payload_transmitter(
     """
     if not secret or set(secret) - {"0", "1"}:
         raise PayloadError("secret must be a nonempty string of 0/1")
-    if not carrier.armed:
-        raise PayloadError("carrier quad must be armed with the trigger")
-    if carrier.trigger != trigger:
-        raise PayloadError("carrier quad was armed with a different trigger")
+    if sync.L != carrier.a.L:
+        raise PayloadError(f"mixed CSR lengths: carrier L={carrier.a.L}, sync L={sync.L}")
     active = carrier.active
+    if active is None:
+        raise PayloadError("carrier quad must be armed with the trigger")
+    if netlist.ff(active).d != trigger.data_tap:  # the pin decode_level wires
+        raise PayloadError("carrier quad was armed with a different trigger")
     reset = netlist.reset()
 
     advance = netlist.add_lut((sync.data_tap, active), tt_and(2))

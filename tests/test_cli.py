@@ -159,8 +159,9 @@ def test_bundled_scenario_exports_match_golden(name, tmp_path):
 
 
 def test_jammed_scenario_simulates_as_the_reference():
-    # the whole horizon: the first stage (343 flip-flops) meets a new
-    # (state, input) key every cycle, the second mostly repeats them
+    # the whole horizon: of the four stages (23, 256, 64 and 32
+    # flip-flops), the jammer's 64 meet a new (state, input) key on two
+    # cycles in three, and the others mostly repeat theirs
     design, stim, trace = simulate_scenario(ScenarioConfig.load(scenario_path("jammed")))
     assert np.array_equal(trace.values, reference_simulate(design.netlist, stim, stim.length).values)
 

@@ -292,7 +292,7 @@ def test_power_trace_matches_net_reference(case):
 def test_power_trace_matches_net_reference_on_bundled_scenarios(name):
     cfg = ScenarioConfig.load(resources.files("fmlab") / "scenarios" / f"{name}.ini")
     design, _, trace = simulate_scenario(cfg)
-    for scope in (design.quad_scope(), design.attack_scope(), sc.scan_nets(trace)):
+    for scope in (design.quad.stage_nets(), design.attack_scope(), sc.scan_nets(trace)):
         _check_power(trace, scope)
 
 

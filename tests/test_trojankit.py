@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fmlab import fmlogic, sidechannel
 from fmlab.cli import ScenarioConfig, construct_design
 from fmlab.fmlogic import COMBINER_DATA_POS, COMBINER_FB_POS, build_std_to_fm, build_sync, fm_decode, sync_instants
-from fmlab.netcore import FlipFlop, Lut, Netlist, Stimulus, TruthTable, simulate
+from fmlab.netcore import FlipFlop, Lut, Netlist, Stimulus, TruthTable, simulate, tt_const, tt_not
 from fmlab.reference import reference_simulate
 from fmlab.trojankit import (
     RETRY_GAP,
@@ -266,6 +266,17 @@ def test_armed_quad_rejects_wide_carriers():
     build_concealed(nl, gate, sync)  # unarmed replication is fine
 
 
+def test_armed_quad_rejects_a_trigger_of_another_length():
+    nl, sync, (carrier,) = converters("DATA")
+    sync4 = build_sync(nl, 4)
+    trig4 = build_trigger(nl, *[nl.add_input(n) for n in "WXYZ"], sync4)
+    cells = len(nl.cells)
+    # its decode flip-flop would sample a 4-cycle ring at 8-cycle SYNC instants
+    with pytest.raises(PayloadError, match=r"mixed CSR lengths: trigger L=4, sync L=8"):
+        build_concealed(nl, carrier, sync, trigger=trig4)
+    assert len(nl.cells) == cells  # rejected before any wiring
+
+
 def test_quad_requires_combining_lut():
     nl = Netlist()
     sync = build_sync(nl, L)
@@ -284,9 +295,29 @@ def test_mode_change_requires_armed_quad():
     sync = build_sync(nl, L)
     carrier = build_std_to_fm(nl, nl.const(0), sync)
     quad = build_concealed(nl, carrier, sync)
+    assert quad.active is None
     with pytest.raises(PayloadError, match="armed"):
         set_payload_mode(quad, PayloadMode.MODE1)
     set_payload_mode(quad, PayloadMode.CONCEALED)  # concealed is always valid
+
+
+def test_payload_modes_rewrite_the_ring_enables():
+    nl, sync, trig, carrier = _trigger_and_carrier()
+    quad = build_concealed(nl, carrier, sync, trigger=trig)
+    assert nl.ff(quad.active).d == trig.data_tap  # the decoded trigger level
+    hold, drop = tt_const(1, 1), tt_not()
+    # (b's enable, c's and d's enable) per mode, each mode set over the last
+    expected = {
+        PayloadMode.MODE1: (drop, drop),
+        PayloadMode.MODE2: (hold, drop),
+        PayloadMode.CONCEALED: (hold, hold),
+    }
+    for mode, (b_table, cd_table) in expected.items():
+        set_payload_mode(quad, mode)
+        for reg, table in ((quad.b, b_table), (quad.c, cd_table), (quad.d, cd_table)):
+            (ce,) = {nl.ff(q).ce for q in reg.stages}
+            assert nl.lut(ce).inputs == (quad.active,)
+            assert nl.lut(ce).table == table, (mode, reg)
 
 
 def test_concealed_mode_sums_constant_regardless_of_bit():
@@ -357,6 +388,18 @@ def test_transmitter_requires_armed_carrier():
     quad = build_concealed(nl, carrier, sync)  # unarmed
     with pytest.raises(PayloadError, match="armed"):
         build_payload_transmitter(nl, "101", trig, quad, sync)
+    quad = build_concealed(nl, carrier, sync, trigger=trig)
+    other = build_trigger(nl, *lines, sync)
+    with pytest.raises(PayloadError, match="different trigger"):
+        build_payload_transmitter(nl, "101", other, quad, sync)
+
+
+def test_transmitter_rejects_a_sync_of_another_length():
+    nl, sync, trig, carrier = _trigger_and_carrier()
+    quad = build_concealed(nl, carrier, sync, trigger=trig)
+    # the secret counter would advance on a 4-cycle SYNC tap
+    with pytest.raises(PayloadError, match=r"mixed CSR lengths: carrier L=8, sync L=4"):
+        build_payload_transmitter(nl, "101", trig, quad, build_sync(nl, 4))
 
 
 def test_transmitter_rejects_bad_secret():
