@@ -435,7 +435,8 @@ def analyze_trace(
         raise sidechannel.AnalysisError(f"analysis window {window} is shorter than 2 cycles")
     uci = sidechannel.uci_scan(trace, window)
     pairs = sidechannel.pair_scan(trace, window)
-    pt = sidechannel.power_trace(trace, sidechannel.scan_nets(trace))
+    # the UCI scan's duty cycles name every scanned net, in id order
+    pt = sidechannel.power_trace(trace, list(uci.duty_cycles))
     series = pt.dynamic[window_start:stop]
     wlen = _pow2_floor(len(series)) if spectrum_window is None else spectrum_window
     sp = sidechannel.spectrum(series, wlen)

@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .csvcells import BLOCK_ROWS, fraction_reprs, int_rows
 from .netcore import CONST_NAMES, NetId, Netlist, RESET_NAME, Trace
 from .fmlogic import FmSignal, build_std_to_fm
 
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 DEFAULT_EXCLUDED_NAMES = (RESET_NAME, CONST_NAMES[0], CONST_NAMES[1])
+_EXCLUDED = frozenset(DEFAULT_EXCLUDED_NAMES)
 
 
 class AnalysisError(ValueError):
@@ -65,7 +67,7 @@ def _check_window(trace: Trace, window: tuple[int, int]) -> tuple[int, int]:
 
 def scan_nets(trace: Trace) -> list[NetId]:
     """Every net except RESET and the constant tie-offs, in id order."""
-    return [n for n in range(trace.n_nets) if trace.names[n] not in DEFAULT_EXCLUDED_NAMES]
+    return [n for n, name in enumerate(trace.names) if name not in _EXCLUDED]
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +77,11 @@ def scan_nets(trace: Trace) -> list[NetId]:
 
 @dataclass(frozen=True)
 class UciReport:
-    """Nets that never changed over the window, plus per-net duty cycles."""
+    """Nets that never changed over the window, plus per-net duty cycles.
+
+    ``duty_cycles`` has one entry per scanned net (:func:`scan_nets`),
+    in id order.
+    """
 
     constant_nets: tuple[tuple[NetId, int], ...]
     duty_cycles: dict[NetId, float]
@@ -150,16 +156,16 @@ def pair_scan(trace: Trace, window: tuple[int, int]) -> PairReport:
     for net, key in zip(nets, keys):
         groups.setdefault(key, []).append(net)
 
-    equal = [pair for members in groups.values() for pair in combinations(members, 2)]
+    equal = [pair for members in groups.values() if len(members) > 1 for pair in combinations(members, 2)]
     complement: list[tuple[NetId, NetId]] = []
-    for key, members in groups.items():
+    # the waveforms whose complement some net also has; flipping is an
+    # involution, so the set holds both sides of each pairing
+    for key in groups.keys() & complement_of.values():
         comp_key = complement_of[key]
         if comp_key <= key:  # visit each group pairing once
             continue
-        partners = groups.get(comp_key)
-        if not partners:
-            continue
-        for a in members:
+        partners = groups[comp_key]
+        for a in groups[key]:
             for b in partners:
                 complement.append((a, b) if a < b else (b, a))
     equal.sort()
@@ -221,9 +227,14 @@ class PowerTrace:
         )
 
     def to_csv(self, path) -> None:
-        rows = zip(range(len(self)), self.dynamic.tolist(), self.static.tolist())
+        """Write a header, then one ``cycle,dynamic,static`` row of
+        decimal integers per cycle."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("cycle,dynamic,static\n" + "".join(f"{t},{d},{s}\n" for t, d, s in rows))
+            fh.write("cycle,dynamic,static\n")
+            for start in range(0, len(self), BLOCK_ROWS):
+                stop = start + BLOCK_ROWS
+                cycles = np.arange(start, min(stop, len(self)))
+                fh.write(int_rows((cycles, self.dynamic[start:stop], self.static[start:stop])))
 
 
 def power_trace(trace: Trace, scope: Sequence[NetId]) -> PowerTrace:
@@ -264,12 +275,16 @@ def power_trace(trace: Trace, scope: Sequence[NetId]) -> PowerTrace:
 def _check_scope(trace: Trace, scope: Sequence[NetId]) -> tuple[NetId, ...]:
     """The scope as a tuple of net ids; a scope is a set of nets, so it
     names each one once."""
-    scope = tuple(int(n) for n in scope)
-    if not scope:
+    try:
+        ids = np.asarray(scope, np.int64)
+    except OverflowError:  # an id past int64 names no net: compare Python ints
+        ids = np.array([int(n) for n in scope], object)
+    if not len(ids):
         raise AnalysisError("power scope must be nonempty")
-    if min(scope) < 0 or max(scope) >= trace.n_nets:
-        net = next(n for n in scope if not 0 <= n < trace.n_nets)
-        raise AnalysisError(f"unknown net {net} in scope")
+    unknown = (ids < 0) | (ids >= trace.n_nets)
+    if unknown.any():
+        raise AnalysisError(f"unknown net {ids[unknown][0]} in scope")
+    scope = tuple(ids.tolist())
     if len(set(scope)) < len(scope):
         net = next(n for i, n in enumerate(scope) if n in scope[:i])
         raise AnalysisError(f"net {net} appears twice in scope; a scope names each net once")
@@ -376,10 +391,16 @@ class Spectrum:
         return float(self.magnitudes[idx])
 
     def to_csv(self, path) -> None:
+        """Write a header, then one ``fraction,magnitude`` row per bin.
+
+        Each cell reads ``np.float64(<float repr>)``, the numpy 2 repr of
+        the bin's scalar, which the golden export hashes pin.
+        """
+        freqs = fraction_reprs(self.bin_freqs) or map(repr, self.bin_freqs.tolist())
+        mags = map(repr, self.magnitudes.tolist())
+        rows = "".join(f"np.float64({f}),np.float64({m})\n" for f, m in zip(freqs, mags))
         with open(path, "w") as fh:
-            fh.write("fraction,magnitude\n")
-            for f, m in zip(self.bin_freqs, self.magnitudes):
-                fh.write(f"{f!r},{m!r}\n")
+            fh.write("fraction,magnitude\n" + rows)
 
 
 def spectrum(series: Sequence[float] | np.ndarray, window_len: int) -> Spectrum:

@@ -1,14 +1,16 @@
 """Activity scans, power model, spectra, demodulation, jamming."""
 
+import json
 from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from fmlab import csvcells
 from fmlab import sidechannel as sc
-from fmlab.cli import ScenarioConfig, simulate_scenario
+from fmlab.cli import ScenarioConfig, main, simulate_scenario
 from fmlab.fmlogic import COMBINER_DATA_POS, build_sync
 from fmlab.netcore import Netlist, Stimulus, Trace, simulate, tt_buf, tt_or
 from fmlab.reference import power_reference, scan_reference
@@ -231,6 +233,24 @@ def test_power_scope_rejects_a_repeated_net():
         sc.power_trace(trace, (0, 0))
 
 
+@pytest.mark.parametrize(
+    "scope, net",
+    [((0, 99, -1), 99), ((-1, 99), -1), ((1, 2**70), 2**70), (np.array([0, 3]), 3)],
+    ids=["past-the-end", "negative", "past-int64", "array"],
+)
+def test_power_scope_names_the_first_unknown_net(scope, net):
+    trace = Trace(values=np.zeros((4, 3), np.uint8), names=("A", "B", "C"))
+    with pytest.raises(sc.AnalysisError, match=rf"^unknown net {net} in scope$"):
+        sc.power_trace(trace, scope)
+
+
+def test_power_scope_is_a_tuple_of_python_ints():
+    trace = Trace(values=np.array([[0, 1, 1], [1, 1, 0]], np.uint8), names=("A", "B", "C"))
+    pt = sc.power_trace(trace, np.array([2, 0], np.uint16))
+    assert pt.scope == (2, 0) and all(type(n) is int for n in pt.scope)
+    assert pt.static.tolist() == [1, 1] and pt.dynamic.tolist() == [0, 2]
+
+
 def _check_power(trace, scope) -> None:
     pt = sc.power_trace(trace, scope)
     dynamic, static = power_reference(trace, scope)
@@ -444,6 +464,141 @@ def test_detect_peaks_validation():
     assert sc.detect_fm_peaks(sp, 1.0) == []
     with pytest.raises(sc.AnalysisError):
         sc.detect_fm_peaks(sp, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# CSV exports against the row-by-row writers
+# ---------------------------------------------------------------------------
+
+
+def _loop_power_csv(pt: sc.PowerTrace) -> str:
+    """The row-by-row writer that ``PowerTrace.to_csv`` must match byte for byte."""
+    rows = zip(range(len(pt)), pt.dynamic.tolist(), pt.static.tolist())
+    return "cycle,dynamic,static\n" + "".join(f"{t},{d},{s}\n" for t, d, s in rows)
+
+
+def _loop_spectrum_csv(sp: sc.Spectrum) -> str:
+    """The row-by-row writer that ``Spectrum.to_csv`` must match byte for
+    byte: each cell is the repr of a numpy scalar."""
+    rows = zip(sp.bin_freqs, sp.magnitudes)
+    return "fraction,magnitude\n" + "".join(f"{f!r},{m!r}\n" for f, m in rows)
+
+
+# digit-count edges, signs and the int64 extremes
+_INT_EDGES = [0, 1, 9, 10, 99, 100, 999, 1000, 10**9, 10**18, 2**63 - 1, -1, -9, -10, -100, -(2**63)]
+# signed zeros, the subnormal and normal extremes, and the magnitudes at
+# which repr switches between positional and exponent notation
+_FLOAT_EDGES = [
+    0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-5, 1e-4, 0.0001234, 0.1, 1 / 3, 123.456,
+]
+
+
+@st.composite
+def export_cases(draw):
+    """Power and spectrum columns of 0-40 rows, sometimes repeated past
+    the writers' 4096-row blocks.
+
+    Cells are integer and float edges or any int64 or float64; half the
+    cases draw no negative integers, as power traces have none.  Half the
+    fraction columns hold only multiples of 2**-13 in [0, 1), as the bin
+    fractions of windows up to 8192 cycles do, or one other float.
+    """
+    low = -(2**63) if draw(st.booleans()) else 0
+    ints = st.one_of(
+        st.sampled_from([v for v in _INT_EDGES if v >= low]),
+        st.integers(low, 2**63 - 1),
+        st.integers(max(low, -150), 1500),
+    )
+    floats = st.one_of(st.sampled_from(_FLOAT_EDGES), st.floats(allow_subnormal=True))
+    bins = st.integers(0, 2**13 - 1).map(lambda j: j / 2**13)
+    fractions = draw(st.sampled_from([floats, bins]))
+    rows = draw(st.lists(st.tuples(ints, ints, fractions, floats), max_size=40))
+    if rows and fractions is bins and draw(st.booleans()):
+        rows[draw(st.integers(0, len(rows) - 1))] = rows[0][:2] + (draw(floats), rows[0][3])
+    if rows and draw(st.integers(0, 9)) == 0:
+        rows *= csvcells.BLOCK_ROWS // len(rows) + 1
+    return _export_case(rows)
+
+
+def _export_case(rows) -> tuple[sc.PowerTrace, sc.Spectrum]:
+    """A power trace and a spectrum whose rows are (dynamic, static,
+    fraction, magnitude) of each of ``rows``."""
+    dynamic, static, freqs, mags = (np.array([row[i] for row in rows]) for i in range(4))
+    pt = sc.PowerTrace(dynamic=dynamic.astype(np.int64), static=static.astype(np.int64), scope=(0,))
+    sp = sc.Spectrum(magnitudes=mags.astype(np.float64), bin_freqs=freqs.astype(np.float64), window_len=2)
+    return pt, sp
+
+
+@settings(max_examples=200, deadline=None)
+@given(export_cases())
+@example(_export_case([]))
+@example(_export_case([(-(2**63), 2**63 - 1, float("nan"), -0.0)]))
+def test_csv_exports_match_row_writers(tmp_path_factory, case):
+    """``PowerTrace.to_csv`` and ``Spectrum.to_csv`` write the bytes of
+    the row-by-row writers, in one block or several."""
+    pt, sp = case
+    tmp = tmp_path_factory.mktemp("exports")
+    pt.to_csv(tmp / "power.csv")
+    sp.to_csv(tmp / "spectrum.csv")
+    assert (tmp / "power.csv").read_bytes() == _loop_power_csv(pt).encode()
+    assert (tmp / "spectrum.csv").read_bytes() == _loop_spectrum_csv(sp).encode()
+    event("no rows" if not len(pt) else "one block" if len(pt) <= csvcells.BLOCK_ROWS else "several blocks")
+    event("negative cells" if (pt.dynamic < 0).any() or (pt.static < 0).any() else "no negative cells")
+    event("fractions j / 2**13" if csvcells.fraction_reprs(sp.bin_freqs) else "other fractions")
+
+
+def test_fraction_reprs_match_repr_on_every_bin_fraction():
+    """The digit-arithmetic text of the bin fractions is ``repr`` for each
+    j / 2**13 in [0, 1), and for the bins of every window up to 8192
+    cycles; other columns are left to ``repr``."""
+    every = np.arange(2**13) / 2**13
+    assert csvcells.fraction_reprs(every) == list(map(repr, every.tolist()))
+    for bits in range(1, 14):
+        bins = np.fft.rfftfreq(1 << bits)
+        assert csvcells.fraction_reprs(bins) == list(map(repr, bins.tolist()))
+    for other in (np.fft.rfftfreq(1 << 14), [-0.0], [1.0], [2**-14], [np.nan], [np.inf], [1.7976931348623157e308]):
+        assert csvcells.fraction_reprs(np.array(other, np.float64)) is None
+
+
+def test_cli_analyze_writes_the_reference_exports(tmp_path):
+    """``fmlab analyze`` on the jammed scenario's trace writes what the
+    reference scans, the reference power model and the row-by-row
+    writers give."""
+    cfg = ScenarioConfig.load(resources.files("fmlab") / "scenarios" / "jammed.ini")
+    _, _, trace = simulate_scenario(cfg)
+    trace.to_csv(tmp_path / "trace.csv")
+    assert main(["analyze", "--trace", str(tmp_path / "trace.csv"), "--out", str(tmp_path / "ana")]) == 0
+
+    window, names = (2, trace.cycles), trace.names
+    nets = [n for n in range(trace.n_nets) if names[n] not in ("RESET", "CONST0", "CONST1")]
+    dynamic, static = power_reference(trace, nets)
+    pt = sc.PowerTrace(dynamic=np.array(dynamic), static=np.array(static), scope=tuple(nets))
+    series = pt.dynamic[2:]
+    sp = sc.spectrum(series, 1 << (len(series).bit_length() - 1))
+    constant, duty, equal, complement = scan_reference(trace, window)
+    report = {
+        "window": list(window),
+        "uci": {
+            "window": list(window),
+            "suspicious_count": len(constant),
+            "constant_nets": [[names[n], v] for n, v in constant],
+            "duty_cycles": {names[n]: d for n, d in duty.items()},
+        },
+        "pairs": {
+            "window": list(window),
+            "equal_count": len(equal),
+            "complement_count": len(complement),
+            "equal_pairs": [[names[a], names[b]] for a, b in equal],
+            "complement_pairs": [[names[a], names[b]] for a, b in complement],
+        },
+        "spectral_peaks": sc.detect_fm_peaks(sp, 0.5),
+        "dominant_fraction": sp.dominant_fraction(),
+    }
+    ana = tmp_path / "ana"
+    assert (ana / "power.csv").read_bytes() == _loop_power_csv(pt).encode()
+    assert (ana / "spectrum.csv").read_bytes() == _loop_spectrum_csv(sp).encode()
+    assert (ana / "analysis.json").read_text() == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
