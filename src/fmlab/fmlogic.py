@@ -44,6 +44,7 @@ from .netcore import (
     Netlist,
     Trace,
     TruthTable,
+    _require_net,
 )
 
 __all__ = [
@@ -227,7 +228,7 @@ def build_std_to_fm(netlist: Netlist, a: NetId, sync: FmSignal) -> FmSignal:
     The insert LUT samples ``a`` at each SYNC instant; the sampled bit
     becomes decodable one full rotation (L cycles) later.
     """
-    netlist._require_net(a, "converter input")
+    _require_net(a, netlist.net_count, "converter input references undriven net {}")
     table = make_combiner_table(1, lambda fb, data: data[0])
     return build_fm_register(netlist, sync, table, (a,))
 

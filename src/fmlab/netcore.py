@@ -88,6 +88,13 @@ def _check_name(role: str, name: str) -> None:
         raise NetlistError(f"{role} name {name!r} is empty or holds whitespace or a comma")
 
 
+def _require_net(net, count: int, message: str) -> None:
+    """Raise ``NetlistError(message.format(repr(net)))`` unless ``net`` is
+    an id 0..count-1: a Python or numpy integer, not a bool."""
+    if isinstance(net, bool) or not isinstance(net, (int, np.integer)) or not 0 <= net < count:
+        raise NetlistError(message.format(repr(net)))
+
+
 # ---------------------------------------------------------------------------
 # Truth tables
 # ---------------------------------------------------------------------------
@@ -242,8 +249,6 @@ class Netlist:
         self.outputs: dict[str, NetId] = {}
         self._drivers: list[tuple] = []
         self._consts: dict[int, NetId] = {}
-        self._lut_by_out: dict[NetId, int] = {}
-        self._ff_by_q: dict[NetId, int] = {}
         self._version = 0
         self._compiled: tuple[int, "_Compiled"] | None = None
 
@@ -256,10 +261,6 @@ class Netlist:
     def _alloc(self, driver: tuple) -> NetId:
         self._drivers.append(driver)
         return len(self._drivers) - 1
-
-    def _require_net(self, net: NetId, role: str) -> None:
-        if isinstance(net, bool) or not isinstance(net, (int, np.integer)) or not 0 <= net < self.net_count:
-            raise NetlistError(f"{role} references undriven net {net!r}")
 
     def _touch(self) -> None:
         self._version += 1
@@ -300,25 +301,21 @@ class Netlist:
                 f"LUT input count {len(inputs)} does not match table arity {table.arity}"
             )
         for net in inputs:
-            self._require_net(net, "LUT input")
+            _require_net(net, len(self._drivers), "LUT input references undriven net {}")
         inputs = tuple(map(int, inputs))
         self._touch()
-        cell_index = len(self.cells)
-        out = self._alloc(("lut", cell_index))
+        out = self._alloc(("lut", len(self.cells)))
         self.cells.append(Lut(out=out, inputs=inputs, table=table))
-        self._lut_by_out[out] = cell_index
         return out
 
     def add_ff(self, kind: FfKind, d: NetId | None, ce: NetId, sr: NetId) -> NetId:
         if d is not None:
-            self._require_net(d, "FF d")
-        self._require_net(ce, "FF ce")
-        self._require_net(sr, "FF sr")
+            _require_net(d, len(self._drivers), "FF d references undriven net {}")
+        _require_net(ce, len(self._drivers), "FF ce references undriven net {}")
+        _require_net(sr, len(self._drivers), "FF sr references undriven net {}")
         self._touch()
-        cell_index = len(self.cells)
-        q = self._alloc(("ff", cell_index))
+        q = self._alloc(("ff", len(self.cells)))
         self.cells.append(FlipFlop(kind=kind, q=q, d=None if d is None else int(d), ce=int(ce), sr=int(sr)))
-        self._ff_by_q[q] = cell_index
         return q
 
     def set_ff_d(self, q: NetId, d: NetId) -> None:
@@ -326,7 +323,7 @@ class Netlist:
         ff = self.ff(q)
         if ff.d is not None:
             raise NetlistError(f"FF q={q} already has its d pin wired")
-        self._require_net(d, "FF d")
+        _require_net(d, len(self._drivers), "FF d references undriven net {}")
         self._touch()
         ff.d = int(d)
 
@@ -334,7 +331,7 @@ class Netlist:
         lut = self.lut(out)
         if not 0 <= position < len(lut.inputs):
             raise NetlistError(f"LUT {out} has no input position {position}")
-        self._require_net(net, "LUT input")
+        _require_net(net, len(self._drivers), "LUT input references undriven net {}")
         self._touch()
         ins = list(lut.inputs)
         ins[position] = int(net)
@@ -352,23 +349,24 @@ class Netlist:
         _check_name("output", name)
         if name in self.outputs:
             raise NetlistError(f"duplicate output name {name!r}")
-        self._require_net(net, "output")
+        _require_net(net, len(self._drivers), "output references undriven net {}")
         self._touch()
         self.outputs[name] = int(net)
 
     # -- lookup ---------------------------------------------------------------
 
+    def _cell(self, net: NetId, kind: str, message: str) -> Cell:
+        _require_net(net, len(self._drivers), message)
+        driver, index = self._drivers[net]
+        if driver != kind:
+            raise NetlistError(message.format(repr(net)))
+        return self.cells[index]
+
     def lut(self, out: NetId) -> Lut:
-        try:
-            return self.cells[self._lut_by_out[out]]
-        except KeyError:
-            raise NetlistError(f"net {out} is not a LUT output") from None
+        return self._cell(out, "lut", "net {} is not a LUT output")
 
     def ff(self, q: NetId) -> FlipFlop:
-        try:
-            return self.cells[self._ff_by_q[q]]
-        except KeyError:
-            raise NetlistError(f"net {q} is not a flip-flop output") from None
+        return self._cell(q, "ff", "net {} is not a flip-flop output")
 
     def name_of(self, net: NetId) -> str:
         return self.net_names()[net]
@@ -570,10 +568,11 @@ class Trace:
         return self.values.shape[1]
 
     def wave(self, net: NetId) -> np.ndarray:
+        _require_net(net, self.values.shape[1], "trace has no net {}")
         return self.values[:, net]
 
     def value(self, net: NetId, cycle: int) -> int:
-        return int(self.values[cycle, net])
+        return int(self.wave(net)[cycle])
 
     def to_csv(self, path) -> None:
         """Write a header of net names, then one row of 0/1 cells per cycle."""

@@ -274,7 +274,12 @@ def power_trace(trace: Trace, scope: Sequence[NetId]) -> PowerTrace:
 
 def _check_scope(trace: Trace, scope: Sequence[NetId]) -> tuple[NetId, ...]:
     """The scope as a tuple of net ids; a scope is a set of nets, so it
-    names each one once."""
+    names each one once, each by an integer id that is not a bool."""
+    scope = scope.tolist() if isinstance(scope, np.ndarray) else scope
+    # one subclass test per distinct type of id, not one per id
+    if not all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, scope))):
+        net = next(n for n in scope if isinstance(n, bool) or not isinstance(n, (int, np.integer)))
+        raise AnalysisError(f"net id {net!r} in scope is not an integer")
     try:
         ids = np.asarray(scope, np.int64)
     except OverflowError:  # an id past int64 names no net: compare Python ints

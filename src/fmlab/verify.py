@@ -127,34 +127,25 @@ def check_determinism() -> CheckResult:
 
 
 def check_ff_semantics(simulate_fn: Callable | None = None) -> CheckResult:
-    """Exhaustive 8-case set/reset-over-enable test per flip-flop kind."""
+    """Exhaustive set/reset-over-enable test: every (d, ce, sr) case from
+    both states q0, all 16 pairs per flip-flop kind.  Pair k loads q0
+    through d and ce on cycle 2k, applies its case on cycle 2k + 1 and
+    reads the result on cycle 2k + 2.
+    """
     sim = simulate_fn or simulate
-    cases = list(itertools.product((0, 1), repeat=3))  # (d, ce, sr)
+    pairs = list(itertools.product((0, 1), itertools.product((0, 1), repeat=3)))  # (q0, (d, ce, sr))
+    # rows of (d, ce, sr), one per cycle, and a last cycle to read the last pair's result
+    waves = np.array([row for q0, case in pairs for row in ((q0, 1, 0), case)] + [(0, 0, 0)], np.uint8)
+    ports = ("D", "CE", "SR")
     for kind in (FfKind.SET, FfKind.RESET):
-        for init_q in (0, 1):
-            nl = Netlist()
-            d = nl.add_input("D")
-            ce = nl.add_input("CE")
-            sr = nl.add_input("SR")
-            q = nl.add_ff(kind, d, ce, sr)
-            n = len(cases) + 2
-            dw = np.zeros(n, np.uint8)
-            cw = np.zeros(n, np.uint8)
-            sw = np.zeros(n, np.uint8)
-            # cycle 0 forces the starting state via d/ce
-            dw[0], cw[0], sw[0] = init_q, 1, 0
-            for i, (dv, cv, sv) in enumerate(cases):
-                dw[i + 1], cw[i + 1], sw[i + 1] = dv, cv, sv
-            trace = sim(nl, Stimulus({"D": dw, "CE": cw, "SR": sw}), n)
-            state = init_q
-            for i, (dv, cv, sv) in enumerate(cases):
-                state = default_ff_update(kind, state, dv, cv, sv)
-                got = trace.value(q, i + 2)
-                if got != state:
-                    return False, (
-                        f"{kind.name} q0={init_q} case d={dv} ce={cv} sr={sv}: "
-                        f"got {got}, expected {state}"
-                    )
+        nl = Netlist()
+        q = nl.add_ff(kind, *map(nl.add_input, ports))
+        trace = sim(nl, Stimulus(dict(zip(ports, waves.T))), len(waves))
+        for k, (q0, (dv, cv, sv)) in enumerate(pairs):
+            want = default_ff_update(kind, q0, dv, cv, sv)
+            got = trace.value(q, 2 * k + 2)
+            if got != want:
+                return False, f"{kind.name} q0={q0} case d={dv} ce={cv} sr={sv}: got {got}, expected {want}"
     return True, "sr priority and hold semantics exact for both kinds (16 histories)"
 
 
@@ -707,13 +698,17 @@ def check_config_roundtrip() -> CheckResult:
         secret="110010", jammer_pairs=2, demod_threshold=17.5,
     )
     cfg.validate()
-    back = cli.ScenarioConfig.from_ini(cfg.to_ini())
-    if back != cfg:
-        return False, "parse(serialize(config)) differs from the original"
-    cfg2 = cli.ScenarioConfig()
-    back2 = cli.ScenarioConfig.from_ini(cfg2.to_ini())
-    if back2 != cfg2:
-        return False, "default config does not round-trip"
+    short_ring = cli.ScenarioConfig(
+        L=4, alignment="random_retry", attempts=7, payload_mode="mode2",
+        secret="1100", jammer_pairs=3, demod_threshold=19.25, seed=99,
+    )
+    for config, failure in (
+        (cfg, "parse(serialize(config)) differs from the original"),
+        (cli.ScenarioConfig(), "default config does not round-trip"),
+        (short_ring, "L=4 config does not round-trip"),
+    ):
+        if cli.ScenarioConfig.from_ini(config.to_ini()) != config:
+            return False, failure
     return True, "configs round-trip through the INI form"
 
 

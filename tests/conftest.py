@@ -1,10 +1,20 @@
-"""Shared fixtures."""
+"""Shared fixtures and the bundled scenarios."""
+
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fmlab import verify
 from fmlab.netcore import FfKind, Netlist
+
+BUNDLED = ("concealed_trigger", "payload_mode1", "payload_mode2", "jammed")
+
+
+def scenario_path(name: str) -> Path:
+    return Path(resources.files("fmlab") / "scenarios" / f"{name}.ini")
+
 
 # taken at import, so a test that monkeypatches verify.CHECKS changes nothing here
 _CHECKS = dict(verify.CHECKS)

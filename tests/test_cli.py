@@ -7,12 +7,13 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
-from importlib import resources
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from conftest import BUNDLED, scenario_path
 
 from fmlab import verify
 from fmlab.cli import (
@@ -26,29 +27,16 @@ from fmlab.cli import (
     simulate_scenario,
 )
 from fmlab.netcore import FfKind, Netlist, simulate
-from fmlab.reference import reference_simulate
+from fmlab.reference import default_ff_update, reference_simulate
 from fmlab.verify import check_ff_semantics, verify_suite
 
 # export hashes of the bundled scenarios, shared with the benchmark
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
-BUNDLED = ("concealed_trigger", "payload_mode1", "payload_mode2", "jammed")
-
-
-def scenario_path(name: str) -> Path:
-    return Path(resources.files("fmlab") / "scenarios" / f"{name}.ini")
 
 
 # ---------------------------------------------------------------------------
 # Config
 # ---------------------------------------------------------------------------
-
-
-def test_config_roundtrip_nontrivial():
-    cfg = ScenarioConfig(
-        L=4, alignment="random_retry", attempts=7, payload_mode="mode2",
-        secret="1100", jammer_pairs=3, demod_threshold=19.25, seed=99,
-    )
-    assert ScenarioConfig.from_ini(cfg.to_ini()) == cfg
 
 
 def test_config_rejects_unknown_keys():
@@ -457,16 +445,14 @@ def test_verify_scan_checks_name_the_first_mismatch(monkeypatch, check, scan, fi
 
 
 def test_verify_catches_mutated_ff_priority():
-    def mutated_update(kind, current, d, ce, sr):
-        if ce:  # wrong: enable examined before set/reset
-            return d
-        if sr:
-            return 1 if kind is FfKind.SET else 0
-        return current
+    # each mutant loads d where it must not: whenever enabled, even with sr
+    # high (enable examined before set/reset), or when a SET flip-flop holds 0
+    for loads_d, detail in (
+        (lambda kind, q, ce, sr: ce, "d=0 ce=1 sr=1: got 0, expected 1"),
+        (lambda kind, q, ce, sr: kind is FfKind.SET and not (q or ce or sr), "d=1 ce=0 sr=0: got 1, expected 0"),
+    ):
+        def update(kind, q, d, ce, sr, loads_d=loads_d):
+            return d if loads_d(kind, q, ce, sr) else default_ff_update(kind, q, d, ce, sr)
 
-    def mutated_simulate(netlist, stimulus, n_cycles):
-        return reference_simulate(netlist, stimulus, n_cycles, ff_update=mutated_update)
-
-    ok, detail = check_ff_semantics(simulate_fn=mutated_simulate)
-    assert not ok
-    assert "sr" in detail or "case" in detail
+        ok, got = check_ff_semantics(simulate_fn=partial(reference_simulate, ff_update=update))
+        assert (ok, got) == (False, f"SET q0=0 case {detail}")

@@ -1,10 +1,11 @@
 """Activity scans, power model, spectra, demodulation, jamming."""
 
 import json
-from importlib import resources
+import re
 
 import numpy as np
 import pytest
+from conftest import BUNDLED, scenario_path
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -14,68 +15,13 @@ from fmlab.cli import ScenarioConfig, main, simulate_scenario
 from fmlab.fmlogic import COMBINER_DATA_POS, build_sync
 from fmlab.netcore import Netlist, Stimulus, Trace, simulate, tt_buf, tt_or
 from fmlab.reference import power_reference, scan_reference
-from fmlab.trojankit import (
-    PayloadMode,
-    add_opcode_bus,
-    build_baseline_trojan,
-    program_stimulus,
-    random_program,
-)
-from fmlab.verify import (
-    FIRST_BIT_START,
-    L,
-    SPEC,
-    aligned_payload_run,
-    converters,
-    data_quad,
-    two_input_gate,
-)
+from fmlab.trojankit import PayloadMode
+from fmlab.verify import FIRST_BIT_START, L, aligned_payload_run, converters, data_quad, two_input_gate
 
 
 # ---------------------------------------------------------------------------
 # uci_scan
 # ---------------------------------------------------------------------------
-
-
-def test_uci_clean_on_fm_gate_design():
-    nl, sync, (ca, cb), gate = two_input_gate(tt_or(2))
-    wave = np.tile([0, 1, 1, 0], 30)[:96]
-    trace = simulate(nl, Stimulus.standard(96, nl, A=wave, B=np.tile([1, 0], 48)), 96)
-    report = sc.uci_scan(trace, (L + 1, 96 - (96 - L - 1) % L))
-    assert report.suspicious == ()
-
-
-def test_uci_flags_baseline_trojan():
-    nl = Netlist()
-    nl.reset()
-    bus = add_opcode_bus(nl, 4)
-    out = build_baseline_trojan(nl, bus, magic=13)
-    program = [o for o in random_program(96, 16, seed=6) if o != 13]
-    n = len(program) + 1
-    trace = simulate(nl, program_stimulus(program, SPEC, total_cycles=n), n)
-    report = sc.uci_scan(trace, (2, n))
-    assert (out, 0) in report.constant_nets
-    assert out in report.suspicious
-
-
-def test_uci_flags_buffer_under_constant_stimulus():
-    nl = Netlist()
-    nl.reset()
-    a = nl.add_input("A")
-    buf = nl.add_lut((a,), tt_buf())
-    trace = simulate(nl, Stimulus.standard(20, nl, A=0), 20)
-    report = sc.uci_scan(trace, (2, 20))
-    assert buf in report.suspicious
-    assert a in report.suspicious  # the idle port is just as constant
-
-
-def test_uci_duty_cycles_reported():
-    nl = Netlist()
-    nl.reset()
-    a = nl.add_input("A")
-    trace = simulate(nl, Stimulus.standard(10, nl, A=np.tile([0, 1], 5)), 10)
-    report = sc.uci_scan(trace, (2, 10))
-    assert report.duty_cycles[a] == 0.5
 
 
 def test_uci_empty_window_rejected():
@@ -89,16 +35,6 @@ def test_uci_empty_window_rejected():
 # ---------------------------------------------------------------------------
 # pair_scan
 # ---------------------------------------------------------------------------
-
-
-def test_pair_scan_finds_buffered_copy():
-    nl = Netlist()
-    nl.reset()
-    a = nl.add_input("A")
-    buf = nl.add_lut((a,), tt_buf())
-    trace = simulate(nl, Stimulus.standard(30, nl, A=np.tile([0, 1, 1], 10)), 30)
-    report = sc.pair_scan(trace, (2, 30))
-    assert (a, buf) in report.equal_pairs
 
 
 def test_pair_scan_finds_quad_complements():
@@ -185,9 +121,9 @@ def test_scans_match_net_and_pair_references(case):
     event("complement pairs" if pairs.complement_pairs else "no complement pairs")
 
 
-@pytest.mark.parametrize("name", ["concealed_trigger", "payload_mode1", "payload_mode2", "jammed"])
+@pytest.mark.parametrize("name", BUNDLED)
 def test_scans_match_references_on_bundled_scenarios(name):
-    cfg = ScenarioConfig.load(resources.files("fmlab") / "scenarios" / f"{name}.ini")
+    cfg = ScenarioConfig.load(scenario_path(name))
     _, _, trace = simulate_scenario(cfg)
     _check_scans(trace, (cfg.analysis_start, trace.cycles))
 
@@ -241,6 +177,19 @@ def test_power_scope_rejects_a_repeated_net():
 def test_power_scope_names_the_first_unknown_net(scope, net):
     trace = Trace(values=np.zeros((4, 3), np.uint8), names=("A", "B", "C"))
     with pytest.raises(sc.AnalysisError, match=rf"^unknown net {net} in scope$"):
+        sc.power_trace(trace, scope)
+
+
+@pytest.mark.parametrize(
+    "scope, net",
+    [([1.7], 1.7), (["1"], "1"), ([True], True), ([np.float64(0.9)], np.float64(0.9)),
+     ([0, True, 2], True), (np.array([False, True]), False), ((np.int64(1), None), None)],
+    ids=["float", "str", "bool", "np.float64", "bool-among-ints", "bool-array", "None"],
+)
+def test_power_scope_rejects_ids_that_are_not_integers(scope, net):
+    # np.asarray([0, True, 2]) is int64: the one bool would read as net 1
+    trace = Trace(values=np.zeros((4, 3), np.uint8), names=("A", "B", "C"))
+    with pytest.raises(sc.AnalysisError, match=rf"^net id {re.escape(repr(net))} in scope is not an integer$"):
         sc.power_trace(trace, scope)
 
 
@@ -308,9 +257,9 @@ def test_power_trace_matches_net_reference(case):
     event("single net" if len(scope) == 1 else "first and last net" if ends else "other scope")
 
 
-@pytest.mark.parametrize("name", ["concealed_trigger", "payload_mode1", "payload_mode2", "jammed"])
+@pytest.mark.parametrize("name", BUNDLED)
 def test_power_trace_matches_net_reference_on_bundled_scenarios(name):
-    cfg = ScenarioConfig.load(resources.files("fmlab") / "scenarios" / f"{name}.ini")
+    cfg = ScenarioConfig.load(scenario_path(name))
     design, _, trace = simulate_scenario(cfg)
     for scope in (design.quad.stage_nets(), design.attack_scope(), sc.scan_nets(trace)):
         _check_power(trace, scope)
@@ -565,7 +514,7 @@ def test_cli_analyze_writes_the_reference_exports(tmp_path):
     """``fmlab analyze`` on the jammed scenario's trace writes what the
     reference scans, the reference power model and the row-by-row
     writers give."""
-    cfg = ScenarioConfig.load(resources.files("fmlab") / "scenarios" / "jammed.ini")
+    cfg = ScenarioConfig.load(scenario_path("jammed"))
     _, _, trace = simulate_scenario(cfg)
     trace.to_csv(tmp_path / "trace.csv")
     assert main(["analyze", "--trace", str(tmp_path / "trace.csv"), "--out", str(tmp_path / "ana")]) == 0

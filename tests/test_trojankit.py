@@ -9,7 +9,7 @@ from fmlab import fmlogic, sidechannel
 from fmlab.cli import ScenarioConfig, construct_design
 from fmlab.fmlogic import COMBINER_DATA_POS, COMBINER_FB_POS, build_std_to_fm, build_sync, fm_decode, sync_instants
 from fmlab.netcore import FlipFlop, Lut, Netlist, Stimulus, TruthTable, simulate, tt_const, tt_not
-from fmlab.reference import reference_simulate
+from fmlab.reference import power_reference, reference_simulate
 from fmlab.trojankit import (
     RETRY_GAP,
     Aligned,
@@ -150,14 +150,11 @@ def test_no_sequence_never_activates():
 
 
 def test_unlocked_trigger_reverts_after_one_rotation():
-    nl = Netlist()
-    sync = build_sync(nl, L)
-    bus = add_opcode_bus(nl, SPEC.opcode_width)
-    lines = build_event_sync(nl, bus, SPEC)
+    tb = trigger_design()
     table = fmlogic.make_combiner_table(4, lambda f, ev: ev[0] & ev[1] & ev[2] & ev[3])
-    plain = fmlogic.build_fm_register(nl, sync, table, lines)
+    plain = fmlogic.build_fm_register(tb.netlist, tb.sync, table, tb.lines)
     stim = opcode_stimulus([SPEC.filler()], SPEC, Aligned(), L, total_cycles=120)
-    trace = simulate(nl, stim, 120)
+    trace = simulate(tb.netlist, stim, 120)
     decoded = {t: fm_decode(trace, plain, t).value for t in sync_instants(L, 120, start=L + 1)}
     assert decoded[ACTIVATION_SYNC] == 1
     assert sum(decoded.values()) == 1  # visible for exactly one rotation
@@ -371,25 +368,20 @@ def test_transmitter_repeats_secret_after_wrap():
 
 def test_transmitter_concealed_before_activation():
     trace, design = aligned_payload_run("1111", PayloadMode.MODE1)
-    sub = trace.values[:, list(design.quad.stage_nets())].astype(np.int16)
-    dyn = (np.abs(sub[1:] - sub[:-1])).sum(axis=1)
-    # every boundary before the activation edge shows the balanced count
-    pre = dyn[2 : ACTIVATION_SYNC - 1]
-    assert set(pre.tolist()) == {12}
+    dynamic = power_reference(trace, design.quad.stage_nets())[0]
+    # every change into a cycle before the activation edge is the balanced count
+    assert set(dynamic[3:ACTIVATION_SYNC]) == {12}
 
 
 def test_transmitter_requires_armed_carrier():
-    nl = Netlist()
-    sync = build_sync(nl, L)
-    bus = add_opcode_bus(nl, SPEC.opcode_width)
-    lines = build_event_sync(nl, bus, SPEC)
-    trig = build_trigger(nl, *lines, sync)
+    tb = trigger_design()
+    nl, sync, trig = tb.netlist, tb.sync, tb.trigger
     carrier = build_std_to_fm(nl, nl.const(0), sync)
     quad = build_concealed(nl, carrier, sync)  # unarmed
     with pytest.raises(PayloadError, match="armed"):
         build_payload_transmitter(nl, "101", trig, quad, sync)
     quad = build_concealed(nl, carrier, sync, trigger=trig)
-    other = build_trigger(nl, *lines, sync)
+    other = build_trigger(nl, *tb.lines, sync)
     with pytest.raises(PayloadError, match="different trigger"):
         build_payload_transmitter(nl, "101", other, quad, sync)
 
@@ -422,11 +414,8 @@ def test_replicas_of_a_retargeted_carrier_read_the_transmitter():
 
 
 def _trigger_and_carrier():
-    nl = Netlist()
-    sync = build_sync(nl, L)
-    bus = add_opcode_bus(nl, SPEC.opcode_width)
-    trig = build_trigger(nl, *build_event_sync(nl, bus, SPEC), sync)
-    return nl, sync, trig, build_std_to_fm(nl, nl.const(0), sync)
+    tb = trigger_design()
+    return tb.netlist, tb.sync, tb.trigger, build_std_to_fm(tb.netlist, tb.netlist.const(0), tb.sync)
 
 
 def _or_tree_size(n: int) -> int:
