@@ -290,13 +290,6 @@ def simulate_scenario(cfg: ScenarioConfig) -> tuple[Design, Stimulus, Trace]:
 # ---------------------------------------------------------------------------
 
 
-def _find_activation(trace: Trace, design: Design) -> int | None:
-    for t in fmlogic.sync_instants(design.sync.L, trace.cycles, start=design.sync.L + 1):
-        if fmlogic.fm_decode(trace, design.trigger, t).value:
-            return t
-    return None
-
-
 def run_scenario(cfg: ScenarioConfig, out_dir) -> tuple[dict, bool]:
     """Build, simulate, analyze, export.  Returns (report, all_checks_ok)."""
     cfg.validate()
@@ -307,7 +300,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir) -> tuple[dict, bool]:
     n = stim.length
     L = cfg.L
 
-    activation = _find_activation(trace, design)
+    instants, values = fmlogic.fm_decode_all(trace, design.trigger)
+    activation = int(instants[values.argmax()]) if values.any() else None
     window = (cfg.analysis_start, n)
     uci = sidechannel.uci_scan(trace, window)
     pairs = sidechannel.pair_scan(trace, window)
@@ -430,14 +424,15 @@ def analyze_trace(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stop = trace.cycles if window_stop is None else window_stop
-    window = (window_start, stop)
-    if stop - window_start < 2:
+    window = sidechannel._check_window((window_start, stop), trace.cycles)  # Python ints
+    start, stop = window
+    if stop - start < 2:
         raise sidechannel.AnalysisError(f"analysis window {window} is shorter than 2 cycles")
     uci = sidechannel.uci_scan(trace, window)
     pairs = sidechannel.pair_scan(trace, window)
     # the UCI scan's duty cycles name every scanned net, in id order
     pt = sidechannel.power_trace(trace, list(uci.duty_cycles))
-    series = pt.dynamic[window_start:stop]
+    series = pt.dynamic[start:stop]
     wlen = _pow2_floor(len(series)) if spectrum_window is None else spectrum_window
     sp = sidechannel.spectrum(series, wlen)
     peaks = sidechannel.detect_fm_peaks(sp, 0.5)

@@ -38,12 +38,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .netcore import (
     FfKind,
     NetId,
     Netlist,
     Trace,
     TruthTable,
+    _integer_type,
     _require_net,
 )
 
@@ -63,6 +66,7 @@ __all__ = [
     "compose_fm",
     "build_locking_and",
     "fm_decode",
+    "fm_decode_all",
     "duty_cycle",
 ]
 
@@ -308,33 +312,43 @@ def build_locking_and(netlist: Netlist, a: FmSignal, b: FmSignal, sync: FmSignal
     return build_fm_register(netlist, sync, table, (a.data_tap, b.data_tap))
 
 
-def fm_decode(trace: Trace, fm: FmSignal, sync_cycle: int) -> FmBit:
-    """Read the FM value at a SYNC instant and validate the encoding.
-
-    The amplitude view (data tap sample) must agree with the frequency
-    view (rising edges of the tap over the preceding L cycles: one per
-    period for value 0, two for value 1); disagreement raises
-    :class:`MalformedFmError` instead of silently picking a side.
-
-    ``sync_cycle`` must be a SYNC instant with at least one full period
-    of post-reset history (``sync_cycle > L``); steady-state decoding
-    conventionally starts at 2L.
+def fm_decode_all(
+    trace: Trace, fm: FmSignal, start: int | None = None, stop: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The SYNC instants in [start, stop), by default from L + 1 (the
+    first with a full period of history) to the trace's end, and the FM
+    values there, as int64 arrays.  Each value's tap must show value + 1
+    rising edges over the preceding L cycles, or :class:`MalformedFmError`
+    names the tap and the first cycle where it does not.
     """
     tap, L = fm.data_tap, fm.L
-    if (sync_cycle - 1) % L:
-        raise FmError(f"cycle {sync_cycle} is not a SYNC instant for L={L}")
-    if sync_cycle <= L:
+    start = L + 1 if start is None else start
+    stop = trace.cycles if stop is None else stop
+    if not (_integer_type(type(start)) and _integer_type(type(stop))):
+        raise FmError(f"decode bounds ({start!r}, {stop!r}) are not integers")
+    if start <= L:
         raise FmError(f"decode needs a full period of history (cycle > {L})")
-    if sync_cycle >= trace.cycles:
-        raise FmError(f"cycle {sync_cycle} is beyond the trace ({trace.cycles} cycles)")
-    window = trace.wave(tap)[sync_cycle - L : sync_cycle + 1]
-    value = int(window[-1])
-    edges = int(((window[1:] == 1) & (window[:-1] == 0)).sum())
-    if edges != value + 1:
+    if stop > trace.cycles:
+        raise FmError(f"cycle {stop - 1} is beyond the trace ({trace.cycles} cycles)")
+    instants = sync_instants(L, stop, start)
+    lo = instants.start - L  # the periods (t - L, t] of the instants t tile wave[1:]
+    wave = trace.wave(tap)[lo : lo + len(instants) * L + 1]
+    values, edges = wave[L::L].astype(np.int64), (wave[1:] > wave[:-1]).reshape(-1, L).sum(axis=1)
+    bad = (edges != values + 1).nonzero()[0]
+    if len(bad):
+        t, value, seen = instants[bad[0]], values[bad[0]], edges[bad[0]]
         raise MalformedFmError(
-            f"tap {tap}: sampled {value} but saw {edges} rising edges in one period"
+            f"tap {tap} at cycle {t}: sampled {value} but saw {seen} rising edges in one period"
         )
-    return FmBit(value=value, period=L // 2 if value else L)
+    return np.arange(instants.start, stop, L), values
+
+
+def fm_decode(trace: Trace, fm: FmSignal, sync_cycle: int) -> FmBit:
+    """The FM value at one SYNC instant, read by :func:`fm_decode_all`."""
+    _, values = fm_decode_all(trace, fm, sync_cycle, sync_cycle + 1)
+    if not len(values):
+        raise FmError(f"cycle {sync_cycle} is not a SYNC instant for L={fm.L}")
+    return FmBit(value=int(values[0]), period=fm.L // 2 if values[0] else fm.L)
 
 
 def duty_cycle(trace: Trace, net: NetId, window: tuple[int, int]) -> float:
@@ -344,7 +358,7 @@ def duty_cycle(trace: Trace, net: NetId, window: tuple[int, int]) -> float:
     periods: 1/L for FM value 0, 2/L for value 1.
     """
     start, stop = window
-    if not 0 <= start < stop <= trace.cycles:
+    if not (_integer_type(type(start)) and _integer_type(type(stop)) and 0 <= start < stop <= trace.cycles):
         raise FmError(f"empty or out-of-range window {window}")
     w = trace.wave(net)[start:stop]
     return float(w.sum()) / float(len(w))

@@ -88,10 +88,16 @@ def _check_name(role: str, name: str) -> None:
         raise NetlistError(f"{role} name {name!r} is empty or holds whitespace or a comma")
 
 
+def _integer_type(kind: type) -> bool:
+    """Whether values of ``kind`` may index nets and cycles: a Python or
+    numpy integer type, not bool."""
+    return kind is not bool and issubclass(kind, (int, np.integer))
+
+
 def _require_net(net, count: int, message: str) -> None:
     """Raise ``NetlistError(message.format(repr(net)))`` unless ``net`` is
-    an id 0..count-1: a Python or numpy integer, not a bool."""
-    if isinstance(net, bool) or not isinstance(net, (int, np.integer)) or not 0 <= net < count:
+    an integer (see :func:`_integer_type`) in 0..count-1."""
+    if not _integer_type(type(net)) or not 0 <= net < count:
         raise NetlistError(message.format(repr(net)))
 
 
@@ -369,6 +375,7 @@ class Netlist:
         return self._cell(q, "ff", "net {} is not a flip-flop output")
 
     def name_of(self, net: NetId) -> str:
+        _require_net(net, len(self._drivers), "net {} is not a net of this netlist")
         return self.net_names()[net]
 
     def net_names(self) -> tuple[str, ...]:
@@ -572,7 +579,9 @@ class Trace:
         return self.values[:, net]
 
     def value(self, net: NetId, cycle: int) -> int:
-        return int(self.wave(net)[cycle])
+        wave = self.wave(net)
+        _require_net(cycle, len(wave), "trace has no cycle {}")
+        return int(wave[cycle])
 
     def to_csv(self, path) -> None:
         """Write a header of net names, then one row of 0/1 cells per cycle."""

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .csvcells import BLOCK_ROWS, fraction_reprs, int_rows
-from .netcore import CONST_NAMES, NetId, Netlist, RESET_NAME, Trace
+from .netcore import CONST_NAMES, NetId, Netlist, RESET_NAME, Trace, _integer_type
 from .fmlogic import FmSignal, build_std_to_fm
 
 __all__ = [
@@ -58,11 +58,13 @@ class AnalysisError(ValueError):
     """Invalid analysis request (bad window, scope, or parameters)."""
 
 
-def _check_window(trace: Trace, window: tuple[int, int]) -> tuple[int, int]:
+def _check_window(window: tuple[int, int], cycles: int) -> tuple[int, int]:
+    """The window's bounds as Python ints; they must be integers with
+    0 <= start < stop <= cycles."""
     start, stop = window
-    if not 0 <= start < stop <= trace.cycles:
+    if not (_integer_type(type(start)) and _integer_type(type(stop)) and 0 <= start < stop <= cycles):
         raise AnalysisError(f"empty or out-of-range window {window}")
-    return start, stop
+    return int(start), int(stop)
 
 
 def scan_nets(trace: Trace) -> list[NetId]:
@@ -103,7 +105,7 @@ def uci_scan(trace: Trace, window: tuple[int, int]) -> UciReport:
     A net is suspicious iff its windowed duty cycle is exactly 0 or 1.
     RESET and tie-off nets are excluded (see module notes).
     """
-    start, stop = _check_window(trace, window)
+    start, stop = _check_window(window, trace.cycles)
     nets = scan_nets(trace)
     span = stop - start
     # the narrowest unsigned type that holds the span holds every count
@@ -144,7 +146,7 @@ def pair_scan(trace: Trace, window: tuple[int, int]) -> PairReport:
     Nets are grouped by their waveforms, packed 8 cycles per byte, so
     this is near-linear in net count.
     """
-    start, stop = _check_window(trace, window)
+    start, stop = _check_window(window, trace.cycles)
     nets = scan_nets(trace)
     packed = np.ascontiguousarray(_pack_cycles(trace.values[start:stop])[:, nets].T)
     # flip every cycle's bit but not the last byte's padding, which stays 0
@@ -220,8 +222,7 @@ class PowerTrace:
         return len(self.dynamic)
 
     def window(self, start: int, stop: int) -> "PowerTrace":
-        if not 0 <= start < stop <= len(self):
-            raise AnalysisError(f"empty or out-of-range window {(start, stop)}")
+        start, stop = _check_window((start, stop), len(self))
         return PowerTrace(
             dynamic=self.dynamic[start:stop], static=self.static[start:stop], scope=self.scope
         )
@@ -277,8 +278,8 @@ def _check_scope(trace: Trace, scope: Sequence[NetId]) -> tuple[NetId, ...]:
     names each one once, each by an integer id that is not a bool."""
     scope = scope.tolist() if isinstance(scope, np.ndarray) else scope
     # one subclass test per distinct type of id, not one per id
-    if not all(t is not bool and issubclass(t, (int, np.integer)) for t in set(map(type, scope))):
-        net = next(n for n in scope if isinstance(n, bool) or not isinstance(n, (int, np.integer)))
+    if not all(map(_integer_type, set(map(type, scope)))):
+        net = next(n for n in scope if not _integer_type(type(n)))
         raise AnalysisError(f"net id {net!r} in scope is not an integer")
     try:
         ids = np.asarray(scope, np.int64)

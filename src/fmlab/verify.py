@@ -246,10 +246,10 @@ def check_gate_correctness() -> CheckResult:
         for av, bv in itertools.product((0, 1), repeat=2):
             nl, sync, _, gate = two_input_gate(table)
             trace = simulate(nl, Stimulus.standard(50, nl, A=av, B=bv), 50)
-            want = table.eval((av, bv))
-            for t in fmlogic.sync_instants(L, 50, start=17):
-                if fmlogic.fm_decode(trace, gate, t).value != want:
-                    return False, f"table {bits:04b} inputs ({av},{bv}) wrong at {t}"
+            instants, values = fmlogic.fm_decode_all(trace, gate, start=17)
+            wrong = instants[values != table.eval((av, bv))]
+            if len(wrong):
+                return False, f"table {bits:04b} inputs ({av},{bv}) wrong at {wrong[0]}"
     # sampled 3- and 4-input functions
     rng = np.random.default_rng(7)
     for arity in (3, 4):
@@ -365,12 +365,10 @@ def check_locking_monotone() -> CheckResult:
         n, nl, A=rng.integers(0, 2, n).astype(np.uint8), B=rng.integers(0, 2, n).astype(np.uint8)
     )
     trace = simulate(nl, stim, n)
-    prev = 0
-    for t in fmlogic.sync_instants(L, n, start=L + 1):
-        v = fmlogic.fm_decode(trace, lock, t).value
-        if v < prev:
-            return False, f"decoded value dropped from {prev} to {v} at cycle {t}"
-        prev = v
+    instants, values = fmlogic.fm_decode_all(trace, lock)
+    drops = instants[1:][values[1:] < values[:-1]]  # values are 0 or 1: a drop is 1 -> 0
+    if len(drops):
+        return False, f"decoded value dropped from 1 to 0 at cycle {drops[0]}"
     return True, "decoded locking output non-decreasing over SYNC instants"
 
 
@@ -391,10 +389,8 @@ def _oracle_activates(program: list[int]) -> bool:
 
 def _activated(design: cli.Design, stim: Stimulus) -> bool:
     """Whether the trigger decodes 1 at the stimulus's last SYNC instant."""
-    n = stim.length
-    trace = simulate(design.netlist, stim, n)
-    last = max(fmlogic.sync_instants(L, n, start=L + 1))
-    return bool(fmlogic.fm_decode(trace, design.trigger, last).value)
+    trace = simulate(design.netlist, stim, stim.length)
+    return bool(fmlogic.fm_decode_all(trace, design.trigger)[1][-1])
 
 
 def _simulate_stream(design: cli.Design, program: list[int]) -> bool:
@@ -448,11 +444,10 @@ def check_trigger_locks() -> CheckResult:
     background = trojankit.scrub_sequences(trojankit.random_program(n - 1, 16, seed=77), SPEC)
     stim = trojankit.opcode_stimulus(background, SPEC, Aligned(), L, total_cycles=n)
     trace = simulate(design.netlist, stim, n)
-    held = 0
-    for t in fmlogic.sync_instants(L, n, start=ACTIVATION_SYNC):
-        if fmlogic.fm_decode(trace, design.trigger, t).value != 1:
-            return False, f"unlocked at cycle {t} after {held} periods"
-        held += 1
+    instants, values = fmlogic.fm_decode_all(trace, design.trigger, start=ACTIVATION_SYNC)
+    held = int(np.cumprod(values == 1).sum())  # the periods before the first unlocked one
+    if held < len(values):
+        return False, f"unlocked at cycle {instants[held]} after {held} periods"
     if held < 1000:
         return False, f"locked for only {held} periods (bound 1000)"
     return True, f"locked from cycle {ACTIVATION_SYNC} for all {held} periods (bound 1000)"
@@ -518,11 +513,11 @@ def check_both_frequencies() -> CheckResult:
     nl, quad = data_quad()
     wave = np.tile(np.repeat([0, 1], 16), 20)[:400]
     trace = simulate(nl, Stimulus.standard(400, nl, DATA=wave), 400)
-    for t in fmlogic.sync_instants(L, 395, start=17):
-        da = fmlogic.fm_decode(trace, quad.a, t).value
-        db = fmlogic.fm_decode(trace, quad.b, t).value
-        if {da, db} != {0, 1}:
-            return False, f"cycle {t}: decode(a)={da}, decode(b)={db}"
+    instants, da = fmlogic.fm_decode_all(trace, quad.a, start=17)
+    _, db = fmlogic.fm_decode_all(trace, quad.b, start=17)
+    if (da == db).any():
+        i = np.argmax(da == db)
+        return False, f"cycle {instants[i]}: decode(a)={da[i]}, decode(b)={db[i]}"
     return True, "decode(a) and decode(b) complementary at every SYNC instant"
 
 

@@ -20,14 +20,16 @@ from fmlab.cli import (
     EXPORTS,
     ConfigError,
     ScenarioConfig,
+    analyze_trace,
     build_stimulus,
     construct_design,
     main,
     run_scenario,
     simulate_scenario,
 )
-from fmlab.netcore import FfKind, Netlist, simulate
+from fmlab.netcore import FfKind, Netlist, Trace, simulate
 from fmlab.reference import default_ff_update, reference_simulate
+from fmlab.sidechannel import AnalysisError
 from fmlab.verify import check_ff_semantics, verify_suite
 
 # export hashes of the bundled scenarios, shared with the benchmark
@@ -334,6 +336,17 @@ def test_cli_analyze_one_cycle_window_names_the_window(tmp_path, capsys):
     code = main(["analyze", "--trace", str(path), "--out", str(tmp_path / "ana"), "--window-start", "2"])
     assert code == 2
     assert "analysis window (2, 3) is shorter than 2 cycles" in capsys.readouterr().err
+
+
+def test_analyze_trace_window_bounds_follow_the_integer_rule(tmp_path):
+    trace = Trace(values=np.random.default_rng(5).integers(0, 2, (40, 3), np.uint8), names=("RESET", "A", "B"))
+    report = analyze_trace(trace, tmp_path / "int64", window_start=np.int64(2))
+    assert report["window"] == [2, 40]
+    assert json.loads((tmp_path / "int64" / "analysis.json").read_text())["window"] == [2, 40]
+    # a bool bound is refused before any export is written
+    with pytest.raises(AnalysisError, match=r"^empty or out-of-range window \(True, 40\)$"):
+        analyze_trace(trace, tmp_path / "bool", window_start=True)
+    assert not any((tmp_path / "bool").iterdir())
 
 
 def test_cli_analyze_missing_trace_exit_two(tmp_path, capsys):

@@ -1,9 +1,12 @@
 """FM encoding, converters, gates, composition, locking, decoding."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from fmlab import fmlogic
 from fmlab.fmlogic import (
@@ -20,9 +23,10 @@ from fmlab.fmlogic import (
     compose_fm,
     duty_cycle,
     fm_decode,
+    fm_decode_all,
     sync_instants,
 )
-from fmlab.netcore import Netlist, Stimulus, TruthTable, simulate, tt_and, tt_or, tt_xor
+from fmlab.netcore import Netlist, Stimulus, Trace, TruthTable, simulate, tt_and, tt_or, tt_xor
 from fmlab.verify import converters, two_input_gate
 
 L = 8
@@ -78,15 +82,13 @@ def test_fm_csr_reset_pattern_l4():
 def test_converter_high_input_decodes_one_after_first_rotation():
     nl, sync, (conv,) = converters("A")
     trace = simulate(nl, Stimulus.standard(60, nl, A=1), 60)
-    for t in sync_instants(L, 60, start=L + 1):
-        assert fm_decode(trace, conv, t).value == 1
+    assert fm_decode_all(trace, conv)[1].tolist() == [1] * 7
 
 
 def test_converter_low_input_stays_in_reset_encoding():
     nl, sync, (conv,) = converters("A")
     trace = simulate(nl, Stimulus.standard(60, nl, A=0), 60)
-    for t in sync_instants(L, 60, start=L + 1):
-        assert fm_decode(trace, conv, t).value == 0
+    assert fm_decode_all(trace, conv)[1].tolist() == [0] * 7
     # marker-only pattern at every SYNC instant
     assert [trace.value(s, 17) for s in conv.stages] == [0, 0, 0, 0, 0, 0, 0, 1]
 
@@ -101,8 +103,7 @@ def test_converter_samples_exactly_at_sync_instants():
     for t, bit in zip(instants, bits):
         wave[t - 1 : t + 2] = (1 - bit, bit, 1 - bit)
     trace = simulate(nl, Stimulus.standard(120, nl, A=wave), 120)
-    decoded = [fm_decode(trace, conv, t + L).value for t in instants]  # one period later
-    assert decoded == bits.tolist()
+    assert fm_decode_all(trace, conv)[1].tolist() == bits.tolist()  # one period later
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +242,8 @@ def test_locking_latches_after_one_aligned_coincidence():
     aw[pulse_at] = 1
     bw[pulse_at] = 1
     trace = simulate(nl, Stimulus.standard(300, nl, A=aw, B=bw), 300)
-    for t in sync_instants(L, 300, start=L + 1):
-        want = 1 if t >= pulse_at + 2 * L else 0
-        assert fm_decode(trace, lock, t).value == want, t
+    instants, values = fm_decode_all(trace, lock)
+    assert values.tolist() == (instants >= pulse_at + 2 * L).tolist()
 
 
 def test_locking_never_fires_without_coincidence():
@@ -251,8 +251,7 @@ def test_locking_never_fires_without_coincidence():
     aw = np.tile([1, 0], 150)[:300]
     bw = np.tile([0, 1], 150)[:300]  # high on alternating cycles, never together
     trace = simulate(nl, Stimulus.standard(300, nl, A=aw, B=bw), 300)
-    for t in sync_instants(L, 300, start=L + 1):
-        assert fm_decode(trace, lock, t).value == 0
+    assert not fm_decode_all(trace, lock)[1].any()
 
 
 @pytest.mark.parametrize("offset", range(1, L))
@@ -263,8 +262,7 @@ def test_locking_ignores_misaligned_pulses(offset):
     for t in range(1 + offset, n, L):  # every cycle congruent to 1+offset
         wave[t] = 1
     trace = simulate(nl, Stimulus.standard(n, nl, A=wave, B=wave), n)
-    for t in sync_instants(L, n, start=L + 1):
-        assert fm_decode(trace, lock, t).value == 0
+    assert not fm_decode_all(trace, lock)[1].any()
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +286,67 @@ def test_decode_rejects_corrupted_ring():
     qs = build_ring(nl, L, [4, 5])  # two adjacent circulating ones
     ring = fmlogic.FmSignal(tuple(qs))
     trace = simulate(nl, Stimulus.standard(40, nl), 40)
-    with pytest.raises(MalformedFmError):
+    with pytest.raises(MalformedFmError, match=rf"^tap {ring.data_tap} at cycle 9: "):
         fm_decode(trace, ring, 9)
+
+
+def _decode_per_instant(wave, L, start, stop):
+    """The decode rule one SYNC instant at a time: the values read before
+    the first malformed instant, and that instant (None if there is none)."""
+    values = []
+    for t in range(start, stop):
+        if (t - 1) % L:
+            continue
+        window = wave[t - L : t + 1].tolist()
+        edges = sum(a == 0 and b == 1 for a, b in zip(window, window[1:]))
+        if edges != window[-1] + 1:
+            return values, t
+        values.append(window[-1])
+    return values, None
+
+
+@st.composite
+def fm_tap_cases(draw):
+    """An FM register's tap over n cycles, as (L, n, bits, flips, start, stop).
+
+    The tap carries one value per SYNC instant 1, 1 + L, ... (``bits``)
+    and a marker pulse half a period after each; ``flips`` lists the 0-2
+    samples to invert, and [start, stop) is the range to decode.
+    """
+    L = draw(st.sampled_from([4, 6, 8, 12, 16]))
+    n = draw(st.integers(2 * L + 1, 12 * L))
+    periods = len(range(1, n, L))
+    bits = draw(st.lists(st.integers(0, 1), min_size=periods, max_size=periods))
+    # a seeded draw spreads the flips evenly; hypothesis's own leans to cycle 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    flips = rng.choice(n, draw(st.integers(0, 2)), replace=False).tolist()
+    # by default decoding runs from L + 1 to the trace's end
+    start = draw(st.one_of(st.just(L + 1), st.integers(L + 1, n - 1)))
+    return L, n, bits, flips, start, draw(st.one_of(st.just(n), st.integers(start + 1, n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fm_tap_cases())
+# a 1 flipped in right after a SYNC instant that reads 0: only an edge
+# count from that instant (cycles t - L + 1 .. t) sees it, at t = 17
+@example((8, 18, [0, 0, 0], [10], 9, 18))
+def test_decode_all_matches_per_instant_count(case):
+    L, n, bits, flips, start, stop = case
+    wave = np.zeros(n, np.uint8)
+    wave[1::L] = bits
+    wave[1 + L // 2 :: L] = 1  # the marker
+    wave[flips] ^= 1
+    trace = Trace(values=wave[:, None], names=("TAP",))
+    want, bad = _decode_per_instant(wave, L, start, stop)
+    event(f"L={L}")
+    event("well-formed" if bad is None else "malformed")
+    if bad is not None:
+        with pytest.raises(MalformedFmError, match=rf"^tap 0 at cycle {bad}: "):
+            fm_decode_all(trace, fmlogic.FmSignal((0,) * L), start, stop)
+        return
+    instants, values = fm_decode_all(trace, fmlogic.FmSignal((0,) * L), start, stop)
+    assert instants.tolist() == [t for t in range(start, stop) if (t - 1) % L == 0]
+    assert values.tolist() == want
 
 
 def test_decode_validates_cycle():
@@ -302,6 +359,13 @@ def test_decode_validates_cycle():
         fm_decode(trace, r0, 1)
     with pytest.raises(FmError, match="beyond"):
         fm_decode(trace, r0, 41)
+    with pytest.raises(FmError, match=r"^decode bounds \(17\.0, 18\.0\) are not integers$"):
+        fm_decode(trace, r0, 17.0)
+    with pytest.raises(FmError, match=r"^decode bounds \(True, 40\) are not integers$"):
+        fm_decode_all(trace, r0, True)
+    with pytest.raises(FmError, match="beyond"):
+        fm_decode_all(trace, r0, stop=41)
+    assert fm_decode_all(trace, r0, 17, 17)[0].tolist() == []
 
 
 def test_duty_cycle_empty_window():
@@ -310,3 +374,13 @@ def test_duty_cycle_empty_window():
     trace = simulate(nl, Stimulus.standard(20, nl), 20)
     with pytest.raises(FmError):
         duty_cycle(trace, rotor.data_tap, (5, 5))
+
+
+@pytest.mark.parametrize("window", [(True, 8), (0, np.True_), (0.0, 8), (0, np.float64(8))], ids=repr)
+def test_duty_cycle_window_bounds_must_be_integers(window):
+    # at (True, 8) the window would read as (1, 8)
+    nl = Netlist()
+    rotor = build_const_fm(nl, 8, 0)
+    trace = simulate(nl, Stimulus.standard(20, nl), 20)
+    with pytest.raises(FmError, match=rf"^empty or out-of-range window {re.escape(repr(window))}$"):
+        duty_cycle(trace, rotor.data_tap, window)

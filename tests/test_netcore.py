@@ -192,7 +192,7 @@ _BAD_NET_IDS = [True, np.True_, 1.0, "1", None, -1, 2]
 
 
 @pytest.mark.parametrize("net", _BAD_NET_IDS, ids=repr)
-@pytest.mark.parametrize("kind", ["lut", "ff"])
+@pytest.mark.parametrize("kind", ["lut", "ff", "name_of"])
 def test_cell_readers_reject_bad_net_ids(kind, net):
     nl = Netlist()
     a = nl.add_input("A")
@@ -597,6 +597,13 @@ def test_trace_readers_reject_bad_net_ids(read, net):
     trace = Trace(values=np.array([[0, 1], [1, 1], [0, 1]], np.uint8), names=("A", "B"))
     with pytest.raises(NetlistError, match=rf"^trace has no net {re.escape(repr(net))}$"):
         read(trace, net)
+
+
+@pytest.mark.parametrize("cycle", [True, np.True_, 1.0, "1", None, -2, 3], ids=repr)
+def test_trace_value_rejects_bad_cycles(cycle):
+    trace = Trace(values=np.array([[0, 1], [1, 1], [0, 1]], np.uint8), names=("A", "B"))
+    with pytest.raises(NetlistError, match=rf"^trace has no cycle {re.escape(repr(cycle))}$"):
+        trace.value(0, cycle)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,29 @@ def test_uci_empty_window_rejected():
         sc.uci_scan(trace, (5, 5))
 
 
+_WINDOW_READERS = {
+    "uci_scan": sc.uci_scan,
+    "pair_scan": sc.pair_scan,
+    "PowerTrace.window": lambda trace, window: sc.power_trace(trace, [0]).window(*window),
+}
+
+
+@pytest.mark.parametrize("window", [(True, 3), (0, np.True_), (1.0, 3), (1, np.float64(3)), ("1", 3)], ids=repr)
+@pytest.mark.parametrize("read", list(_WINDOW_READERS))
+def test_window_bounds_must_be_integers(read, window):
+    # True would read as cycle 1, and a float bound would end in numpy's slicing TypeError
+    trace = Trace(values=np.zeros((4, 2), np.uint8), names=("A", "B"))
+    with pytest.raises(sc.AnalysisError, match=rf"^empty or out-of-range window {re.escape(repr(window))}$"):
+        _WINDOW_READERS[read](trace, window)
+
+
+def test_scan_windows_are_python_ints():
+    trace = Trace(values=np.zeros((4, 2), np.uint8), names=("A", "B"))
+    windows = [sc.uci_scan(trace, (np.int64(1), np.uint8(3))).window, sc.pair_scan(trace, (np.int32(0), 4)).window]
+    assert windows == [(1, 3), (0, 4)]
+    assert {type(bound) for window in windows for bound in window} == {int}
+
+
 # ---------------------------------------------------------------------------
 # pair_scan
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fmlab import fmlogic, sidechannel
 from fmlab.cli import ScenarioConfig, construct_design
-from fmlab.fmlogic import COMBINER_DATA_POS, COMBINER_FB_POS, build_std_to_fm, build_sync, fm_decode, sync_instants
+from fmlab.fmlogic import COMBINER_DATA_POS, COMBINER_FB_POS, build_std_to_fm, build_sync, fm_decode_all
 from fmlab.netcore import FlipFlop, Lut, Netlist, Stimulus, TruthTable, simulate, tt_const, tt_not
 from fmlab.reference import power_reference, reference_simulate
 from fmlab.trojankit import (
@@ -134,9 +134,8 @@ def test_aligned_sequence_locks_trigger():
     stim = opcode_stimulus(random_program(30, 16, seed=4), SPEC, Aligned(), L, total_cycles=400)
     trace = simulate(nl, stim, 400)
     assert stim.meta["delta_cycles"] == [L + 1]
-    for t in sync_instants(L, 400, start=L + 1):
-        want = 1 if t >= ACTIVATION_SYNC else 0
-        assert fm_decode(trace, trigger, t).value == want, t
+    instants, values = fm_decode_all(trace, trigger)
+    assert values.tolist() == (instants >= ACTIVATION_SYNC).tolist()
 
 
 def test_no_sequence_never_activates():
@@ -145,8 +144,7 @@ def test_no_sequence_never_activates():
     program = scrub_sequences(random_program(200, 16, seed=8), SPEC)
     stim = program_stimulus(program, SPEC, total_cycles=220)
     trace = simulate(nl, stim, 220)
-    for t in sync_instants(L, 220, start=L + 1):
-        assert fm_decode(trace, trigger, t).value == 0
+    assert not fm_decode_all(trace, trigger)[1].any()
 
 
 def test_unlocked_trigger_reverts_after_one_rotation():
@@ -155,9 +153,8 @@ def test_unlocked_trigger_reverts_after_one_rotation():
     plain = fmlogic.build_fm_register(tb.netlist, tb.sync, table, tb.lines)
     stim = opcode_stimulus([SPEC.filler()], SPEC, Aligned(), L, total_cycles=120)
     trace = simulate(tb.netlist, stim, 120)
-    decoded = {t: fm_decode(trace, plain, t).value for t in sync_instants(L, 120, start=L + 1)}
-    assert decoded[ACTIVATION_SYNC] == 1
-    assert sum(decoded.values()) == 1  # visible for exactly one rotation
+    instants, values = fm_decode_all(trace, plain)
+    assert instants[values == 1].tolist() == [ACTIVATION_SYNC]  # visible for exactly one rotation
     tap_high = np.nonzero(trace.wave(plain.data_tap))[0]
     window = [t for t in tap_high if L + 2 <= t <= ACTIVATION_SYNC]
     assert len(window) == 2  # marker pass plus the captured bit, then gone
@@ -181,8 +178,7 @@ def test_random_retry_placement_and_alignment_classes(total_cycles):
         seen_offsets.add((delta - 1) % L)
         n = stim.length
         trace = simulate(nl, stim, n)
-        last = max(sync_instants(L, n, start=L + 1))
-        got = fm_decode(trace, trigger, last).value
+        got = fm_decode_all(trace, trigger)[1][-1]
         assert got == (1 if (delta - 1) % L == 0 else 0)
         hits += got
     assert seen_offsets == set(range(L))  # uniform draw covers every class
@@ -222,10 +218,9 @@ def _quad_under_toggle(n=400, seed=31):
 
 def test_quad_duality_and_stage_complements():
     trace, quad = _quad_under_toggle()
-    for t in sync_instants(L, 400, start=2 * L + 1):
-        da = fm_decode(trace, quad.a, t).value
-        db = fm_decode(trace, quad.b, t).value
-        assert db == 1 - da
+    _, da = fm_decode_all(trace, quad.a, start=2 * L + 1)
+    _, db = fm_decode_all(trace, quad.b, start=2 * L + 1)
+    assert (db == 1 - da).all()
     a = trace.values[1:, list(quad.a.stages)]
     c = trace.values[1:, list(quad.c.stages)]
     b = trace.values[1:, list(quad.b.stages)]
