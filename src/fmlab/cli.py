@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 from . import fmlogic, netcore, sidechannel, trojankit
-from .netcore import Netlist, Stimulus, Trace
+from .netcore import Netlist, Stimulus, Trace, _require_int, _require_window
 from .trojankit import Aligned, AlignmentPolicy, PayloadMode, RandomRetry, TriggerSpec
 
 
@@ -64,39 +64,33 @@ class ScenarioConfig:
     out_dir: str = "out"
 
     def validate(self) -> None:
-        if self.L < 4 or self.L % 2:
-            raise ConfigError(f"L: must be even and >= 4, got {self.L}")
-        if not 1 <= self.opcode_width <= 12:
-            raise ConfigError(f"opcode_width: must be in [1, 12], got {self.opcode_width}")
+        fmlogic._check_length(self.L, lambda message: ConfigError(f"L: {message}"))
+        _require_int(self.opcode_width, 1, 13, ConfigError, "opcode_width: must be in [1, 12], got {}")
         try:
             self.trigger_spec()
         except trojankit.TriggerError as exc:
             raise ConfigError(f"alpha/beta/gamma/delta: {exc}") from None
-        if not 2 <= self.alphabet_size <= (1 << self.opcode_width):
-            raise ConfigError(
-                f"alphabet_size: must be in [2, 2^opcode_width], got {self.alphabet_size}"
-            )
-        if self.program_length < 1:
-            raise ConfigError(f"program_length: must be positive, got {self.program_length}")
+        message = "alphabet_size: must be in [2, 2^opcode_width], got {}"
+        _require_int(self.alphabet_size, 2, (1 << self.opcode_width) + 1, ConfigError, message)
+        _require_int(self.program_length, 1, math.inf, ConfigError, "program_length: must be positive, got {}")
         if self.alignment not in _ALIGNMENTS:
             raise ConfigError(f"alignment: must be one of {_ALIGNMENTS}, got {self.alignment!r}")
-        if self.attempts < 1:
-            raise ConfigError(f"attempts: must be >= 1, got {self.attempts}")
-        if self.seed < 0 or self.jammer_seed < 0:
-            raise ConfigError("seed/jammer_seed: must be nonnegative")
+        _require_int(self.attempts, 1, math.inf, ConfigError, "attempts: must be >= 1, got {}")
+        _require_int(self.seed, 0, math.inf, ConfigError, "seed: must be nonnegative, got {}")
+        _require_int(self.jammer_seed, 0, math.inf, ConfigError, "jammer_seed: must be nonnegative, got {}")
         if self.payload_mode not in _MODES:
             raise ConfigError(f"payload_mode: must be one of {_MODES}, got {self.payload_mode!r}")
         if not self.secret or set(self.secret) - {"0", "1"}:
             raise ConfigError(f"secret: must be a nonempty 0/1 string, got {self.secret!r}")
-        if self.jammer_pairs < 0:
-            raise ConfigError(f"jammer_pairs: must be >= 0, got {self.jammer_pairs}")
-        if self.cycles < 8 * self.L:
-            raise ConfigError(f"cycles: must be at least 8*L, got {self.cycles}")
-        if not 1 <= self.analysis_start < self.horizon():
-            raise ConfigError(f"analysis_start: must be in [1, {self.horizon()}), got {self.analysis_start}")
-        w = self.spectrum_window
-        if w < 2 or w & (w - 1):
-            raise ConfigError(f"spectrum_window: must be a power of two, got {w}")
+        _require_int(self.jammer_pairs, 0, math.inf, ConfigError, "jammer_pairs: must be >= 0, got {}")
+        _require_int(self.cycles, 8 * self.L, math.inf, ConfigError, "cycles: must be at least 8*L, got {}")
+        horizon = self.horizon()
+        message = "analysis_start: must be in [1, {1}), got {0}"
+        _require_int(self.analysis_start, 1, horizon, ConfigError, message, horizon)
+        message = "spectrum_window: must be a power of two, got {}"
+        w = _require_int(self.spectrum_window, 2, math.inf, ConfigError, message)
+        if w & (w - 1):
+            raise ConfigError(message.format(w))
         if not 0.0 < self.peak_threshold <= 1.0:
             raise ConfigError(f"peak_threshold: must be in (0, 1], got {self.peak_threshold}")
         if not 0.0 < self.max_jammed_accuracy <= 1.0:
@@ -424,7 +418,7 @@ def analyze_trace(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stop = trace.cycles if window_stop is None else window_stop
-    window = sidechannel._check_window((window_start, stop), trace.cycles)  # Python ints
+    window = _require_window((window_start, stop), trace.cycles, sidechannel.AnalysisError)
     start, stop = window
     if stop - start < 2:
         raise sidechannel.AnalysisError(f"analysis window {window} is shorter than 2 cycles")

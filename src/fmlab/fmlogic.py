@@ -35,6 +35,7 @@ measurement operate on immutable traces and are freely concurrent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -44,10 +45,11 @@ from .netcore import (
     FfKind,
     NetId,
     Netlist,
+    NetlistError,
     Trace,
     TruthTable,
-    _integer_type,
-    _require_net,
+    _require_int,
+    _require_window,
 )
 
 __all__ = [
@@ -90,6 +92,8 @@ class MalformedFmError(FmError):
 def sync_instants(L: int, n_cycles: int, start: int = 1) -> range:
     """Cycles at which SYNC is high: start, start+L, ... below n_cycles."""
     _check_length(L)
+    start = _require_int(start, 0, math.inf, FmError, "SYNC instants start at a cycle >= 0, not {}")
+    n_cycles = _require_int(n_cycles, -math.inf, math.inf, FmError, "SYNC instants end at an integer cycle, not {}")
     first = start + (-(start - 1)) % L
     return range(first, n_cycles, L)
 
@@ -129,9 +133,11 @@ class FmBit:
     period: int
 
 
-def _check_length(L: int) -> None:
-    if L < 4 or L % 2:
-        raise FmError(f"CSR length must be even and at least 4, got {L}")
+def _check_length(L: int, error: Callable[[str], Exception] = FmError) -> None:
+    """The ring-length rule: an even integer of at least 4, or ``error(message)``."""
+    message = "CSR length must be even and at least 4, got {}"
+    if _require_int(L, 4, math.inf, error, message) % 2:
+        raise error(message.format(repr(L)))
 
 
 def build_ring(
@@ -232,7 +238,7 @@ def build_std_to_fm(netlist: Netlist, a: NetId, sync: FmSignal) -> FmSignal:
     The insert LUT samples ``a`` at each SYNC instant; the sampled bit
     becomes decodable one full rotation (L cycles) later.
     """
-    _require_net(a, netlist.net_count, "converter input references undriven net {}")
+    _require_int(a, 0, netlist.net_count, NetlistError, "converter input references undriven net {}")
     table = make_combiner_table(1, lambda fb, data: data[0])
     return build_fm_register(netlist, sync, table, (a,))
 
@@ -324,8 +330,8 @@ def fm_decode_all(
     tap, L = fm.data_tap, fm.L
     start = L + 1 if start is None else start
     stop = trace.cycles if stop is None else stop
-    if not (_integer_type(type(start)) and _integer_type(type(stop))):
-        raise FmError(f"decode bounds ({start!r}, {stop!r}) are not integers")
+    bounds = "decode bounds ({1!r}, {2!r}) are not integers"
+    start, stop = (_require_int(v, -math.inf, math.inf, FmError, bounds, start, stop) for v in (start, stop))
     if start <= L:
         raise FmError(f"decode needs a full period of history (cycle > {L})")
     if stop > trace.cycles:
@@ -345,7 +351,11 @@ def fm_decode_all(
 
 def fm_decode(trace: Trace, fm: FmSignal, sync_cycle: int) -> FmBit:
     """The FM value at one SYNC instant, read by :func:`fm_decode_all`."""
-    _, values = fm_decode_all(trace, fm, sync_cycle, sync_cycle + 1)
+    try:
+        stop = sync_cycle + 1
+    except TypeError:  # "17": the bounds rule names it as both bounds
+        stop = sync_cycle
+    _, values = fm_decode_all(trace, fm, sync_cycle, stop)
     if not len(values):
         raise FmError(f"cycle {sync_cycle} is not a SYNC instant for L={fm.L}")
     return FmBit(value=int(values[0]), period=fm.L // 2 if values[0] else fm.L)
@@ -357,8 +367,6 @@ def duty_cycle(trace: Trace, net: NetId, window: tuple[int, int]) -> float:
     Exact encodings come out exactly when the window spans whole
     periods: 1/L for FM value 0, 2/L for value 1.
     """
-    start, stop = window
-    if not (_integer_type(type(start)) and _integer_type(type(stop)) and 0 <= start < stop <= trace.cycles):
-        raise FmError(f"empty or out-of-range window {window}")
+    start, stop = _require_window(window, trace.cycles, FmError)
     w = trace.wave(net)[start:stop]
     return float(w.sum()) / float(len(w))

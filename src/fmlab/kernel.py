@@ -37,6 +37,7 @@ from .netcore import (
     Stimulus,
     Trace,
     TruthTable,
+    _require_int,
 )
 
 # a flip-flop folds into one table over at most this many nets: the widest
@@ -485,12 +486,8 @@ def simulate(netlist: Netlist, stimulus: Stimulus, n_cycles: int) -> Trace:
     Deterministic; all flip-flops hold 0 before the first edge, which is
     why generated designs drive RESET through cycle 0.
     """
-    if n_cycles < 1:
-        raise NetlistError("n_cycles must be at least 1")
-    if stimulus.length < n_cycles:
-        raise NetlistError(
-            f"stimulus length {stimulus.length} is shorter than {n_cycles} cycles"
-        )
+    cycles = "n_cycles {0} must be an integer in [1, {1}]: a stimulus shorter than the run cannot drive it"
+    n_cycles = _require_int(n_cycles, 1, stimulus.length + 1, NetlistError, cycles, stimulus.length)
     comp = netlist._compile()
     missing = [n for n in comp.input_names if n not in stimulus.waves]
     if missing:

@@ -94,11 +94,23 @@ def _integer_type(kind: type) -> bool:
     return kind is not bool and issubclass(kind, (int, np.integer))
 
 
-def _require_net(net, count: int, message: str) -> None:
-    """Raise ``NetlistError(message.format(repr(net)))`` unless ``net`` is
-    an integer (see :func:`_integer_type`) in 0..count-1."""
-    if not _integer_type(type(net)) or not 0 <= net < count:
-        raise NetlistError(message.format(repr(net)))
+def _require_int(value, lo, hi, error: Callable[[str], Exception], message: str, *context) -> int:
+    """The one bounds rule for net ids, cycles, windows, periods and lengths:
+    ``value`` as a Python int if it is an integer (see :func:`_integer_type`)
+    with lo <= value < hi (either may be infinite), else raise
+    ``error(message.format(repr(value), *context))``."""
+    # a Python int skips the subclass test: builders check every pin they wire
+    if (type(value) is int or _integer_type(type(value))) and lo <= value < hi:
+        return int(value)
+    raise error(message.format(repr(value), *context))
+
+
+def _require_window(window: tuple[int, int], cycles: int, error: Callable[[str], Exception]) -> tuple[int, int]:
+    """The window's bounds by :func:`_require_int`: 0 <= start < stop <= cycles."""
+    start, stop = window
+    message = "empty or out-of-range window {1}"
+    start = _require_int(start, 0, cycles, error, message, window)
+    return start, _require_int(stop, start + 1, cycles + 1, error, message, window)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +128,7 @@ _ENTRY_ARGS = [[tuple(i >> b & 1 for b in range(k)) for i in range(1 << k)] for 
 
 
 def _check_arity(arity: int) -> None:
-    if not 1 <= arity <= 6:
-        raise NetlistError(f"table arity must be in [1, 6], got {arity}")
+    _require_int(arity, 1, 7, NetlistError, "table arity must be in [1, 6], got {}")
 
 
 def _replicate(base: int, arity: int) -> int:
@@ -217,8 +228,7 @@ def tt_const(arity: int, value: int) -> TruthTable:
 
 def tt_equals(width: int, value: int) -> TruthTable:
     """Comparator table: output 1 iff the packed inputs equal ``value``."""
-    if not 0 <= value < (1 << width):
-        raise NetlistError(f"value {value} does not fit in {width} bits")
+    _require_int(value, 0, 1 << width, NetlistError, "value {0} does not fit in {1} bits", width)
     return TruthTable.from_bits(width, 1 << value)
 
 
@@ -307,7 +317,7 @@ class Netlist:
                 f"LUT input count {len(inputs)} does not match table arity {table.arity}"
             )
         for net in inputs:
-            _require_net(net, len(self._drivers), "LUT input references undriven net {}")
+            _require_int(net, 0, len(self._drivers), NetlistError, "LUT input references undriven net {}")
         inputs = tuple(map(int, inputs))
         self._touch()
         out = self._alloc(("lut", len(self.cells)))
@@ -315,13 +325,13 @@ class Netlist:
         return out
 
     def add_ff(self, kind: FfKind, d: NetId | None, ce: NetId, sr: NetId) -> NetId:
-        if d is not None:
-            _require_net(d, len(self._drivers), "FF d references undriven net {}")
-        _require_net(ce, len(self._drivers), "FF ce references undriven net {}")
-        _require_net(sr, len(self._drivers), "FF sr references undriven net {}")
+        count = len(self._drivers)
+        d = None if d is None else _require_int(d, 0, count, NetlistError, "FF d references undriven net {}")
+        ce = _require_int(ce, 0, count, NetlistError, "FF ce references undriven net {}")
+        sr = _require_int(sr, 0, count, NetlistError, "FF sr references undriven net {}")
         self._touch()
         q = self._alloc(("ff", len(self.cells)))
-        self.cells.append(FlipFlop(kind=kind, q=q, d=None if d is None else int(d), ce=int(ce), sr=int(sr)))
+        self.cells.append(FlipFlop(kind=kind, q=q, d=d, ce=ce, sr=sr))
         return q
 
     def set_ff_d(self, q: NetId, d: NetId) -> None:
@@ -329,15 +339,14 @@ class Netlist:
         ff = self.ff(q)
         if ff.d is not None:
             raise NetlistError(f"FF q={q} already has its d pin wired")
-        _require_net(d, len(self._drivers), "FF d references undriven net {}")
+        _require_int(d, 0, len(self._drivers), NetlistError, "FF d references undriven net {}")
         self._touch()
         ff.d = int(d)
 
     def set_lut_input(self, out: NetId, position: int, net: NetId) -> None:
         lut = self.lut(out)
-        if not 0 <= position < len(lut.inputs):
-            raise NetlistError(f"LUT {out} has no input position {position}")
-        _require_net(net, len(self._drivers), "LUT input references undriven net {}")
+        _require_int(position, 0, len(lut.inputs), NetlistError, "LUT {1} has no input position {0}", out)
+        _require_int(net, 0, len(self._drivers), NetlistError, "LUT input references undriven net {}")
         self._touch()
         ins = list(lut.inputs)
         ins[position] = int(net)
@@ -355,14 +364,14 @@ class Netlist:
         _check_name("output", name)
         if name in self.outputs:
             raise NetlistError(f"duplicate output name {name!r}")
-        _require_net(net, len(self._drivers), "output references undriven net {}")
+        _require_int(net, 0, len(self._drivers), NetlistError, "output references undriven net {}")
         self._touch()
         self.outputs[name] = int(net)
 
     # -- lookup ---------------------------------------------------------------
 
     def _cell(self, net: NetId, kind: str, message: str) -> Cell:
-        _require_net(net, len(self._drivers), message)
+        _require_int(net, 0, len(self._drivers), NetlistError, message)
         driver, index = self._drivers[net]
         if driver != kind:
             raise NetlistError(message.format(repr(net)))
@@ -375,7 +384,7 @@ class Netlist:
         return self._cell(q, "ff", "net {} is not a flip-flop output")
 
     def name_of(self, net: NetId) -> str:
-        _require_net(net, len(self._drivers), "net {} is not a net of this netlist")
+        _require_int(net, 0, len(self._drivers), NetlistError, "net {} is not a net of this netlist")
         return self.net_names()[net]
 
     def net_names(self) -> tuple[str, ...]:
@@ -575,12 +584,12 @@ class Trace:
         return self.values.shape[1]
 
     def wave(self, net: NetId) -> np.ndarray:
-        _require_net(net, self.values.shape[1], "trace has no net {}")
+        _require_int(net, 0, self.values.shape[1], NetlistError, "trace has no net {}")
         return self.values[:, net]
 
     def value(self, net: NetId, cycle: int) -> int:
         wave = self.wave(net)
-        _require_net(cycle, len(wave), "trace has no cycle {}")
+        _require_int(cycle, 0, len(wave), NetlistError, "trace has no cycle {}")
         return int(wave[cycle])
 
     def to_csv(self, path) -> None:

@@ -36,6 +36,7 @@ from .netcore import (
     NetlistError,
     Stimulus,
     Trace,
+    _require_int,
 )
 
 
@@ -73,10 +74,8 @@ def reference_simulate(
     n_cycles: int,
     ff_update: Callable[[FfKind, int, int, int, int], int] | None = None,
 ) -> Trace:
-    if n_cycles < 1:
-        raise NetlistError("n_cycles must be at least 1")
-    if stimulus.length < n_cycles:
-        raise NetlistError("stimulus shorter than requested cycle count")
+    cycles = "n_cycles {0} must be an integer in [1, {1}]: a stimulus shorter than the run cannot drive it"
+    n_cycles = _require_int(n_cycles, 1, stimulus.length + 1, NetlistError, cycles, stimulus.length)
     update = ff_update or default_ff_update
 
     luts = [c for c in netlist.cells if isinstance(c, Lut)]

@@ -17,6 +17,7 @@ mutates a netlist (single-owner construction, like any builder).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -24,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .csvcells import BLOCK_ROWS, fraction_reprs, int_rows
-from .netcore import CONST_NAMES, NetId, Netlist, RESET_NAME, Trace, _integer_type
+from .netcore import CONST_NAMES, NetId, Netlist, RESET_NAME, Trace, _integer_type, _require_int, _require_window
 from .fmlogic import FmSignal, build_std_to_fm
 
 __all__ = [
@@ -56,15 +57,6 @@ _EXCLUDED = frozenset(DEFAULT_EXCLUDED_NAMES)
 
 class AnalysisError(ValueError):
     """Invalid analysis request (bad window, scope, or parameters)."""
-
-
-def _check_window(window: tuple[int, int], cycles: int) -> tuple[int, int]:
-    """The window's bounds as Python ints; they must be integers with
-    0 <= start < stop <= cycles."""
-    start, stop = window
-    if not (_integer_type(type(start)) and _integer_type(type(stop)) and 0 <= start < stop <= cycles):
-        raise AnalysisError(f"empty or out-of-range window {window}")
-    return int(start), int(stop)
 
 
 def scan_nets(trace: Trace) -> list[NetId]:
@@ -105,7 +97,7 @@ def uci_scan(trace: Trace, window: tuple[int, int]) -> UciReport:
     A net is suspicious iff its windowed duty cycle is exactly 0 or 1.
     RESET and tie-off nets are excluded (see module notes).
     """
-    start, stop = _check_window(window, trace.cycles)
+    start, stop = _require_window(window, trace.cycles, AnalysisError)
     nets = scan_nets(trace)
     span = stop - start
     # the narrowest unsigned type that holds the span holds every count
@@ -146,7 +138,7 @@ def pair_scan(trace: Trace, window: tuple[int, int]) -> PairReport:
     Nets are grouped by their waveforms, packed 8 cycles per byte, so
     this is near-linear in net count.
     """
-    start, stop = _check_window(window, trace.cycles)
+    start, stop = _require_window(window, trace.cycles, AnalysisError)
     nets = scan_nets(trace)
     packed = np.ascontiguousarray(_pack_cycles(trace.values[start:stop])[:, nets].T)
     # flip every cycle's bit but not the last byte's padding, which stays 0
@@ -222,7 +214,7 @@ class PowerTrace:
         return len(self.dynamic)
 
     def window(self, start: int, stop: int) -> "PowerTrace":
-        start, stop = _check_window((start, stop), len(self))
+        start, stop = _require_window((start, stop), len(self), AnalysisError)
         return PowerTrace(
             dynamic=self.dynamic[start:stop], static=self.static[start:stop], scope=self.scope
         )
@@ -347,8 +339,10 @@ class PowerStats:
 def power_stats(pt: PowerTrace, period: int) -> PowerStats:
     """Summary statistics; the period must tile the series exactly."""
     n = len(pt)
-    if period < 1 or n % period:
-        raise AnalysisError(f"period {period} does not divide series length {n}")
+    message = "period {0} must be a positive integer that divides series length {1}"
+    period = _require_int(period, 1, math.inf, AnalysisError, message, n)
+    if n % period:
+        raise AnalysisError(message.format(period, n))
     dyn = pt.dynamic.reshape(n // period, period).sum(axis=1)
     sta = pt.static.reshape(n // period, period).sum(axis=1)
     return PowerStats(
@@ -419,8 +413,10 @@ def spectrum(series: Sequence[float] | np.ndarray, window_len: int) -> Spectrum:
     arr = np.asarray(series, dtype=np.float64)
     if arr.ndim != 1:
         raise AnalysisError("series must be one-dimensional")
-    if window_len < 2 or window_len & (window_len - 1):
-        raise AnalysisError(f"window_len must be a power of two >= 2, got {window_len}")
+    message = "window_len must be a power of two >= 2, got {}"
+    window_len = _require_int(window_len, 2, math.inf, AnalysisError, message)
+    if window_len & (window_len - 1):
+        raise AnalysisError(message.format(window_len))
     if window_len > len(arr):
         raise AnalysisError(f"window_len {window_len} exceeds series length {len(arr)}")
     x = arr[:window_len] - arr[:window_len].mean()
@@ -466,16 +462,11 @@ def attacker_demodulate(
 
 def period_sums(pt: PowerTrace, L: int, start_cycle: int, n_bits: int) -> np.ndarray:
     """The per-period dynamic sums the demodulator thresholds."""
-    if L < 1:
-        raise AnalysisError(f"period L={L} must be at least 1")
-    if n_bits < 1:
-        raise AnalysisError("n_bits must be positive")
-    end = start_cycle + n_bits * L
-    if start_cycle < 0 or end > len(pt):
-        raise AnalysisError(
-            f"trace of {len(pt)} cycles cannot cover {n_bits} periods from {start_cycle}"
-        )
-    return pt.dynamic[start_cycle:end].reshape(n_bits, L).sum(axis=1)
+    L = _require_int(L, 1, math.inf, AnalysisError, "period L={} must be at least 1 and an integer")
+    n_bits = _require_int(n_bits, 1, math.inf, AnalysisError, "n_bits must be positive and an integer, got {}")
+    covers = "start cycle {0} is not an integer from which the trace's {1} cycles cover {2} periods"
+    start = _require_int(start_cycle, 0, len(pt) - n_bits * L + 1, AnalysisError, covers, len(pt), n_bits)
+    return pt.dynamic[start : start + n_bits * L].reshape(n_bits, L).sum(axis=1)
 
 
 def oracle_threshold_accuracy(sums: np.ndarray, secret: str) -> tuple[float, float]:
@@ -562,8 +553,7 @@ def build_jammer(netlist: Netlist, sync: FmSignal, k_pairs: int, seed: int) -> J
     Ports are named ``JAM<k>``, numbered past every JAM port the
     netlist already has.
     """
-    if k_pairs < 1:
-        raise AnalysisError("jammer needs at least one register pair")
+    _require_int(k_pairs, 1, math.inf, AnalysisError, "jammer needs at least one register pair, got {}")
     ports: list[str] = []
     signals: list[FmSignal] = []
     taken = [int(p[3:]) for p in netlist.inputs if p.startswith("JAM") and p[3:].isdigit()]

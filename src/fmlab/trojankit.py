@@ -34,6 +34,7 @@ has decoded 1; before that the carrier idles at FM 0, concealed.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -52,11 +53,13 @@ from .netcore import (
     tt_const,
     tt_equals,
     tt_not,
+    _require_int,
 )
 from .fmlogic import (
     COMBINER_DATA_POS,
     COMBINER_FB_POS,
     FmSignal,
+    _check_length,
     build_fm_register,
     make_combiner_table,
 )
@@ -105,8 +108,7 @@ class TriggerSpec:
     opcode_width: int
 
     def __post_init__(self):
-        if not 1 <= self.opcode_width <= 16:
-            raise TriggerError(f"opcode width must be in [1, 16], got {self.opcode_width}")
+        _require_int(self.opcode_width, 1, 17, TriggerError, "opcode width must be in [1, 16], got {}")
         ops = self.opcodes
         if len(set(ops)) != 4:
             raise TriggerError(f"trigger opcodes must be distinct, got {ops}")
@@ -140,8 +142,7 @@ class RandomRetry:
     seed: int = 0
 
     def __post_init__(self):
-        if self.attempts < 1:
-            raise TriggerError("RandomRetry needs at least one attempt")
+        _require_int(self.attempts, 1, math.inf, TriggerError, "RandomRetry needs at least one attempt, got {}")
 
 
 AlignmentPolicy = Aligned | RandomRetry
@@ -247,8 +248,7 @@ RETRY_GAP = 8  # filler cycles between consecutive RandomRetry slots
 
 def random_program(length: int, alphabet_size: int, seed: int) -> list[int]:
     """A background opcode stream drawn uniformly from [0, alphabet_size)."""
-    if length < 1:
-        raise TriggerError("program length must be positive")
+    length = _require_int(length, 1, math.inf, TriggerError, "program length must be a positive integer, got {}")
     rng = np.random.default_rng(seed)
     return [int(v) for v in rng.integers(0, alphabet_size, size=length)]
 
@@ -309,8 +309,8 @@ def opcode_stimulus(
     # delta_cycles is filled in below; its key stays second in the report's stimulus block
     meta: dict = {"policy": "None" if policy is None else type(policy).__name__, "delta_cycles": []}
     starts: list[int] = []
-    if policy is not None and (L < 4 or L % 2):
-        raise TriggerError(f"CSR length must be even and at least 4, got {L}")
+    if policy is not None:
+        _check_length(L, TriggerError)
     if isinstance(policy, Aligned):
         starts = [latest_delta(policy, L) - 3]
     elif isinstance(policy, RandomRetry):
@@ -322,9 +322,8 @@ def opcode_stimulus(
     meta["delta_cycles"] = deltas = [start + 3 for start in starts]
     n = 1 + max([len(ops), *deltas])  # the cycles the program and the sequences take
     if total_cycles is not None:
-        if total_cycles < n:
-            raise TriggerError(f"total_cycles {total_cycles} shorter than program ({n})")
-        n = total_cycles
+        shorter = "total_cycles {0} shorter than program ({1}) or not an integer"
+        n = _require_int(total_cycles, n, math.inf, TriggerError, shorter, n)
     elif deltas:
         n = max(n, max(deltas) + L + 1)
     opcodes = np.full(n, spec.filler(), np.int64)

@@ -165,9 +165,9 @@ def check_csr_periodicity() -> CheckResult:
         csr = fmlogic.build_fm_csr(nl, L)
         trace = simulate(nl, Stimulus.standard(4 * L + 2, nl), 4 * L + 2)
         state = trace.values[:, list(csr.stages)]
-        for t in range(1, 3 * L):
-            if not np.array_equal(state[t], state[t + L]):
-                return False, f"L={L}: state at {t} differs from {t + L}"
+        t = 1 + (state[1 : 3 * L] != state[1 + L : 4 * L]).any(axis=1).nonzero()[0]
+        if len(t):
+            return False, f"L={L}: state at {t[0]} differs from {t[0] + L}"
         wave = trace.wave(csr.marker_tap)[1 : 3 * L + 1]
         edges = int(((wave[1:] == 1) & (wave[:-1] == 0)).sum()) + int(wave[0] == 1)
         if edges != 3:
@@ -212,14 +212,18 @@ def check_single_marker() -> CheckResult:
     nl, sync, (ca, cb), gate = two_input_gate(tt_or(2))
     stim = Stimulus.standard(100, nl, A=np.tile([0, 1], 50), B=1)
     trace = simulate(nl, stim, 100)
+    instants = list(fmlogic.sync_instants(L, 100))
+    marker_only = np.arange(1, L + 1) == L
     for name, sig in (("converter A", ca), ("converter B", cb), ("gate", gate)):
-        for t in fmlogic.sync_instants(L, 100):
-            for stage, net in enumerate(sig.stages, start=1):
-                v = trace.value(net, t)
-                if stage == L and v != 1:
-                    return False, f"{name} cycle {t}: marker missing at stage {L}"
-                if stage not in (L, L // 2) and v != 0:
-                    return False, f"{name} cycle {t}: stray 1 at stage {stage}"
+        # stage L must hold 1 and every stage but L and the data stage L/2 hold 0
+        wrong = trace.values[np.ix_(instants, sig.stages)] != marker_only
+        wrong[:, L // 2 - 1] = False
+        rows = wrong.any(axis=1).nonzero()[0]
+        if len(rows):
+            t, stage = instants[rows[0]], 1 + int(wrong[rows[0]].argmax())
+            if stage == L:
+                return False, f"{name} cycle {t}: marker missing at stage {L}"
+            return False, f"{name} cycle {t}: stray 1 at stage {stage}"
     return True, (
         "converters and gate: marker at stage L, data at L/2, zeros elsewhere at every SYNC instant"
     )
@@ -231,9 +235,9 @@ def check_state_periodicity() -> CheckResult:
     trace = simulate(nl, stim, 80)
     ff_nets = [c.q for c in nl.cells if isinstance(c, netcore.FlipFlop)]
     state = trace.values[:, ff_nets]
-    for t in range(2 * L, 60):
-        if not np.array_equal(state[t], state[t + L]):
-            return False, f"full state at {t} differs from {t + L} under constant inputs"
+    t = 2 * L + (state[2 * L : 60] != state[3 * L : 60 + L]).any(axis=1).nonzero()[0]
+    if len(t):
+        return False, f"full state at {t[0]} differs from {t[0] + L} under constant inputs"
     return True, "constant-input state periodic with period L from 2L on"
 
 

@@ -4,7 +4,9 @@ import ast
 import inspect
 import re
 import tracemalloc
+from dataclasses import replace
 from functools import cache, partial
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -14,6 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from fmlab import fmlogic, kernel, reference
+from fmlab import sidechannel as sc
+from fmlab.cli import ConfigError, ScenarioConfig, analyze_trace
+from fmlab.fmlogic import FmError, fm_decode, fm_decode_all
 from fmlab.netcore import (
     CombinationalCycleError,
     FfKind,
@@ -35,7 +40,9 @@ from fmlab.netcore import (
     tt_xor,
 )
 from fmlab.reference import reference_simulate
-from fmlab.verify import trigger_design, two_input_gate
+from fmlab.sidechannel import AnalysisError
+from fmlab.trojankit import Aligned, RandomRetry, TriggerError, opcode_stimulus, random_program
+from fmlab.verify import SPEC, converters, trigger_design, two_input_gate
 
 
 # ---------------------------------------------------------------------------
@@ -556,13 +563,6 @@ def test_trigger_design_cycle_loop_has_no_lut_level():
     assert [(len(s.levels), len(s.after)) for s in comp.stages] == [(0, 1)]
 
 
-def test_simulate_stimulus_too_short():
-    nl = Netlist()
-    nl.add_input("A")
-    with pytest.raises(NetlistError, match="shorter"):
-        simulate(nl, Stimulus({"A": [0, 1]}), 5)
-
-
 def test_simulate_missing_port():
     nl = Netlist()
     nl.add_input("A")
@@ -604,6 +604,86 @@ def test_trace_value_rejects_bad_cycles(cycle):
     trace = Trace(values=np.array([[0, 1], [1, 1], [0, 1]], np.uint8), names=("A", "B"))
     with pytest.raises(NetlistError, match=rf"^trace has no cycle {re.escape(repr(cycle))}$"):
         trace.value(0, cycle)
+
+
+# ---------------------------------------------------------------------------
+# The integer-bounds rule at every bounded argument
+# ---------------------------------------------------------------------------
+
+
+@cache
+def _bounds_bed() -> SimpleNamespace:
+    """What the bounds rows read: a converter of port A, its 40-cycle
+    stimulus (A held 0) and trace, a 4-cycle trace of two zero nets and a
+    20-cycle power trace."""
+    nl, sync, (fm,) = converters("A")
+    stim = Stimulus.standard(40, nl)
+    return SimpleNamespace(
+        nl=nl, sync=sync, fm=fm, lut=fm.combiner_out, stim=stim, trace=simulate(nl, stim, 40),
+        zeros=Trace(values=np.zeros((4, 2), np.uint8), names=("A", "B")),
+        pt=sc.PowerTrace(dynamic=np.zeros(20), static=np.zeros(20), scope=(0,)),
+    )
+
+
+# True would read as cycle 1, and a float bound would end in numpy's slicing TypeError
+_BAD_WINDOWS = [(True, 3), (0, np.True_), (1.0, 3), (1, np.float64(3)), ("1", 3)]
+_WINDOW = "^empty or out-of-range window {}$"
+_DECODE = r"^decode bounds \({}\) are not integers$"
+_PERIOD = "period L={} must be at least 1"
+_CYCLES = r"^n_cycles {} must be an integer in \[1, 40\]: a stimulus shorter than the run"
+
+# (name, call, bad values, error, message): call(bed, v) hands one bounded
+# argument the value v, and the error's message, "{}" standing for v's repr,
+# names it
+_BOUNDS_ROWS = [
+    ("uci_scan", lambda b, w: sc.uci_scan(b.zeros, w), [*_BAD_WINDOWS, (5, 5)], AnalysisError, _WINDOW),
+    ("pair_scan", lambda b, w: sc.pair_scan(b.zeros, w), _BAD_WINDOWS, AnalysisError, _WINDOW),
+    ("PowerTrace.window", lambda b, w: b.pt.window(*w), _BAD_WINDOWS, AnalysisError, _WINDOW),
+    ("duty_cycle", lambda b, w: fmlogic.duty_cycle(b.trace, b.fm.data_tap, w),
+     [(True, 8), (0, np.True_), (0.0, 8), (0, np.float64(8)), (5, 5)], FmError, _WINDOW),
+    ("fm_decode", lambda b, t: fm_decode(b.trace, b.fm, t), [17.0], FmError, _DECODE.format(r"17\.0, 18\.0")),
+    ("fm_decode", lambda b, t: fm_decode(b.trace, b.fm, t), ["17"], FmError, _DECODE.format("'17', '17'")),
+    ("fm_decode_all", lambda b, t: fm_decode_all(b.trace, b.fm, t), [True], FmError, _DECODE.format("True, 40")),
+    ("sync_instants-start", lambda b, t: fmlogic.sync_instants(8, 40, t), [True], FmError, "not {}$"),
+    ("sync_instants-n_cycles", lambda b, n: fmlogic.sync_instants(8, n), [40.0], FmError, "not {}$"),
+    ("build_sync", lambda b, L: fmlogic.build_sync(Netlist(), L), [8.0], FmError, "^CSR length .* got {}$"),
+    ("attacker_demodulate-L", lambda b, L: sc.attacker_demodulate(b.pt, L, 3, 4, 1.0), [0], AnalysisError, _PERIOD),
+    ("attacker_demodulate-start", lambda b, t: sc.attacker_demodulate(b.pt, 8, t, 4, 1.0), [2.0, 10], AnalysisError,
+     "^start cycle {} "),
+    ("period_sums-L", lambda b, L: sc.period_sums(b.pt, L, 10, 2), [-2, 8.0], AnalysisError, _PERIOD),
+    ("period_sums-start", lambda b, t: sc.period_sums(b.pt, 4, t, 2), [True], AnalysisError, "^start cycle {} "),
+    ("period_sums-start-n_bits", lambda b, v: sc.period_sums(b.pt, 8, *v), [(0, 0), (4, -1)], AnalysisError,
+     "n_bits must be positive"),
+    ("period_sums-n_bits", lambda b, n: sc.period_sums(b.pt, 4, 0, n), [2.0], AnalysisError, "got {}$"),
+    ("spectrum", lambda b, n: sc.spectrum(np.zeros(100), n), [100, 8.0], AnalysisError, "power of two .* got {}$"),
+    ("spectrum", lambda b, n: sc.spectrum(np.zeros(100), n), [128], AnalysisError, "exceeds"),
+    ("analyze_trace", lambda b, n: analyze_trace(b.zeros, "a", spectrum_window=n), [8.0], AnalysisError, "got {}$"),
+    ("power_stats", lambda b, p: sc.power_stats(b.pt, p), [4.0, True], AnalysisError, "^period {} must be"),
+    ("build_jammer", lambda b, k: sc.build_jammer(b.nl, b.sync, k, 0), [1.0], AnalysisError, "got {}$"),
+    ("simulate", lambda b, n: simulate(b.nl, b.stim, n), [2.0, True, 41], NetlistError, _CYCLES),
+    ("reference_simulate", lambda b, n: reference_simulate(b.nl, b.stim, n), [2.0, True], NetlistError, _CYCLES),
+    ("from_bits", lambda b, k: TruthTable.from_bits(k, 1), [True], NetlistError, r"^table arity .* got {}$"),
+    ("tt_equals", lambda b, v: tt_equals(2, v), [1.0], NetlistError, "^value {} does not fit in 2 bits$"),
+    ("set_lut_input", lambda b, i: b.nl.set_lut_input(b.lut, i, 0), [True], NetlistError, "position {}$"),
+    ("opcode_stimulus-total_cycles", lambda b, n: opcode_stimulus([1], SPEC, None, 0, n), [400.0], TriggerError,
+     "^total_cycles {} "),
+    ("opcode_stimulus-L", lambda b, L: opcode_stimulus([1], SPEC, Aligned(), L), [8.0], TriggerError, "got {}$"),
+    ("random_program", lambda b, n: random_program(n, 16, 4), [30.0], TriggerError, "got {}$"),
+    ("RandomRetry", lambda b, n: RandomRetry(n), [0, 2.0], TriggerError, "got {}$"),
+    ("TriggerSpec", lambda b, w: replace(SPEC, opcode_width=w), [4.0], TriggerError, "got {}$"),
+    ("ScenarioConfig-L", lambda b, L: ScenarioConfig(L=L).validate(), [8.0], ConfigError, "^L: CSR .* got {}$"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, bad, error, message",
+    [pytest.param(call, v, error, message, id=f"{name}-{v!r}")
+     for name, call, bad, error, message in _BOUNDS_ROWS for v in bad],
+)
+def test_bounded_arguments_follow_the_integer_rule(call, bad, error, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # analyze_trace writes to ./a
+    with pytest.raises(error, match=message.format(re.escape(repr(bad)))):
+        call(_bounds_bed(), bad)
 
 
 # ---------------------------------------------------------------------------

@@ -24,30 +24,6 @@ from fmlab.verify import FIRST_BIT_START, L, aligned_payload_run, converters, da
 # ---------------------------------------------------------------------------
 
 
-def test_uci_empty_window_rejected():
-    nl = Netlist()
-    nl.reset()
-    trace = simulate(nl, Stimulus.standard(10, nl), 10)
-    with pytest.raises(sc.AnalysisError):
-        sc.uci_scan(trace, (5, 5))
-
-
-_WINDOW_READERS = {
-    "uci_scan": sc.uci_scan,
-    "pair_scan": sc.pair_scan,
-    "PowerTrace.window": lambda trace, window: sc.power_trace(trace, [0]).window(*window),
-}
-
-
-@pytest.mark.parametrize("window", [(True, 3), (0, np.True_), (1.0, 3), (1, np.float64(3)), ("1", 3)], ids=repr)
-@pytest.mark.parametrize("read", list(_WINDOW_READERS))
-def test_window_bounds_must_be_integers(read, window):
-    # True would read as cycle 1, and a float bound would end in numpy's slicing TypeError
-    trace = Trace(values=np.zeros((4, 2), np.uint8), names=("A", "B"))
-    with pytest.raises(sc.AnalysisError, match=rf"^empty or out-of-range window {re.escape(repr(window))}$"):
-        _WINDOW_READERS[read](trace, window)
-
-
 def test_scan_windows_are_python_ints():
     trace = Trace(values=np.zeros((4, 2), np.uint8), names=("A", "B"))
     windows = [sc.uci_scan(trace, (np.int64(1), np.uint8(3))).window, sc.pair_scan(trace, (np.int32(0), 4)).window]
@@ -397,16 +373,8 @@ def test_spectrum_parseval_consistency():
 
 
 def test_spectrum_validation():
-    with pytest.raises(sc.AnalysisError, match="power of two"):
-        sc.spectrum(np.zeros(100), 100)
-    with pytest.raises(sc.AnalysisError, match="exceeds"):
-        sc.spectrum(np.zeros(100), 128)
-    assert sp_bins_ok()
-
-
-def sp_bins_ok():
-    sp = sc.spectrum(np.zeros(64), 64)
-    return len(sp.magnitudes) == 64 // 2 + 1
+    # its rejected window lengths are rows of the bounds table in test_netcore
+    assert len(sc.spectrum(np.zeros(64), 64).magnitudes) == 64 // 2 + 1
 
 
 def test_detect_peaks_on_unconcealed_power():
@@ -595,27 +563,6 @@ def test_demodulate_concealed_is_degenerate():
     pt = sc.power_trace(trace, design.quad.stage_nets())
     got = sc.attacker_demodulate(pt, L, FIRST_BIT_START, 4, threshold=24)
     assert got in ("0000", "1111")  # all periods identical: nothing to read
-
-
-def test_demodulate_insufficient_trace():
-    pt = sc.PowerTrace(dynamic=np.zeros(20), static=np.zeros(20), scope=(0,))
-    with pytest.raises(sc.AnalysisError):
-        sc.attacker_demodulate(pt, 8, 10, 4, threshold=1)
-
-
-def test_period_sums_rejects_a_non_positive_period():
-    pt = sc.PowerTrace(dynamic=np.zeros(20), static=np.zeros(20), scope=(0,))
-    with pytest.raises(sc.AnalysisError, match="period L=0 must be at least 1"):
-        sc.attacker_demodulate(pt, 0, 3, 4, threshold=1.0)
-    with pytest.raises(sc.AnalysisError, match="period L=-2 must be at least 1"):
-        sc.period_sums(pt, -2, 10, 2)
-
-
-@pytest.mark.parametrize("start, n_bits", [(0, 0), (4, -1)])
-def test_period_sums_rejects_a_non_positive_bit_count(start, n_bits):
-    pt = sc.PowerTrace(dynamic=np.zeros(20), static=np.zeros(20), scope=(0,))
-    with pytest.raises(sc.AnalysisError, match="n_bits must be positive"):
-        sc.period_sums(pt, 8, start, n_bits)
 
 
 def test_oracle_threshold_perfect_separation():

@@ -60,11 +60,6 @@ def test_spec_requires_fitting_opcodes():
         TriggerSpec(alpha=1, beta=2, gamma=3, delta=16, opcode_width=4)
 
 
-def test_random_retry_needs_attempts():
-    with pytest.raises(TriggerError):
-        RandomRetry(attempts=0)
-
-
 # ---------------------------------------------------------------------------
 # Event synchronization
 # ---------------------------------------------------------------------------
