@@ -10,16 +10,26 @@ flip-flop of a later stage.  Between stages, the LUTs whose inputs are
 then all known are evaluated over all cycles, so a cone too wide for a
 table is cut where the flip-flops it reads end.  A design that does not
 split this way runs one loop that evaluates those LUTs every cycle.
+A stage whose largest strongly connected component of flip-flops is
+larger than every other is cut into up to three stages (what it reads,
+itself, the rest), so a counter that steps once a period keys its memo
+by its own state, not also by the rings' phases.  A folded stage whose
+weakly connected groups of flip-flops each read a net no other group
+reads runs one loop per group, so independent rings, such as the
+jammer's, do not key one memo by all their phases at once.
+
 Each loop memoizes, for one call, the next state by the state and the
-stage's external inputs: an FM ring revisits few states, so most cycles
-are one dict lookup.  A stage whose largest strongly connected component
-of flip-flops is larger than every other is cut into up to three loops
-(what it reads, itself, the rest), so a counter that steps once a period
-keys its memo by its own state, not also by the rings' phases.
+loop's external inputs: an FM ring revisits few states, so most cycles
+are one dict lookup.  The memo is linked: each state seen owns a dict
+from the packed inputs to the next state and that state's dict, so a
+hit builds no key.  Those links run in cycles, so each loop clears them
+when it ends.  A loop's state columns are then written for every cycle,
+by one slice when its flip-flops' nets are a contiguous run.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -116,28 +126,51 @@ class _Level:
 
 
 @dataclass(frozen=True)
+class _Group:
+    """Flip-flops of a stage that one cycle loop of :func:`simulate`
+    updates: the state of ``ff.out`` and the ``reads`` of a cycle decide
+    its next state, so the loop's memo is keyed by them alone."""
+
+    ff: _Level
+    reads: np.ndarray  # (r,) sorted nets the loop reads and does not write
+    cols: slice | np.ndarray  # ff.out, as one slice when its nets are a contiguous run
+
+    @classmethod
+    def of(cls, ff: _Level, reads: np.ndarray) -> "_Group":
+        nets = ff.out.tolist()
+        run = range(nets[0], nets[0] + len(nets))
+        return cls(ff, reads, slice(run.start, run.stop) if nets == list(run) else ff.out)
+
+
+@dataclass(frozen=True)
 class _Stage:
-    """Flip-flops that one cycle loop of :func:`simulate` updates.
+    """Flip-flops that the cycle loops of :func:`simulate` update, one
+    loop per group.
 
     Each cycle evaluates ``levels`` and then looks up ``ff``; once the
-    loop has filled in every cycle, ``after`` is evaluated over all
+    loops have filled in every cycle, ``after`` is evaluated over all
     cycles at once.  A folded stage has no ``levels``.  The state and
     the ``reads`` of a cycle decide its next state; ``reads`` holds no
-    flip-flop of this stage or a later one, so the loop's memo is keyed
-    by this stage's state alone.
+    flip-flop of this stage or a later one.  ``groups`` splits ``ff``
+    into flip-flops that read no other group's (see :func:`_groups`), or
+    holds the whole stage as one group.
     """
 
     levels: tuple[_Level, ...]  # LUT levels evaluated every cycle
     ff: _Level
-    after: tuple[_Level, ...]  # LUT levels evaluated after the cycle loop
-    reads: np.ndarray  # (r,) sorted nets the loop reads and does not write
+    after: tuple[_Level, ...]  # LUT levels evaluated after the cycle loops
+    reads: np.ndarray  # (r,) sorted nets the loops read and do not write
+    groups: tuple[_Group, ...]  # one cycle loop each, run one after another
 
     @classmethod
-    def of(cls, levels: tuple[_Level, ...], ff: _Level, after: tuple[_Level, ...]) -> "_Stage":
+    def of(
+        cls, levels: tuple[_Level, ...], ff: _Level, after: tuple[_Level, ...], groups: tuple[_Group, ...] = ()
+    ) -> "_Stage":
         cells = (*levels, ff)
         reads = set(chain.from_iterable(lv.ins.ravel().tolist() for lv in cells))
         reads.difference_update(*(lv.out.tolist() for lv in cells))
-        return cls(levels, ff, after, np.array(sorted(reads), np.intp))
+        reads = np.array(sorted(reads), np.intp)
+        return cls(levels, ff, after, reads, groups or (_Group.of(ff, reads),))
 
 
 # a flip-flop laid out over slots: 0 and 1 hold the constants, 2 + b its
@@ -333,14 +366,63 @@ def _stages(
         after, left = _place(unknown.values(), pending)
         unknown = {lut.out: lut for lut in left}
         for part in parts:
-            plans.append(([ffs[q] for q in part], [cones[q] for q in part], after if part is parts[-1] else []))
-    tables = _fold([layout for _, cones, _ in plans for _, layout in cones])
+            groups = _groups(part, stage, reads)
+            plans.append(([ffs[q] for q in part], [cones[q] for q in part], after if part is parts[-1] else [], groups))
+    tables = _fold([layout for _, cones, _, _ in plans for _, layout in cones])
     stages = []
-    for ffs, cones, after in plans:
-        ff = _Level.of([pin.out for pin in ffs], [support for support, _ in cones], tables[: len(ffs)])
-        stages.append(_Stage.of((), ff, tuple(map(_lut_level, after))))
-        tables = tables[len(ffs) :]
+    for ffs, cones, after, groups in plans:
+        out, supports = [pin.out for pin in ffs], [support for support, _ in cones]
+        rows, tables = tables[: len(ffs)], tables[len(ffs) :]
+        loops = []
+        for members, nets in groups:
+            level = _Level.of([out[i] for i in members], [supports[i] for i in members], rows[members])
+            loops.append(_Group.of(level, np.array(nets, np.intp)))
+        stages.append(_Stage.of((), _Level.of(out, supports, rows), tuple(map(_lut_level, after)), tuple(loops)))
     return tuple(stages)
+
+
+def _groups(
+    part: Sequence[NetId], sccs: Sequence[Sequence[NetId]], reads: Mapping[NetId, Sequence[NetId]]
+) -> list[tuple[list[int], list[NetId]]]:
+    """The flip-flops of ``part`` in weakly connected groups, each as its
+    positions in ``part`` and the sorted nets it reads outside ``part``,
+    when there are several and each reads a net that no other group
+    reads; else none.
+
+    ``part`` is a union of the strongly connected components ``sccs`` of
+    the graph in which flip-flop q reads ``reads[q]``, so the groups join
+    its SCCs.  A group reads no other group's flip-flops, so it can run
+    as a loop of its own, whose memo is not keyed by the other groups'
+    inputs and phases.  Groups driven only by nets that others read too
+    tend to move in step with them, so one memo serves them as well (the
+    payload quad's four rings meet 36 to 44 keys together), and they stay
+    in one loop.
+    """
+    inside = set(part)
+    mine = [scc for scc in sccs if scc[0] in inside]
+    if len(mine) < 2:
+        return []
+    scc_of = {q: k for k, scc in enumerate(mine) for q in scc}
+    links: dict[int, list[int]] = {k: [] for k in range(len(mine))}
+    outside: list[set[NetId]] = []  # per SCC, the nets it reads outside the part
+    for k, scc in enumerate(mine):
+        nets = set()
+        for q in scc:
+            for net in reads[q]:
+                j = scc_of.get(net)
+                if j is None:
+                    nets.add(net)
+                elif j != k:
+                    links[k].append(j)
+                    links[j].append(k)
+        outside.append(nets)
+    # with every edge both ways, the SCCs of the links are the weakly connected groups
+    groups = [(ks, set().union(*map(outside.__getitem__, ks))) for ks in components(links)]
+    readers = Counter(chain.from_iterable(nets for _, nets in groups))
+    if len(groups) < 2 or not all(any(readers[n] == 1 for n in nets) for _, nets in groups):
+        return []
+    at = {q: i for i, q in enumerate(part)}
+    return sorted((sorted(at[q] for k in ks for q in mine[k]), sorted(nets)) for ks, nets in groups)
 
 
 def _fold(layouts: Sequence[_Layout]) -> np.ndarray:
@@ -477,12 +559,18 @@ def simulate(netlist: Netlist, stimulus: Stimulus, n_cycles: int) -> Trace:
     them.  When they do not fold, there is one stage, and each cycle
     evaluates the LUTs that read flip-flops level by level, then every
     flip-flop's table over (sr, ce, d, q): ``sr`` beats ``ce``, which
-    beats hold.  The loop keys each cycle by its state bytes and the
-    packed bits of the stage's ``reads``; a key seen before in this call
-    gives the next state from a dict, and only a new key does the
-    lookups.  After the loop the state columns are written for every
-    cycle, and the stage's LUT levels, then its ``after`` levels, are
-    evaluated over the whole run; the next stage reads them as inputs.
+    beats hold.  A stage runs one loop per group (``_Stage.groups``):
+    the weakly connected groups of its flip-flops when each reads a net
+    that no other reads, else the whole stage.  A loop keys each cycle
+    by its state bytes and the packed bits of its group's ``reads``.
+    Each state seen owns a dict from those bits to (next state, next
+    state's dict), so a key seen before in this call is one ``dict.get``
+    and a tuple unpack, and only a new key does the lookups; the dicts
+    link in cycles, so the loop clears them when it ends.  After the
+    loop the group's state columns are written for every cycle, by one
+    slice when its nets are a contiguous run; after the stage's loops,
+    its LUT levels, then its ``after`` levels, are evaluated over the
+    whole run, and the next stage reads them as inputs.
     Deterministic; all flip-flops hold 0 before the first edge, which is
     why generated designs drive RESET through cycle 0.
     """
@@ -499,22 +587,29 @@ def simulate(netlist: Netlist, stimulus: Stimulus, n_cycles: int) -> Trace:
     for lv in comp.hoisted:
         lv.fill(values)
     for stage in comp.stages:
-        ff = stage.ff
-        packed = np.ascontiguousarray(np.packbits(values[:, stage.reads], axis=1))
-        codes = packed.view(f"V{packed.shape[1]}").ravel().tolist() if packed.size else [b""] * n_cycles
-        memo: dict[tuple[bytes, bytes], bytes] = {}
-        state, states = bytes(len(ff.out)), []
-        for t, code in enumerate(codes):
-            states.append(state)
-            nxt = memo.get((state, code))
-            if nxt is None:
-                row = values[t]
-                row[ff.out] = np.frombuffer(state, np.uint8)
-                for lv in stage.levels:
-                    row[lv.out] = lv.tables[lv.base + row[lv.ins] @ lv.weights]
-                nxt = memo[state, code] = ff.tables[ff.base + row[ff.ins] @ ff.weights].tobytes()
-            state = nxt
-        values[:, ff.out] = np.frombuffer(b"".join(states), np.uint8).reshape(n_cycles, -1)
+        for group in stage.groups:
+            ff, cols = group.ff, group.cols
+            packed = np.ascontiguousarray(np.packbits(values[:, group.reads], axis=1))
+            codes = packed.view(f"V{packed.shape[1]}").ravel().tolist() if packed.size else [b""] * n_cycles
+            state = bytes(len(ff.out))
+            links: dict[bytes, tuple[bytes, dict]] = {}  # the state's code -> (next state, its links)
+            memo = {state: links}  # each state seen -> its links
+            states = []
+            append = states.append
+            for code in codes:
+                append(state)
+                hit = links.get(code)
+                if hit is None:
+                    row = values[len(states) - 1]
+                    row[cols] = np.frombuffer(state, np.uint8)
+                    for lv in stage.levels:
+                        row[lv.out] = lv.tables[lv.base + row[lv.ins] @ lv.weights]
+                    nxt = ff.tables[ff.base + row[ff.ins] @ ff.weights].tobytes()
+                    hit = links[code] = (nxt, memo.setdefault(nxt, {}))
+                state, links = hit
+            while memo:  # the links run in cycles: break them, so no collection is needed
+                memo.popitem()[1].clear()
+            values[:, cols] = np.frombuffer(b"".join(states), np.uint8).reshape(n_cycles, -1)
         for lv in (*stage.levels, *stage.after):
             lv.fill(values)
     values.setflags(write=False)

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import enum
 import io
+import math
 import operator
 from dataclasses import dataclass
 from functools import partial, reduce
@@ -162,9 +163,16 @@ class TruthTable:
 
     @classmethod
     def from_bits(cls, arity: int, bits: int) -> "TruthTable":
-        """Build from a 2**arity-entry table (low entry = all inputs 0)."""
+        """Build from a 2**arity-entry table (low entry = all inputs 0).
+
+        The arity is checked once, here; the replicated table then holds
+        every condition of ``__post_init__``, which is not run again.
+        """
         _check_arity(arity)
-        return cls(_replicate(bits, arity), arity)
+        table = object.__new__(cls)
+        object.__setattr__(table, "bits", _replicate(bits, arity))
+        object.__setattr__(table, "arity", arity)
+        return table
 
     @classmethod
     def from_function(cls, arity: int, fn: Callable[..., int]) -> "TruthTable":
@@ -539,6 +547,7 @@ class Stimulus:
         Keyword overrides may be full sequences or a scalar 0/1 held for
         the whole run.  RESET may be overridden explicitly.
         """
+        n_cycles = _require_int(n_cycles, 1, math.inf, NetlistError, "n_cycles {} must be a positive integer")
         names = list(ports.inputs) if isinstance(ports, Netlist) else list(ports)
         waves: dict[str, np.ndarray] = {}
         for name in names:

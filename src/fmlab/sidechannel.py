@@ -18,6 +18,7 @@ mutates a netlist (single-owner construction, like any builder).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
@@ -385,10 +386,14 @@ class Spectrum:
         return float(self.bin_freqs[idx])
 
     def magnitude_at(self, fraction: float) -> float:
-        idx = int(round(fraction * self.window_len))
-        if not 0 <= idx < len(self.magnitudes):
-            raise AnalysisError(f"no bin at fraction {fraction}")
-        return float(self.magnitudes[idx])
+        """The magnitude of the bin nearest ``fraction`` of the clock; a
+        fraction that is not a finite real number, or has no bin, raises
+        :class:`AnalysisError` naming it."""
+        if isinstance(fraction, numbers.Real) and math.isfinite(fraction):
+            idx = int(round(fraction * self.window_len))
+            if 0 <= idx < len(self.magnitudes):
+                return float(self.magnitudes[idx])
+        raise AnalysisError(f"no bin at fraction {fraction!r}")
 
     def to_csv(self, path) -> None:
         """Write a header, then one ``fraction,magnitude`` row per bin.
@@ -530,6 +535,7 @@ class JammerPlan:
         Each register gets its own seeded stream, so the drawn bits for
         period p do not depend on the simulation horizon.
         """
+        n_cycles = _require_int(n_cycles, 1, math.inf, AnalysisError, "n_cycles {} must be a positive integer")
         n_periods = (n_cycles + self.L - 1) // self.L + 1
         waves = {}
         for i, port in enumerate(self.ports):

@@ -1,5 +1,6 @@
 """Config round-trip, scenario runs, CLI exit codes, verify battery."""
 
+import gc
 import hashlib
 import itertools
 import json
@@ -150,10 +151,27 @@ def test_bundled_scenario_exports_match_golden(name, tmp_path):
 
 def test_jammed_scenario_simulates_as_the_reference():
     # the whole horizon: of the four stages (23, 256, 64 and 32
-    # flip-flops), the jammer's 64 meet a new (state, input) key on two
-    # cycles in three, and the others mostly repeat theirs
+    # flip-flops), the jammer's 64 run as eight group loops, one per
+    # 8-register ring and its port, each meeting about 16 (state, input)
+    # keys; the others mostly repeat theirs
     design, stim, trace = simulate_scenario(ScenarioConfig.load(scenario_path("jammed")))
     assert np.array_equal(trace.values, reference_simulate(design.netlist, stim, stim.length).values)
+
+
+def test_jammed_simulate_leaves_no_reference_cycles():
+    # each loop's memo links every state to the next ones, in cycles
+    # around each ring; simulate breaks them before it returns
+    cfg = ScenarioConfig.load(scenario_path("jammed"))
+    design = construct_design(cfg)
+    stim = build_stimulus(cfg, design)
+    simulate(design.netlist, stim, stim.length)  # compiles the plan
+    gc.collect()
+    gc.disable()
+    try:
+        simulate(design.netlist, stim, stim.length)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -198,6 +216,26 @@ def test_bundled_designs_fold_only_when_every_flip_flop_fits(folded_table_mismat
     stages = tuple((len(s.levels), len(s.after), len(s.ff.out)) for s in comp.stages)
     assert (len(comp.hoisted), stages) == levels
     assert folded_table_mismatches(netlist) == []
+
+
+# loops per stage.  A stage splits into its weakly connected groups of
+# flip-flops only when each group reads a net that no other group reads:
+# the jammer's eight rings each read their own port.  Some group of the
+# quad's four rings, and of the concealed design's stage, reads only nets
+# another group reads too, so each of those stages runs as one loop
+@pytest.mark.parametrize(
+    "name, loops",
+    [("concealed_trigger", [1]), ("payload_mode1", [1, 1, 1]), ("payload_mode2", [1, 1, 1]), ("jammed", [1, 1, 8, 1])],
+)
+def test_bundled_stages_run_as_group_loops_only_where_each_group_reads_its_own_net(name, loops):
+    design = construct_design(ScenarioConfig.load(scenario_path(name)))
+    stages = design.netlist._compile().stages
+    assert [len(s.groups) for s in stages] == loops
+    if design.jammer is not None:
+        (jam,) = [s for s in stages if len(s.groups) > 1]
+        ports = {design.netlist.inputs[p] for p in design.jammer.ports}
+        assert [len(g.ff.out) for g in jam.groups] == [8] * 8
+        assert [len(ports.intersection(g.reads.tolist())) for g in jam.groups] == [1] * 8
 
 
 @pytest.mark.parametrize("L", [4, 16])

@@ -434,10 +434,10 @@ def _free_running_design():
     return nl
 
 
-def _ring(nl: Netlist, rng, count: int) -> list[int]:
+def _ring(nl: Netlist, rng, count: int, port: str = "A") -> list[int]:
     """``count`` registers in a ring, each loading a random function of the
-    one before it and port A."""
-    rst, a = nl.reset(), nl.inputs.get("A") or nl.add_input("A")
+    one before it and ``port``."""
+    rst, a = nl.reset(), nl.inputs.get(port) or nl.add_input(port)
     qs = [nl.add_ff(FfKind.RESET, None, nl.const(1), rst) for _ in range(count)]
     for prev, q in zip(qs[-1:] + qs[:-1], qs):
         nl.set_ff_d(q, nl.add_lut([prev, a], _random_table(rng, 2)))
@@ -487,6 +487,16 @@ def _stage_chain_design(groups: int):
     return nl
 
 
+def _rings_design(ports: str):
+    """An 8-register ring on each of ``ports``: rings on ports of their own
+    are independent groups of one stage, and each runs as a loop of its own."""
+    rng = np.random.default_rng(9)
+    nl = Netlist()
+    for port in ports:
+        _ring(nl, rng, 8, port)
+    return nl
+
+
 def _largest_scc_design():
     """A 2-register ring whose tap enables a 4-register one-hot counter,
     and a toggle register that reads neither: the counter is the largest
@@ -522,7 +532,8 @@ def _largest_scc_design():
 # before the cone it reads (two-stage, three-stage-chain), a memo key
 # with no input part (free-running), or the largest strongly connected
 # component of a stage run before the ring it reads (largest-scc-splits:
-# a stage cut into the ring, the counter and the toggle).
+# a stage cut into the ring, the counter and the toggle), or a group loop
+# keyed by another group's port (two-rings-own-ports).
 EDGE_CASES = {
     "no-flip-flops": (_lut_only_design, (2, ())),
     "no-luts": (_ff_only_design, (0, ((0, 0, 4),))),
@@ -538,6 +549,7 @@ EDGE_CASES = {
     "three-stage-chain": (partial(_stage_chain_design, 3), (0, ((0, 2, 4), (0, 2, 4), (0, 0, 4)))),
     "four-stage-chain-does-not": (partial(_stage_chain_design, 4), (0, ((2, 0, 4),))),
     "largest-scc-splits": (_largest_scc_design, (0, ((0, 0, 3), (0, 0, 4), (0, 1, 3)))),
+    "two-rings-own-ports": (partial(_rings_design, "AB"), (0, ((0, 1, 4),))),
 }
 
 
@@ -552,6 +564,20 @@ def test_simulate_matches_reference_on_kernel_edge_cases(build, shape):
     stim = Stimulus.standard(400, nl, **waves)
     trace = simulate(nl, stim, 400)
     assert np.array_equal(trace.values, reference_simulate(nl, stim, 400).values)
+
+
+@pytest.mark.parametrize("ports, loops", [("AB", 2), ("AA", 1), ("ABA", 1)])
+def test_a_stage_runs_as_group_loops_when_each_group_reads_a_net_of_its_own(ports, loops):
+    # the rings share RESET; a ring that reads no port of its own keeps
+    # every ring in the stage's one loop
+    nl = _rings_design(ports)
+    (stage,) = nl._compile().stages
+    assert len(stage.groups) == loops
+    if loops > 1:
+        rst = nl.inputs["RESET"]
+        assert [g.reads.tolist() for g in stage.groups] == [[rst, nl.inputs[p]] for p in ports]
+        assert [g.ff.out.tolist() for g in stage.groups] == stage.ff.out.reshape(loops, -1).tolist()
+        assert all(g.cols == slice(g.ff.out[0], g.ff.out[-1] + 1) for g in stage.groups)
 
 
 def test_trigger_design_cycle_loop_has_no_lut_level():
@@ -614,14 +640,15 @@ def test_trace_value_rejects_bad_cycles(cycle):
 @cache
 def _bounds_bed() -> SimpleNamespace:
     """What the bounds rows read: a converter of port A, its 40-cycle
-    stimulus (A held 0) and trace, a 4-cycle trace of two zero nets and a
-    20-cycle power trace."""
+    stimulus (A held 0) and trace, a 4-cycle trace of two zero nets, a
+    20-cycle power trace and a jammer of one register on port J."""
     nl, sync, (fm,) = converters("A")
     stim = Stimulus.standard(40, nl)
     return SimpleNamespace(
         nl=nl, sync=sync, fm=fm, lut=fm.combiner_out, stim=stim, trace=simulate(nl, stim, 40),
         zeros=Trace(values=np.zeros((4, 2), np.uint8), names=("A", "B")),
         pt=sc.PowerTrace(dynamic=np.zeros(20), static=np.zeros(20), scope=(0,)),
+        jammer=sc.JammerPlan(ports=("J",), signals=(fm,), seed=0),
     )
 
 
@@ -631,6 +658,7 @@ _WINDOW = "^empty or out-of-range window {}$"
 _DECODE = r"^decode bounds \({}\) are not integers$"
 _PERIOD = "period L={} must be at least 1"
 _CYCLES = r"^n_cycles {} must be an integer in \[1, 40\]: a stimulus shorter than the run"
+_POSITIVE = "^n_cycles {} must be a positive integer$"
 
 # (name, call, bad values, error, message): call(bed, v) hands one bounded
 # argument the value v, and the error's message, "{}" standing for v's repr,
@@ -660,6 +688,8 @@ _BOUNDS_ROWS = [
     ("analyze_trace", lambda b, n: analyze_trace(b.zeros, "a", spectrum_window=n), [8.0], AnalysisError, "got {}$"),
     ("power_stats", lambda b, p: sc.power_stats(b.pt, p), [4.0, True], AnalysisError, "^period {} must be"),
     ("build_jammer", lambda b, k: sc.build_jammer(b.nl, b.sync, k, 0), [1.0], AnalysisError, "got {}$"),
+    ("Stimulus.standard", lambda b, n: Stimulus.standard(n, b.nl), [4.0, True, 0], NetlistError, _POSITIVE),
+    ("stimulus_waves", lambda b, n: b.jammer.stimulus_waves(n), [8.0, True, 0], AnalysisError, _POSITIVE),
     ("simulate", lambda b, n: simulate(b.nl, b.stim, n), [2.0, True, 41], NetlistError, _CYCLES),
     ("reference_simulate", lambda b, n: reference_simulate(b.nl, b.stim, n), [2.0, True], NetlistError, _CYCLES),
     ("from_bits", lambda b, k: TruthTable.from_bits(k, 1), [True], NetlistError, r"^table arity .* got {}$"),
@@ -1088,10 +1118,10 @@ def _stages_in_order(nl: Netlist) -> tuple[tuple, int]:
 
 def _memo_hit_share(nl: Netlist, trace: Trace) -> float:
     """The share of cycles whose (state, external inputs) key an earlier
-    cycle of the same stage's loop already had, over all stages."""
-    stages = nl._compile().stages
-    keys = sum(len({(row[s.ff.out].tobytes(), row[s.reads].tobytes()) for row in trace.values}) for s in stages)
-    return 1 - keys / (trace.cycles * len(stages))
+    cycle of the same loop already had, over every group's loop."""
+    loops = [g for s in nl._compile().stages for g in s.groups]
+    keys = sum(len({(row[g.ff.out].tobytes(), row[g.reads].tobytes()) for row in trace.values}) for g in loops)
+    return 1 - keys / (trace.cycles * len(loops))
 
 
 @settings(max_examples=300, deadline=None)
@@ -1106,7 +1136,7 @@ def test_simulate_matches_reference_on_random_netlists(folded_table_mismatches, 
     folded table matches its cone; and both the drawn stimulus and a
     periodic one simulate as the reference does.  In the periodic one
     every port repeats a random pattern of ``period`` cycles, so the
-    flip-flops settle into a short cycle and most cycles of each stage's
+    flip-flops settle into a short cycle and most cycles of each group's
     loop take their next state from the memo instead of the tables.
     Last, an unwired d pin is rejected by both routes.
     """
@@ -1128,6 +1158,7 @@ def test_simulate_matches_reference_on_random_netlists(folded_table_mismatches, 
     event("unfolded" if unfolded else f"{len(stages)} folded stages")
     if not unfolded:
         event(f"stages cut: {cuts}")
+        event("some stage runs as group loops" if any(len(s.groups) > 1 for s in stages) else "one loop per stage")
     assert folded_table_mismatches(nl) == []
 
     trace = simulate(nl, stim, n_cycles)
@@ -1167,7 +1198,7 @@ def test_simulate_matches_reference_on_periodic_stimuli():
     """The periodic stimuli of the kernel property, on each kernel edge
     case: every port repeats a random pattern of 1, 3 or 8 cycles, so the
     flip-flops settle into a short cycle and, on every design with
-    flip-flops, most cycles of each stage's loop take their next state
+    flip-flops, most cycles of each group's loop take their next state
     from the memo instead of the tables."""
     rng = np.random.default_rng(11)
     for name, (build, _) in EDGE_CASES.items():

@@ -377,6 +377,15 @@ def test_spectrum_validation():
     assert len(sc.spectrum(np.zeros(64), 64).magnitudes) == 64 // 2 + 1
 
 
+@pytest.mark.parametrize("fraction", [float("nan"), np.inf, -np.inf, np.float64("nan"), "0.5", None, 0.6], ids=repr)
+def test_magnitude_at_names_a_fraction_with_no_bin(fraction):
+    # each is rejected before it is rounded to a bin; 0.6 rounds past the last
+    sp = sc.spectrum(np.arange(64.0), 64)
+    assert sp.magnitude_at(0.25) == sp.magnitudes[16]
+    with pytest.raises(sc.AnalysisError, match=rf"^no bin at fraction {re.escape(repr(fraction))}$"):
+        sp.magnitude_at(fraction)
+
+
 def test_detect_peaks_on_unconcealed_power():
     nl, sync, (ca, cb), gate = two_input_gate(tt_or(2))
     trace = simulate(nl, Stimulus.standard(300, nl, A=1, B=0), 300)
