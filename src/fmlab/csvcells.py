@@ -8,8 +8,6 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["BLOCK_ROWS", "int_rows", "fraction_reprs"]
-
 # a writer formats this many rows per call, so no buffer grows with the series
 BLOCK_ROWS = 4096
 

@@ -52,25 +52,6 @@ from .netcore import (
     _require_window,
 )
 
-__all__ = [
-    "FmSignal",
-    "FmBit",
-    "FmExpr",
-    "FmError",
-    "MalformedFmError",
-    "DATA_INPUT_BUDGET",
-    "sync_instants",
-    "build_sync",
-    "build_fm_csr",
-    "build_const_fm",
-    "build_std_to_fm",
-    "build_fm_gate",
-    "compose_fm",
-    "build_locking_and",
-    "fm_decode",
-    "fm_decode_all",
-    "duty_cycle",
-]
 
 # LUT inputs available to gate data taps: 6 minus SYNC minus feedback.
 DATA_INPUT_BUDGET = 4
@@ -172,7 +153,7 @@ def build_ring(
     return qs
 
 
-def build_sync(netlist: Netlist, L: int = 8) -> FmSignal:
+def build_sync(netlist: Netlist, L: int) -> FmSignal:
     """The SYNC generator: marker planted at stage L/2, tapped there.
 
     After reset the single 1 sits at stage L/2, so the tap is high at
@@ -181,7 +162,7 @@ def build_sync(netlist: Netlist, L: int = 8) -> FmSignal:
     return FmSignal(tuple(build_ring(netlist, L, [L // 2])))
 
 
-def build_fm_csr(netlist: Netlist, L: int = 8) -> FmSignal:
+def build_fm_csr(netlist: Netlist, L: int) -> FmSignal:
     """A free-running FM register holding value 0 (marker only)."""
     return build_const_fm(netlist, L, 0)
 

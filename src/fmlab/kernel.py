@@ -80,7 +80,7 @@ class _Level:
     """Cells evaluated together by one table lookup in :func:`simulate`.
 
     The cells are the LUTs of one logic level, or the flip-flops of one
-    stage: each read as a 4-input LUT of its (sr, ce, d, q) pins with the
+    loop: each read as a 4-input LUT of its (sr, ce, d, q) pins with the
     table ``_FF_NEXT``, or, folded, as one table over its support.
     :func:`_fold` builds the folded tables with the same lookup, over
     rows of support patterns instead of cycles.
@@ -147,30 +147,26 @@ class _Stage:
     """Flip-flops that the cycle loops of :func:`simulate` update, one
     loop per group.
 
-    Each cycle evaluates ``levels`` and then looks up ``ff``; once the
-    loops have filled in every cycle, ``after`` is evaluated over all
-    cycles at once.  A folded stage has no ``levels``.  The state and
-    the ``reads`` of a cycle decide its next state; ``reads`` holds no
-    flip-flop of this stage or a later one.  ``groups`` splits ``ff``
-    into flip-flops that read no other group's (see :func:`_groups`), or
-    holds the whole stage as one group.
+    Each cycle of a loop evaluates ``levels`` and then looks up its
+    group's flip-flops; once the loops have filled in every cycle,
+    ``after`` is evaluated over all cycles at once.  A folded stage has
+    no ``levels``.  ``groups`` holds the stage's flip-flops in groups
+    that read no other group's (see :func:`_groups`), or the whole stage
+    as one group.
     """
 
     levels: tuple[_Level, ...]  # LUT levels evaluated every cycle
-    ff: _Level
     after: tuple[_Level, ...]  # LUT levels evaluated after the cycle loops
-    reads: np.ndarray  # (r,) sorted nets the loops read and do not write
     groups: tuple[_Group, ...]  # one cycle loop each, run one after another
 
     @classmethod
-    def of(
-        cls, levels: tuple[_Level, ...], ff: _Level, after: tuple[_Level, ...], groups: tuple[_Group, ...] = ()
-    ) -> "_Stage":
+    def whole(cls, levels: tuple[_Level, ...], ff: _Level, after: tuple[_Level, ...]) -> "_Stage":
+        """The flip-flops ``ff`` as one loop, which reads the nets that
+        ``levels`` and ``ff`` read and do not write."""
         cells = (*levels, ff)
         reads = set(chain.from_iterable(lv.ins.ravel().tolist() for lv in cells))
         reads.difference_update(*(lv.out.tolist() for lv in cells))
-        reads = np.array(sorted(reads), np.intp)
-        return cls(levels, ff, after, reads, groups or (_Group.of(ff, reads),))
+        return cls(levels, after, (_Group.of(ff, np.array(sorted(reads), np.intp)),))
 
 
 # a flip-flop laid out over slots: 0 and 1 hold the constants, 2 + b its
@@ -377,7 +373,11 @@ def _stages(
         for members, nets in groups:
             level = _Level.of([out[i] for i in members], [supports[i] for i in members], rows[members])
             loops.append(_Group.of(level, np.array(nets, np.intp)))
-        stages.append(_Stage.of((), _Level.of(out, supports, rows), tuple(map(_lut_level, after)), tuple(loops)))
+        after = tuple(map(_lut_level, after))
+        if loops:
+            stages.append(_Stage((), after, tuple(loops)))
+        else:
+            stages.append(_Stage.whole((), _Level.of(out, supports, rows), after))
     return tuple(stages)
 
 
@@ -533,7 +533,7 @@ def plan(netlist: Netlist) -> _Compiled:
         # each cycle evaluates the loop LUTs, then every flip-flop's
         # next-state table over its (sr, ce, d, q) pins
         levels = tuple(map(_lut_level, _place(loop, ())[0]))
-        stages = (_Stage.of(levels, _lut_level(pins), ()),)
+        stages = (_Stage.whole(levels, _lut_level(pins), ()),)
     return _Compiled(
         n_nets=netlist.net_count,
         input_names=tuple(netlist.inputs),

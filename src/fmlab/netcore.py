@@ -719,4 +719,4 @@ def _parse_csv_lines(path, data: bytes) -> tuple[tuple[str, ...], np.ndarray]:
 
 
 # the kernel reads the model above, so it is imported once that is defined
-from .kernel import _Compiled, plan, simulate  # noqa: E402
+from .kernel import plan, simulate  # noqa: E402

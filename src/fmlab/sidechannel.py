@@ -29,28 +29,6 @@ from .csvcells import BLOCK_ROWS, fraction_reprs, int_rows
 from .netcore import CONST_NAMES, NetId, Netlist, RESET_NAME, Trace, _integer_type, _require_int, _require_window
 from .fmlogic import FmSignal, build_std_to_fm
 
-__all__ = [
-    "UciReport",
-    "PairReport",
-    "PowerTrace",
-    "PowerStats",
-    "Spectrum",
-    "JammerPlan",
-    "AnalysisError",
-    "DEFAULT_EXCLUDED_NAMES",
-    "scan_nets",
-    "uci_scan",
-    "pair_scan",
-    "power_trace",
-    "quad_balance",
-    "power_stats",
-    "spectrum",
-    "detect_fm_peaks",
-    "attacker_demodulate",
-    "period_sums",
-    "oracle_threshold_accuracy",
-    "build_jammer",
-]
 
 DEFAULT_EXCLUDED_NAMES = (RESET_NAME, CONST_NAMES[0], CONST_NAMES[1])
 _EXCLUDED = frozenset(DEFAULT_EXCLUDED_NAMES)

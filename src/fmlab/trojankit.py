@@ -64,30 +64,6 @@ from .fmlogic import (
     make_combiner_table,
 )
 
-__all__ = [
-    "TriggerSpec",
-    "Aligned",
-    "RandomRetry",
-    "AlignmentPolicy",
-    "PayloadMode",
-    "ConcealedQuad",
-    "TriggerError",
-    "PayloadError",
-    "add_opcode_bus",
-    "build_event_sync",
-    "build_trigger",
-    "decode_level",
-    "opcode_stimulus",
-    "latest_delta",
-    "program_stimulus",
-    "random_program",
-    "scrub_sequences",
-    "build_concealed",
-    "set_payload_mode",
-    "build_payload_transmitter",
-    "build_baseline_trojan",
-]
-
 
 class TriggerError(ValueError):
     """Invalid trigger construction or stimulus request."""

@@ -772,9 +772,7 @@ class VerifySummary:
         return [name for name, ok, _ in self.results if not ok]
 
 
-def verify_suite(
-    print_fn: Callable[[str], None] | None = print, only: Collection[str] | None = None
-) -> VerifySummary:
+def verify_suite(only: Collection[str] | None = None) -> VerifySummary:
     """Run every invariant check, or the ones named in ``only``; print one
     pass/fail line per check, with the seconds it took."""
     results = []
@@ -788,10 +786,7 @@ def verify_suite(
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         seconds = time.perf_counter() - start
         results.append((name, ok, detail))
-        if print_fn:
-            print_fn(f"{'PASS' if ok else 'FAIL'} {name} ({seconds:.3f} s): {detail}")
-    summary = VerifySummary(results)
-    if print_fn:
-        n_ok = sum(1 for _, ok, _ in results if ok)
-        print_fn(f"{n_ok}/{len(results)} checks passed")
-    return summary
+        print(f"{'PASS' if ok else 'FAIL'} {name} ({seconds:.3f} s): {detail}")
+    n_ok = sum(1 for _, ok, _ in results if ok)
+    print(f"{n_ok}/{len(results)} checks passed")
+    return VerifySummary(results)

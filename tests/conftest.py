@@ -45,10 +45,9 @@ def _folded_table_mismatches(netlist: Netlist) -> list[tuple[int, int]]:
     state: sr beats ce, which beats hold.
     """
     bad = []
-    for stage in netlist._compile().stages:
-        if stage.levels:  # not folded: the (sr, ce, d, q) table
-            continue
-        ff = stage.ff
+    # a stage with LUT levels is not folded: it reads the (sr, ce, d, q) table
+    folded = [g.ff for stage in netlist._compile().stages if not stage.levels for g in stage.groups]
+    for ff in folded:
         size = 1 << ff.ins.shape[1]
         address = np.arange(size)
         for q, ins, base in zip(ff.out.tolist(), ff.ins.tolist(), ff.base.tolist()):

@@ -213,7 +213,7 @@ def test_bundled_netlist_text_roundtrip(name):
 def test_bundled_designs_fold_only_when_every_flip_flop_fits(folded_table_mismatches, name, levels):
     netlist = construct_design(ScenarioConfig.load(scenario_path(name))).netlist
     comp = netlist._compile()
-    stages = tuple((len(s.levels), len(s.after), len(s.ff.out)) for s in comp.stages)
+    stages = tuple((len(s.levels), len(s.after), sum(len(g.ff.out) for g in s.groups)) for s in comp.stages)
     assert (len(comp.hoisted), stages) == levels
     assert folded_table_mismatches(netlist) == []
 
@@ -446,9 +446,9 @@ def test_verify_suite_counts_crashed_checks_as_failed(monkeypatch, capsys):
 
     stub = [("good", lambda: (True, "fine")), ("bad", lambda: (False, "off")), ("crash", crash)]
     monkeypatch.setattr(verify, "CHECKS", stub)
-    lines = []
-    summary = verify_suite(print_fn=lines.append)
+    summary = verify_suite()
     assert summary.failed == ["bad", "crash"]
+    lines = capsys.readouterr().out.splitlines()
     assert re.fullmatch(r"FAIL crash \(\d+\.\d{3} s\): raised RuntimeError: boom", lines[2]), lines[2]
     assert lines[-1] == "1/3 checks passed"
     assert main(["verify"]) == 1

@@ -1,20 +1,15 @@
-"""Package surface: every exported name resolves, the benchmark's tracer
-finds every name it patches, and the test settings report a failing
-property test."""
+"""Package surface: every submodule imports first in a fresh interpreter,
+the benchmark's tracer finds every name it patches, and the test settings
+report a failing property test."""
 
-import importlib
 import importlib.util
-import pkgutil
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
-
-import pytest
-
-import fmlab
 
 pytest_plugins = ["pytester"]
 
-MODULES = [importlib.import_module(f"fmlab.{m.name}") for m in pkgutil.iter_modules(fmlab.__path__)]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -26,14 +21,27 @@ def _load_perfbench(name: str, monkeypatch):
     return module
 
 
-@pytest.mark.parametrize(
-    "module",
-    [m for m in MODULES if hasattr(m, "__all__")],
-    ids=lambda m: m.__name__,
-)
-def test_all_entries_resolve(module):
-    missing = [n for n in module.__all__ if not hasattr(module, n)]
-    assert not missing, f"{module.__name__}.__all__ names undefined {missing}"
+def test_every_submodule_imports_first_and_netcore_loads_only_the_kernel():
+    # netcore and the kernel import each other; a submodule that loads
+    # before netcore's model is defined fails on a partly initialised module
+    script = textwrap.dedent(
+        """
+        import importlib, pkgutil, sys
+        import fmlab
+
+        def loaded():
+            return sorted(n for n in sys.modules if n.split(".")[0] == "fmlab")
+
+        names = [m.name for m in pkgutil.iter_modules(fmlab.__path__) if m.name != "__main__"]
+        for name in [*names, "netcore"]:
+            for module in loaded():
+                del sys.modules[module]
+            importlib.import_module(f"fmlab.{name}")
+        assert loaded() == ["fmlab", "fmlab.kernel", "fmlab.netcore"], loaded()
+        """
+    )
+    result = subprocess.run([sys.executable, "-W", "error", "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_perfbench_tracer_patches_existing_names_and_restores_them(monkeypatch):

@@ -350,6 +350,13 @@ def test_power_stats_constant_series():
     assert stats.dynamic_period_sums.tolist() == [20, 20, 20, 20]
 
 
+def test_power_stats_variances_are_variances_not_deviations():
+    pt = sc.PowerTrace(dynamic=np.array([0, 4, 0, 4]), static=np.array([0, 6, 0, 6]), scope=(0,))
+    stats = sc.power_stats(pt, 2)
+    assert (stats.dynamic_mean, stats.dynamic_variance) == (2.0, 4.0)
+    assert (stats.static_mean, stats.static_variance) == (3.0, 9.0)
+
+
 # ---------------------------------------------------------------------------
 # spectrum / peaks
 # ---------------------------------------------------------------------------
@@ -384,6 +391,27 @@ def test_magnitude_at_names_a_fraction_with_no_bin(fraction):
     assert sp.magnitude_at(0.25) == sp.magnitudes[16]
     with pytest.raises(sc.AnalysisError, match=rf"^no bin at fraction {re.escape(repr(fraction))}$"):
         sp.magnitude_at(fraction)
+
+
+# bin 3 tops bin 1 by less than the 1e-9 tie tolerance
+NEAR_TIE = sc.Spectrum(
+    magnitudes=np.array([0.0, 1.0, 0.5, 1.0 + 1e-12, 0.2]), bin_freqs=np.fft.rfftfreq(8), window_len=8
+)
+
+
+def test_dominant_fraction_is_the_lowest_bin_within_the_tie_tolerance():
+    assert NEAR_TIE.dominant_fraction() == 0.125
+
+
+def test_detect_peaks_at_ratio_one_returns_the_maximal_bin():
+    assert sc.detect_fm_peaks(NEAR_TIE, 1.0) == [0.375]
+
+
+def test_magnitude_at_rounds_to_the_nearest_bin():
+    # 0.3 of a 16-cycle window is bin 4.8: the nearest bin is 5, not 4
+    sp = sc.spectrum(np.cos(2 * np.pi * 5 * np.arange(16) / 16), 16)
+    assert sp.magnitudes[4] != sp.magnitudes[5]
+    assert sp.magnitude_at(0.3) == sp.magnitudes[5]
 
 
 def test_detect_peaks_on_unconcealed_power():
@@ -579,6 +607,11 @@ def test_oracle_threshold_perfect_separation():
     acc, thr = sc.oracle_threshold_accuracy(sums, "0101")
     assert acc == 1.0
     assert 17 < thr < 31
+
+
+def test_oracle_threshold_keeps_the_first_threshold_of_the_best_accuracy():
+    # thresholds 0, 2.5 and 5 each reach 0.5; none does better
+    assert sc.oracle_threshold_accuracy([1, 2, 3, 4], "1010") == (0.5, 0.0)
 
 
 def test_oracle_threshold_rejects_empty_sums():
